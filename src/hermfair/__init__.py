@@ -75,4 +75,4 @@ from .stats import (
     wilson_interval,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

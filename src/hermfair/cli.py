@@ -35,6 +35,7 @@ from .scenarios import (
     aggregate,
     build_grid,
     builtin_scenario,
+    json_number,
     run_sweep,
     write_aggregates_csv,
     write_aggregates_json,
@@ -175,13 +176,15 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         writer.writerow(["group", "p", "rho", "decision"])
         for g, p, r, d in zip(pop.groups, pop.p, pop.rho, result.allocation.values):
             writer.writerow([g, format(p, ".17g"), format(r, ".17g"), format(d, ".17g")])
+    # strict JSON: a gap undefined on this population (a group with zero
+    # weight) is written as null
     summary = {
         "objective": result.objective,
         "status": result.status.value,
         "gap_orientation": "group B minus group A",
-        "parity_gap": result.parity_gap,
-        "eo_gap": result.eo_gap,
-        "eho_gap": result.eho_gap,
+        "parity_gap": json_number(result.parity_gap),
+        "eo_gap": json_number(result.eo_gap),
+        "eho_gap": json_number(result.eho_gap),
         "n_fractional": result.n_fractional,
         "mode": mode.value,
         "constraints": list(constraints.active),
@@ -189,7 +192,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         "n_users": pop.size,
         "version": __version__,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     print(f"wrote {alloc_path} (objective {result.objective:.6g}, status {result.status.value})")
     return 0
 

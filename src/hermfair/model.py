@@ -105,7 +105,12 @@ class Population:
     ) -> "Population":
         """Build a population directly from aligned arrays of labels, p and rho."""
         self = object.__new__(cls)
-        groups = np.asarray(groups, dtype="U1")
+        groups = np.asarray(groups)
+        # validate before the cast: "U1" would truncate "Apple" to "A"
+        known = np.isin(groups, ("A", "B"))
+        if not known.all():
+            raise ValueError(f"unknown group labels: {sorted(set(map(str, groups[~known])))}")
+        groups = groups.astype("U1")
         p = np.asarray(p, dtype=np.float64).copy()
         rho = np.asarray(rho, dtype=np.float64).copy()
         if not (np.isfinite(p).all() and (p >= 0).all() and (p <= 1).all()):
@@ -119,9 +124,6 @@ class Population:
     def _init_arrays(self, groups: np.ndarray, p: np.ndarray, rho: np.ndarray) -> None:
         if groups.shape != p.shape or p.shape != rho.shape or groups.ndim != 1:
             raise ValueError("groups, p and rho must be 1-d arrays of equal length")
-        known = np.isin(groups, ("A", "B"))
-        if not known.all():
-            raise ValueError(f"unknown group labels: {set(groups[~known])}")
         mask_a = groups == "A"
         n_a = int(mask_a.sum())
         n_b = int(groups.size - n_a)

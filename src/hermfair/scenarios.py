@@ -50,6 +50,7 @@ __all__ = [
     "write_records_csv",
     "write_aggregates_csv",
     "write_aggregates_json",
+    "json_number",
     "RECORD_COLUMNS",
 ]
 
@@ -472,23 +473,29 @@ def write_aggregates_csv(
             fh.close()
 
 
+def json_number(x):
+    """``x`` for a JSON file: non-finite floats become ``None`` (``null``)."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def write_aggregates_json(
     result: SweepResult, rows: list[AggregateRow], path: str | Path | io.TextIOBase
 ) -> None:
+    """Strict JSON: statistics of all-failed rows are ``null``, never ``NaN``."""
     payload = {
         "scenario": result.scenario,
         "uptake_variant": result.uptake_variant,
         "param_name": result.param_name,
         "gap_orientation": "group A minus group B",
         "rows": [
-            {col: getattr(row, col) for col in _AGG_COLUMNS[1:]}
+            {col: json_number(getattr(row, col)) for col in _AGG_COLUMNS[1:]}
             for row in rows
         ],
     }
     own = isinstance(path, (str, Path))
     fh = open(path, "w") if own else path
     try:
-        json.dump(payload, fh, indent=2, allow_nan=True)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     finally:
         if own:

@@ -38,6 +38,20 @@ class TestAllocate:
         assert summary["constraints"] == ["parity_exposure"]
         assert abs(summary["parity_gap"]) <= summary["tolerance"] + 1e-8
 
+    def test_undefined_gap_written_as_null(self, tmp_path):
+        # group A never clicks, so the EO gap has no denominator
+        pop_csv = write(tmp_path / "pop.csv",
+                        "group,p,rho\nA,0,0.5\nA,0,0.4\nB,0.1,0.8\nB,0.05,0.7\n")
+        out = tmp_path / "out"
+        assert main(["allocate", pop_csv, "--parity", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["eo_gap"] is None
+        assert summary["parity_gap"] is not None
+
     def test_empty_population_exits_1(self, tmp_path):
         pop_csv = write(tmp_path / "pop.csv", "")
         assert main(["allocate", pop_csv, "--out", str(tmp_path)]) == 1

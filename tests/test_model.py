@@ -58,6 +58,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             pop_from(["A", "C"], [0.1, 0.2], [0.3, 0.4])
 
+    def test_population_rejects_long_labels_before_truncating(self):
+        # a one-character cast would read "Apple", "Banana" as A, B
+        with pytest.raises(ValueError, match=r"\['Apple', 'Banana'\]"):
+            pop_from(["Apple", "Banana", "B"], [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+        with pytest.raises(ValueError, match="unknown group labels"):
+            pop_from([1, 2], [0.1, 0.2], [0.3, 0.4])
+
     def test_binary_allocation_rejects_fractions(self):
         with pytest.raises(ValueError):
             Allocation.binary([0.0, 0.5])

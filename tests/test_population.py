@@ -142,6 +142,11 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3"):
             population_from_csv(io.StringIO(csv_text))
 
+    def test_long_group_label_rejected(self):
+        csv_text = "group,p,rho\nA,0.5,0.5\nApple,0.5,0.5\nB,0.5,0.5\n"
+        with pytest.raises(ValueError, match="line 3.*'Apple'"):
+            population_from_csv(io.StringIO(csv_text))
+
     def test_out_of_range_value(self):
         csv_text = "group,p,rho\nA,1.5,0.5\nB,0.5,0.5\n"
         with pytest.raises(ValueError, match="line 2"):

@@ -258,6 +258,28 @@ class TestWriters:
         assert payload["gap_orientation"] == "group A minus group B"
         assert len(payload["rows"]) == len(rows)
 
+    def test_aggregates_json_is_strict(self):
+        # a row whose every record failed has no statistics: null, not NaN
+        import json
+
+        bad = SweepRecord(scenario="A", rule="unconstrained", param_name="beta_b",
+                          param_value=0.1, replication=0, objective=math.nan,
+                          utility_pct=math.nan, parity_gap=math.nan, eo_gap=math.nan,
+                          eho_gap=math.nan, status="failed:SolverNumericalError", seed=9)
+        res = SweepResult(scenario="A", uptake_variant="main", param_name="beta_b",
+                          grid=(0.1,), replications=1, n_a=10, n_b=10, tolerance=1e-6,
+                          base_seed=0, records=(bad,), n_failed=1)
+        buf = io.StringIO()
+        write_aggregates_json(res, aggregate(res), buf)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        (row,) = json.loads(buf.getvalue(), parse_constant=reject)["rows"]
+        assert row["n_failed"] == 1
+        assert row["utility_pct_median"] is None
+        assert row["parity_gap_q75"] is None
+
     def test_float_round_trip_precision(self):
         res = run_sweep(tiny_spec(grid=(0.05,), reps=1), base_seed=1)
         buf = io.StringIO()

@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import hermfair.solver
 from hermfair.model import (
     Allocation,
     ConstraintSet,
@@ -13,7 +15,14 @@ from hermfair.model import (
     decision_gains,
     herm_aware_utility,
 )
-from hermfair.population import ClickConfig, PopulationSpec, UptakeConfig, sample_population
+from hermfair.population import (
+    ClickConfig,
+    PopulationSpec,
+    UptakeConfig,
+    sample_population,
+    subseed,
+)
+from hermfair.scenarios import ScenarioId, builtin_scenario
 from hermfair.solver import (
     PopulationTooLargeError,
     RoundingStrategy,
@@ -275,6 +284,91 @@ class TestConstrainedLP:
             seen.add(res.status)
             assert abs(res.eo_gap) <= 1e-8
         assert seen <= {SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_RELAXED}
+
+    def test_feasible_threshold_skips_every_engine(self, monkeypatch):
+        # group B mirrors group A under equal parameters, so the threshold
+        # allocation has every gap exactly zero and no engine may run
+        def refuse(*args, **kwargs):
+            raise AssertionError("engine called although the threshold allocation is feasible")
+
+        monkeypatch.setattr(hermfair.solver, "linprog", refuse)
+        monkeypatch.setattr(hermfair.solver, "_solve_slab_single", refuse)
+        p = [0.9, 0.3, 0.05, 0.6]
+        rho = [0.7, 0.4, 0.2, 0.9]
+        pop = pop_from(["A"] * 4 + ["B"] * 4, p + p, rho + rho)
+        params = make_params(beta_b=0.03, theta_b=0.05)
+        expected = threshold_rule(pop, params).values
+        assert 0.0 < expected.sum() < pop.size
+        for cs, m in ((ConstraintSet.parity(0.0), 1),
+                      (ConstraintSet(parity_exposure=True, equality_opportunity=True), 2),
+                      (ConstraintSet.all(), 3)):
+            assert len(constraint_rows(pop, cs)[0]) == m
+            for method in ("auto", "highs"):
+                res = solve_constrained_lp(SolveRequest(pop, params, cs), method=method)
+                assert np.array_equal(res.allocation.values, expected)
+                assert res.n_fractional == 0
+
+    def test_equality_slack_form_matches_stacked_inequalities(self):
+        # reference: the slab as stacked inequality rows over the scaled rows,
+        # [R; -R] d <= eps * [scale; scale], on a reduced sweep of every
+        # built-in scenario
+        def stacked_reference(pop, params, cs):
+            _, rows = constraint_rows(pop, cs)
+            scale = 1.0 / np.max(np.abs(rows), axis=1)
+            rows = rows * scale[:, None]
+            res = linprog(
+                -decision_gains(pop, params),
+                A_ub=np.vstack([rows, -rows]),
+                b_ub=np.concatenate([scale * cs.tolerance, scale * cs.tolerance]),
+                bounds=(0.0, 1.0),
+                method="highs-ds",
+                options={"primal_feasibility_tolerance": 1e-9,
+                         "dual_feasibility_tolerance": 1e-9},
+            )
+            assert res.status == 0
+            return herm_aware_utility(pop, Allocation.fractional(np.clip(res.x, 0.0, 1.0)), params)
+
+        cells = 0
+        for scenario in ScenarioId:
+            spec = builtin_scenario(scenario, replications=1, n_a=300, n_b=300)
+            cs = ConstraintSet.all(spec.tolerance)
+            for vi in range(0, len(spec.grid), 2):
+                pop = sample_population(PopulationSpec(
+                    n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click,
+                    seed=subseed(9, vi, 0),
+                ))
+                params = spec.params_for(spec.grid[vi])
+                res = solve_constrained_lp(SolveRequest(pop, params, cs))
+                expected = stacked_reference(pop, params, cs)
+                assert res.objective == pytest.approx(expected, rel=1e-9)
+                assert res.n_fractional <= len(constraint_rows(pop, cs)[0])
+                cells += 1
+        assert cells == 48
+
+    def test_highs_edge_cases_match_parametric(self):
+        # eps = 0 fixes the slack columns at zero; a constant rho collapses
+        # the EHO row onto the parity row, leaving HiGHS one row
+        rng = np.random.default_rng(41)
+        engines_ran = 0
+        for _ in range(30):
+            pop, params = random_instance(rng, n_max=40, n_min=4)
+            flat = pop_from(pop.groups, pop.p, np.full(pop.size, 0.5))
+            for case, cs in (
+                (pop, ConstraintSet.parity(0.0)),
+                (pop, ConstraintSet.opportunity(0.0)),
+                (flat, ConstraintSet(parity_exposure=True, equality_herm_opportunity=True)),
+                (flat, ConstraintSet(parity_exposure=True, equality_herm_opportunity=True,
+                                     tolerance=0.0)),
+            ):
+                _, rows = constraint_rows(case, cs)
+                assert rows.shape[0] == 1
+                gap = float(rows[0] @ threshold_rule(case, params).values)
+                engines_ran += abs(gap) > cs.tolerance
+                req = SolveRequest(case, params, cs)
+                fast = solve_constrained_lp(req, method="parametric")
+                slow = solve_constrained_lp(req, method="highs")
+                assert slow.objective == pytest.approx(fast.objective, rel=1e-9, abs=1e-12)
+        assert engines_ran >= 90
 
     def test_infeasible_never_reported(self):
         rng = np.random.default_rng(5)
