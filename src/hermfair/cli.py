@@ -8,7 +8,7 @@ vector, numerical failure).
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 import time
@@ -24,11 +24,14 @@ from .population import (
     ClickConfig,
     PopulationSpec,
     UptakeConfig,
+    allocation_to_csv,
     population_from_csv,
     population_to_csv,
     sample_population,
 )
 from .scenarios import (
+    MAX_GRID_POINTS,
+    MAX_JOBS,
     UPTAKE_VARIANTS,
     ScenarioId,
     UptakeVariant,
@@ -42,6 +45,7 @@ from .scenarios import (
     write_records_csv,
 )
 from .solver import (
+    MAX_ENUMERATION_CAP,
     NoFeasibleBinaryError,
     PopulationTooLargeError,
     SolveMode,
@@ -51,10 +55,7 @@ from .solver import (
 )
 from .stats import chi2_independence, conditional_proportions, table_from_csv, wilson_interval
 
-_PARAM_DEFAULTS = dict(
-    alpha=0.2, beta_a=0.03, beta_b=0.05, theta_a=0.05, theta_b=0.1,
-    omega_a=0.01, omega_b=0.01, xi=0.2, gamma=0.01,
-)
+_PARAM_DEFAULTS = dataclasses.asdict(ModelParams.default())
 
 _UPTAKE_CHOICES = tuple(v.value for v in UptakeVariant)
 _SCENARIO_CHOICES = tuple(s.value for s in ScenarioId)
@@ -85,7 +86,7 @@ _CONFIG_SCHEMA = {
         "n_a": {"type": "integer", "minimum": 1},
         "n_b": {"type": "integer", "minimum": 1},
         "tolerance": {"type": "number", "minimum": 0},
-        "jobs": {"type": "integer", "minimum": 1},
+        "jobs": {"type": "integer", "minimum": 1, "maximum": MAX_JOBS},
     },
     "required": ["scenario"],
 }
@@ -104,7 +105,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(x) for x in parts)
         except ValueError:
             raise _InputError(f"--grid values must be numbers, got {text!r}") from None
-        return build_grid(start, stop, step)
+        try:
+            return build_grid(start, stop, step)
+        except ValueError as exc:
+            raise _InputError(f"--grid: {exc}") from exc
     try:
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
@@ -139,6 +143,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
+    if args.cap > MAX_ENUMERATION_CAP:
+        raise _InputError(f"--cap {args.cap} exceeds the ceiling {MAX_ENUMERATION_CAP}")
     try:
         pop = population_from_csv(args.population)
     except OSError as exc:
@@ -171,11 +177,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     alloc_path = outdir / "allocation.csv"
-    with open(alloc_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "p", "rho", "decision"])
-        for g, p, r, d in zip(pop.groups, pop.p, pop.rho, result.allocation.values):
-            writer.writerow([g, format(p, ".17g"), format(r, ".17g"), format(d, ".17g")])
+    allocation_to_csv(pop, result.allocation.values, alloc_path)
     # strict JSON: a gap undefined on this population (a group with zero
     # weight) is written as null
     summary = {
@@ -208,9 +210,12 @@ def _load_sweep_config(path: str) -> dict:
         jsonschema.validate(raw, _CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise _InputError(f"config failed validation: {exc.message}") from exc
-    if isinstance(raw.get("grid"), dict) :
+    if isinstance(raw.get("grid"), dict):
         g = raw["grid"]
-        raw["grid"] = list(build_grid(g["start"], g["stop"], g["step"]))
+        try:
+            raw["grid"] = list(build_grid(g["start"], g["stop"], g["step"]))
+        except ValueError as exc:
+            raise _InputError(f"config grid: {exc}") from exc
     return raw
 
 
@@ -412,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--mode", choices=("fractional", "binary-exact"), default="fractional")
     p_alloc.add_argument("--tol", type=float, default=None,
                          help="constraint tolerance (default 1e-6 fractional, 0.02 binary-exact)")
-    p_alloc.add_argument("--cap", type=int, default=22, help="binary enumeration cap")
+    p_alloc.add_argument("--cap", type=int, default=22,
+                         help=f"binary enumeration cap (at most {MAX_ENUMERATION_CAP})")
     p_alloc.add_argument("--out", default=".", help="output directory")
     p_alloc.set_defaults(func=cmd_allocate)
 
@@ -423,11 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     p_sweep.add_argument("--reps", type=int, default=None, help="replications (default 100)")
     p_sweep.add_argument("--grid", default=None,
-                         help="varying-parameter grid: 'start:stop:step' or comma list")
+                         help="varying-parameter grid: 'start:stop:step' or comma list "
+                              f"(at most {MAX_GRID_POINTS} points)")
     p_sweep.add_argument("--na", type=int, default=None, help="group A size (default 1000)")
     p_sweep.add_argument("--nb", type=int, default=None, help="group B size (default 1000)")
     p_sweep.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-6)")
-    p_sweep.add_argument("--jobs", type=int, default=None, help="parallel workers (default 1)")
+    p_sweep.add_argument("--jobs", type=int, default=None,
+                         help=f"parallel workers (default 1, at most {MAX_JOBS})")
     p_sweep.add_argument("--out", default="sweep-out", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
 

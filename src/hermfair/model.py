@@ -205,6 +205,15 @@ class ModelParams:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
+    @classmethod
+    def default(cls) -> "ModelParams":
+        """The documented defaults: the CLI's flag defaults and the fixed
+        values of every built-in scenario."""
+        return cls(
+            alpha=0.2, beta_a=0.03, beta_b=0.05, theta_a=0.05, theta_b=0.1,
+            omega_a=0.01, omega_b=0.01, xi=0.2, gamma=0.01,
+        )
+
     def beta_for(self, group: GroupLabel) -> float:
         return self.beta_a if group is GroupLabel.A else self.beta_b
 

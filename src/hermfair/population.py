@@ -17,11 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
+from ._textio import open_text
 from .model import Population
 
 __all__ = [
@@ -33,12 +36,14 @@ __all__ = [
     "sample_population",
     "subseed",
     "population_to_csv",
+    "allocation_to_csv",
     "population_from_csv",
 ]
 
 RNG_STREAM = "numpy-pcg64"
 
 POPULATION_CSV_HEADER = ("group", "p", "rho")
+ALLOCATION_CSV_HEADER = (*POPULATION_CSV_HEADER, "decision")
 
 
 def _check_shape(name: str, value: float) -> float:
@@ -128,64 +133,157 @@ def subseed(base_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# Rows formatted per ``write`` call: the writers' memory does not grow with n.
+_WRITE_CHUNK_ROWS = 1 << 16
+
+
+def _write_csv(
+    path: str | Path | io.TextIOBase, header: tuple[str, ...], groups: np.ndarray,
+    *columns: np.ndarray,
+) -> None:
+    """Write ``header``, then one ``group,x,...`` row per user.
+
+    Floats carry 17 significant digits and lines end in ``\\r\\n``: the bytes
+    ``csv.writer`` gives for the same rows (labels are ``A``/``B``, which it
+    never quotes).  Each chunk of rows is formatted by one ``%`` operation.
+    """
+    width = 1 + len(columns)
+    row = "%s" + ",%.17g" * len(columns) + "\r\n"
+    with open_text(path, "w") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, groups.size, _WRITE_CHUNK_ROWS):
+            stop = start + _WRITE_CHUNK_ROWS
+            labels = groups[start:stop].tolist()
+            cells = [None] * (width * len(labels))
+            cells[0::width] = labels
+            for k, column in enumerate(columns, start=1):
+                cells[k::width] = column[start:stop].tolist()
+            fh.write((row * len(labels)) % tuple(cells))
+
+
 def population_to_csv(pop: Population, path: str | Path | io.TextIOBase) -> None:
     """Write ``group,p,rho`` rows; floats carry 17 significant digits."""
-    own = isinstance(path, (str, Path))
-    fh = open(path, "w", newline="") if own else path
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(POPULATION_CSV_HEADER)
-        for g, p, r in zip(pop.groups, pop.p, pop.rho):
-            writer.writerow([g, format(p, ".17g"), format(r, ".17g")])
-    finally:
-        if own:
-            fh.close()
+    _write_csv(path, POPULATION_CSV_HEADER, pop.groups, pop.p, pop.rho)
+
+
+def allocation_to_csv(
+    pop: Population, decision: np.ndarray, path: str | Path | io.TextIOBase
+) -> None:
+    """Write ``group,p,rho,decision`` rows, in the format of :func:`population_to_csv`."""
+    decision = np.asarray(decision, dtype=np.float64)
+    if decision.shape != pop.p.shape:
+        raise ValueError("decision must hold one value per user")
+    _write_csv(path, ALLOCATION_CSV_HEADER, pop.groups, pop.p, pop.rho, decision)
+
+
+# One user row as the columnar reader parses it; labels stay whole (a sized
+# string field would truncate them) and are stripped afterwards.
+_ROW_DTYPE = np.dtype([("group", object), ("p", np.float64), ("rho", np.float64)])
+_LINE_END = re.compile(r"\r\n|\r|\n")
+_WHITESPACE_LINE = re.compile(r"^[^\S\r\n]+$", re.MULTILINE)
 
 
 def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
     """Parse a ``group,p,rho`` CSV back into a population.
 
+    The dialect: the header ``group,p,rho``, then one user per line; fields
+    may be quoted with ``"`` and surrounded by whitespace; blank and
+    whitespace-only lines are skipped; ``#`` starts no comment; numbers are
+    ASCII decimals (``nan`` and ``inf`` parse, and are rejected as out of
+    range).  Line ends may be ``\\n``, ``\\r\\n`` or ``\\r``.
+
     Raises:
         ValueError: malformed header, labels, or out-of-range values, with
             the offending line number in the message.
     """
-    own = isinstance(path, (str, Path))
-    fh = open(path, "r", newline="") if own else path
+    with open_text(path, "r") as fh:
+        text = fh.read()
+    if not text:
+        raise ValueError("empty population CSV")
+    end = _LINE_END.search(text)
+    header_line, body = (text[: end.start()], text[end.end():]) if end else (text, "")
+    header = next(csv.reader([header_line]), [])
+    if tuple(h.strip() for h in header) != POPULATION_CSV_HEADER:
+        raise ValueError(
+            f"line 1: expected header {','.join(POPULATION_CSV_HEADER)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    if not body or body.isspace():
+        raise ValueError("population CSV contains no user rows")
+    table = _load_rows(body)
+    if table is not None:
+        labels = table["group"].tolist()
+        names = {label: label.strip() for label in set(labels)}
+        p, rho = table["p"], table["rho"]
+        if set(names.values()) <= {"A", "B"} and (
+            (p >= 0.0) & (p <= 1.0) & (rho >= 0.0) & (rho <= 1.0)
+        ).all():
+            if all(label == name for label, name in names.items()):
+                groups = table["group"].astype("U1")
+            else:
+                groups = np.array([names[label] for label in labels], dtype="U1")
+            return Population.from_arrays(groups, p, rho)
+    _raise_first_bad_line(text)
+
+
+def _load_rows(body: str) -> np.ndarray | None:
+    """The user rows parsed in C, or ``None`` if they break the dialect.
+
+    ``np.loadtxt`` takes neither whitespace-only lines nor lone ``\\r`` line
+    ends; a file that has them is normalised and parsed a second time.
+    """
     try:
-        reader = csv.reader(fh)
+        return _loadtxt(body)
+    except ValueError:
+        normalised = _WHITESPACE_LINE.sub("", body.replace("\r\n", "\n").replace("\r", "\n"))
+    if normalised == body:
+        return None
+    try:
+        return _loadtxt(normalised)
+    except ValueError:
+        return None
+
+
+def _loadtxt(rows: str) -> np.ndarray:
+    # UTF-8 bytes, decoded line by line: io.StringIO would hold four bytes
+    # per character
+    return np.loadtxt(
+        io.BytesIO(rows.encode()), dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
+        comments=None, ndmin=1, encoding="utf-8",
+    )
+
+
+def _number(field: str) -> float:
+    """``float(field)`` on what ``np.loadtxt`` also parses: ASCII, no ``_``."""
+    field = field.strip()
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return float(field)
+
+
+def _raise_first_bad_line(text: str) -> NoReturn:
+    """Raise the error of the first rejected line, numbered as in the file.
+
+    Runs only after the columnar parse or its checks rejected the file.
+    """
+    lines = io.StringIO(text, newline="")  # splits at \n, \r\n and \r
+    next(lines)  # the header, already checked
+    for lineno, line in enumerate(lines, start=2):
+        if line.isspace():
+            continue
+        row = next(csv.reader([line]))
+        if len(row) != 3:
+            raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
+        g = row[0].strip()
+        if g not in ("A", "B"):
+            raise ValueError(f"line {lineno}: group must be 'A' or 'B', got {g!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty population CSV") from None
-        if tuple(h.strip() for h in header) != POPULATION_CSV_HEADER:
-            raise ValueError(
-                f"line 1: expected header {','.join(POPULATION_CSV_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        groups: list[str] = []
-        p: list[float] = []
-        rho: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            g = row[0].strip()
-            if g not in ("A", "B"):
-                raise ValueError(f"line {lineno}: group must be 'A' or 'B', got {g!r}")
-            try:
-                pv, rv = float(row[1]), float(row[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: p and rho must be numbers") from None
-            for name, v in (("p", pv), ("rho", rv)):
-                if not (0.0 <= v <= 1.0):
-                    raise ValueError(f"line {lineno}: {name} must lie in [0, 1], got {v}")
-            groups.append(g)
-            p.append(pv)
-            rho.append(rv)
-        if not groups:
-            raise ValueError("population CSV contains no user rows")
-        return Population.from_arrays(np.array(groups), np.array(p), np.array(rho))
-    finally:
-        if own:
-            fh.close()
+            pv, rv = _number(row[1]), _number(row[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: p and rho must be numbers") from None
+        for name, v in (("p", pv), ("rho", rv)):
+            if not (0.0 <= v <= 1.0):
+                raise ValueError(f"line {lineno}: {name} must lie in [0, 1], got {v}")
+    # every line reads alone, so the fault spans lines (a quoted field
+    # holding a line end)
+    raise ValueError("malformed population CSV: a quoted field spans lines")

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._textio import open_text
 from .model import ConstraintSet, ModelParams
 from .population import ClickConfig, PopulationSpec, UptakeConfig, sample_population, subseed
 from .solver import (
@@ -52,6 +53,8 @@ __all__ = [
     "write_aggregates_json",
     "json_number",
     "RECORD_COLUMNS",
+    "MAX_GRID_POINTS",
+    "MAX_JOBS",
 ]
 
 
@@ -106,19 +109,31 @@ UPTAKE_VARIANTS: dict[UptakeVariant, UptakeConfig] = {
 }
 
 
+# Ceilings on the size of a sweep, checked before any work starts.
+MAX_GRID_POINTS = 10_000
+MAX_JOBS = 64
+
+
 def build_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Inclusive arithmetic grid with drift-free rounding at 10 decimals."""
-    if step <= 0:
+    """Inclusive arithmetic grid with drift-free rounding at 10 decimals.
+
+    Raises:
+        ValueError: ``step`` is not positive, a bound is not finite, or the
+            grid would have more than ``MAX_GRID_POINTS`` points (checked
+            before any point is built).
+    """
+    if not step > 0:
         raise ValueError("step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("grid start, stop and step must be finite")
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # also catches an overflow to inf
+        raise ValueError(
+            f"grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points"
+        )
+    count = int(math.floor(span)) + 1
     return tuple(round(start + k * step, 10) for k in range(count))
 
-
-# Common fixed parameter values shared by every built-in scenario.
-_FIXED = dict(
-    alpha=0.2, beta_a=0.03, beta_b=0.05, theta_a=0.05, theta_b=0.1,
-    omega_a=0.01, omega_b=0.01, xi=0.2, gamma=0.01,
-)
 
 # The disparity between the groups' withholding utilities changes sign at
 # beta_b == beta_a, so the varying-beta_b grids start just above beta_a to
@@ -155,6 +170,10 @@ class ScenarioSpec:
             raise ValueError(f"unknown varying parameter {self.varying!r}")
         if not self.grid:
             raise ValueError("grid must contain at least one value")
+        if len(self.grid) > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid has {len(self.grid)} points, more than {MAX_GRID_POINTS}"
+            )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         for value in self.grid:
@@ -181,7 +200,7 @@ def builtin_scenario(
     """Build one of the canonical sweeps with its default grid and parameters.
 
     Scenarios A-D vary ``beta_b``, ``theta_b``, ``omega_b`` and ``xi``
-    respectively around the fixed values (alpha 0.2, beta_a 0.03, beta_b
+    respectively around ``ModelParams.default()`` (alpha 0.2, beta_a 0.03, beta_b
     0.05, theta_a 0.05, theta_b 0.1, omega_a/omega_b 0.01, xi 0.2) with the
     cost weight gamma at 0.01.  ``baseline-gamma0`` repeats the beta_b sweep
     with gamma pinned to 0; ``gamma`` sweeps the cost weight itself.
@@ -190,9 +209,9 @@ def builtin_scenario(
     uptake_variant = UptakeVariant(uptake_variant)
     varying, default_grid, fixed_overrides = _SCENARIO_DEFS[scenario]
     values = tuple(float(v) for v in grid) if grid is not None else default_grid
-    fixed = dict(_FIXED, **fixed_overrides)
-    fixed[varying] = values[0] if varying != "gamma" else fixed["gamma"]
-    base = ModelParams(**fixed)
+    base = replace(ModelParams.default(), **fixed_overrides)
+    if varying != "gamma":
+        base = replace(base, **{varying: values[0]})
     return ScenarioSpec(
         scenario=scenario,
         uptake_variant=uptake_variant,
@@ -329,7 +348,10 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = 1) -> SweepResult:
     sub-seed derived from ``(base_seed, value index, replication)``, so cells
     are reproducible in isolation and parallel scheduling cannot change any
     number.  Solver failures are recorded per record and the sweep continues.
+    At most ``MAX_JOBS`` worker processes are allowed.
     """
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs {jobs} exceeds the ceiling of {MAX_JOBS} workers")
     cells = [
         (spec, base_seed, vi, rep)
         for vi in range(len(spec.grid))
@@ -436,16 +458,11 @@ def _fmt(x) -> str:
 
 def write_records_csv(result: SweepResult, path: str | Path | io.TextIOBase) -> None:
     """One row per (rule, grid value, replication), schema in RECORD_COLUMNS."""
-    own = isinstance(path, (str, Path))
-    fh = open(path, "w", newline="") if own else path
-    try:
+    with open_text(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for rec in result.records:
             writer.writerow([_fmt(getattr(rec, col)) for col in RECORD_COLUMNS])
-    finally:
-        if own:
-            fh.close()
 
 
 _AGG_COLUMNS = (
@@ -458,9 +475,7 @@ _AGG_COLUMNS = (
 def write_aggregates_csv(
     result: SweepResult, rows: list[AggregateRow], path: str | Path | io.TextIOBase
 ) -> None:
-    own = isinstance(path, (str, Path))
-    fh = open(path, "w", newline="") if own else path
-    try:
+    with open_text(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(_AGG_COLUMNS)
         for row in rows:
@@ -468,9 +483,6 @@ def write_aggregates_csv(
                 [result.scenario]
                 + [_fmt(getattr(row, col)) for col in _AGG_COLUMNS[1:]]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def json_number(x):
@@ -492,11 +504,6 @@ def write_aggregates_json(
             for row in rows
         ],
     }
-    own = isinstance(path, (str, Path))
-    fh = open(path, "w") if own else path
-    try:
+    with open_text(path, "w") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    finally:
-        if own:
-            fh.close()

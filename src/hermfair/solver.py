@@ -61,6 +61,7 @@ __all__ = [
     "solve_constrained_lp",
     "solve_binary_exact",
     "round_allocation",
+    "MAX_ENUMERATION_CAP",
 ]
 
 # Realized gaps may exceed the request tolerance by at most this much before
@@ -102,6 +103,10 @@ class RoundingStrategy(enum.Enum):
     BERNOULLI_SEEDED = "bernoulli"
 
 
+# Ceiling on ``SolveRequest.enumeration_cap``: the oracle scores 2**n vectors.
+MAX_ENUMERATION_CAP = 30
+
+
 @dataclass(frozen=True)
 class SolveRequest:
     population: Population
@@ -109,6 +114,13 @@ class SolveRequest:
     constraints: ConstraintSet = field(default_factory=ConstraintSet)
     mode: SolveMode = SolveMode.FRACTIONAL
     enumeration_cap: int = 22
+
+    def __post_init__(self) -> None:
+        if self.enumeration_cap > MAX_ENUMERATION_CAP:
+            raise ValueError(
+                f"enumeration cap {self.enumeration_cap} exceeds the ceiling "
+                f"{MAX_ENUMERATION_CAP}"
+            )
 
 
 @dataclass(frozen=True)

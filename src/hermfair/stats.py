@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as _sps
 
+from ._textio import open_text
+
 __all__ = [
     "ContingencyTable",
     "WilsonInterval",
@@ -252,9 +254,7 @@ def table_from_csv(path: str | Path | io.TextIOBase) -> ContingencyTable:
     whose remaining cells are column labels; each following row starts with
     its row label followed by non-negative integer counts.
     """
-    own = isinstance(path, (str, Path))
-    fh = open(path, "r", newline="") if own else path
-    try:
+    with open_text(path, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -289,20 +289,12 @@ def table_from_csv(path: str | Path | io.TextIOBase) -> ContingencyTable:
         if len(rows) < 2:
             raise ValueError("contingency table needs at least two data rows")
         return ContingencyTable(np.array(rows), row_labels, col_labels)
-    finally:
-        if own:
-            fh.close()
 
 
 def table_to_csv(table: ContingencyTable, path: str | Path | io.TextIOBase) -> None:
     """Write a table in the same labelled layout accepted by table_from_csv."""
-    own = isinstance(path, (str, Path))
-    fh = open(path, "w", newline="") if own else path
-    try:
+    with open_text(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["", *table.col_labels])
         for label, row in zip(table.row_labels, table.counts):
             writer.writerow([label, *row.tolist()])
-    finally:
-        if own:
-            fh.close()

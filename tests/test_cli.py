@@ -1,9 +1,14 @@
 import csv
+import io
 import json
 
 import pytest
 
+import hermfair.cli
 from hermfair.cli import main
+from hermfair.model import ConstraintSet, ModelParams
+from hermfair.population import population_from_csv, population_to_csv
+from hermfair.solver import SolveRequest, solve
 
 EXPOSURE_TABLE = ",not_exposed,exposed\nany_same_sex,883,219\nopposite_sex_only,1975,122\n"
 
@@ -69,6 +74,62 @@ class TestAllocate:
     def test_invalid_params_exit_1(self, tmp_path):
         pop_csv = write(tmp_path / "pop.csv", "group,p,rho\nA,0.5,0.5\nB,0.5,0.5\n")
         assert main(["allocate", pop_csv, "--alpha", "0", "--out", str(tmp_path)]) == 1
+
+
+    def test_allocation_csv_bytes(self, tmp_path):
+        pop = population_from_csv(io.StringIO(
+            "group,p,rho\nA,0.1,0.5\nA,0.7,0.3\nA,0,1\nB,0.9,0.2\nB,0.05,0.95\nB,1,0\n"))
+        pop_csv = tmp_path / "pop.csv"
+        population_to_csv(pop, pop_csv)
+        out = tmp_path / "out"
+        assert main(["allocate", str(pop_csv), "--parity", "--out", str(out)]) == 0
+        result = solve(SolveRequest(pop, ModelParams.default(), ConstraintSet.parity(1e-6)))
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["group", "p", "rho", "decision"])
+        for g, p, r, d in zip(pop.groups, pop.p, pop.rho, result.allocation.values):
+            writer.writerow([g, format(p, ".17g"), format(r, ".17g"), format(d, ".17g")])
+        assert (out / "allocation.csv").read_bytes() == buf.getvalue().encode()
+        assert 0 < result.n_fractional  # the file carries a fraction, not only 0 and 1
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before the input was checked")
+
+
+class TestCeilings:
+    """Each ceiling exits 1 before any work starts."""
+
+    def test_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hermfair.cli, "population_from_csv", fail_if_called)
+        pop_csv = write(tmp_path / "pop.csv", "group,p,rho\nA,0.5,0.5\nB,0.5,0.5\n")
+        rc = main(["allocate", pop_csv, "--mode", "binary-exact", "--cap", "31",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "--cap 31 exceeds the ceiling 30" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--jobs", "65"], "65 is greater than the maximum of 64"),
+        (["--grid", "0:1:1e-5"], "--grid: grid 0.0:1.0:1e-05 has more than 10000 points"),
+        (["--grid", "0:1:0"], "--grid: step must be positive"),
+        (["--grid", ",".join(["0.1"] * 10001)], "grid has 10001 points, more than 10000"),
+    ])
+    def test_sweep_flags(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
+        rc = main(["sweep", "--scenario", "A", *argv, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"jobs": 65}, "65 is greater than the maximum of 64"),
+        ({"grid": {"start": 0, "stop": 1, "step": 1e-5}}, "config grid: grid 0:1:1e-05 has more"),
+        ({"grid": [0.1] * 10001}, "grid has 10001 points, more than 10000"),
+    ])
+    def test_sweep_config(self, tmp_path, capsys, monkeypatch, config, message):
+        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
+        cfg = write(tmp_path / "cfg.json", json.dumps({"scenario": "A", **config}))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSweep:

@@ -21,6 +21,7 @@ from hermfair.model import (
     user_hermeneutical_cost,
     user_utility,
 )
+from hermfair.scenarios import builtin_scenario
 
 
 def make_params(**kw):
@@ -32,6 +33,12 @@ def make_params(**kw):
 
 def pop_from(groups, p, rho):
     return Population.from_arrays(np.array(groups), np.array(p), np.array(rho))
+
+
+def test_default_params_are_the_documented_values():
+    assert ModelParams.default() == make_params()
+    assert builtin_scenario("A").params_for(0.05) == ModelParams.default()
+    assert builtin_scenario("baseline-gamma0").base_params.gamma == 0.0
 
 
 # ---------------------------------------------------------------- type checks

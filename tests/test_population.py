@@ -1,19 +1,33 @@
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from hermfair.model import Population
 from hermfair.population import (
     ClickConfig,
     PopulationSpec,
     UptakeConfig,
+    allocation_to_csv,
     beta_sample,
     population_from_csv,
     population_to_csv,
     sample_population,
     subseed,
 )
+from hermfair.scenarios import (
+    aggregate,
+    builtin_scenario,
+    run_sweep,
+    write_aggregates_csv,
+    write_aggregates_json,
+    write_records_csv,
+)
+from hermfair.stats import ContingencyTable, table_from_csv, table_to_csv
 
 MAIN_UPTAKE = UptakeConfig(beta_a=(4.0, 6.0), beta_b=(7.0, 3.0))
 
@@ -156,3 +170,170 @@ class TestCsvRoundTrip:
         csv_text = "group,p,rho\nA,x,0.5\nB,0.5,0.5\n"
         with pytest.raises(ValueError, match="line 2"):
             population_from_csv(io.StringIO(csv_text))
+
+
+def read_text(text):
+    return population_from_csv(io.StringIO(text))
+
+
+def reference_csv(header, *columns):
+    """The bytes a ``csv.writer`` loop writes, floats at 17 significant digits."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for g, *values in zip(*columns):
+        writer.writerow([g, *(format(v, ".17g") for v in values)])
+    return buf.getvalue()
+
+
+class TestCsvDialect:
+    def test_blank_and_whitespace_lines_skipped(self):
+        pop = read_text("group,p,rho\n\nA,0.5,0.25\n   \n\t\nB,0.125,1\n\n")
+        assert pop.groups.tolist() == ["A", "B"]
+        assert pop.p.tolist() == [0.5, 0.125] and pop.rho.tolist() == [0.25, 1.0]
+
+    def test_bad_value_after_blank_line_numbered(self):
+        with pytest.raises(ValueError, match=r"^line 4: p must lie in \[0, 1\], got 2.0$"):
+            read_text("group,p,rho\nA,0.5,0.5\n\nB,2,0.5\n")
+        with pytest.raises(ValueError, match=r"^line 5: p and rho must be numbers$"):
+            read_text("group,p,rho\nA,0.5,0.5\n  \n\t\nB,x,0.5\n")
+
+    def test_crlf_and_no_final_newline(self):
+        pop = read_text("group,p,rho\r\nA,0.5,0.25\r\nB,0.125,1")
+        assert pop.p.tolist() == [0.5, 0.125] and pop.rho.tolist() == [0.25, 1.0]
+        with pytest.raises(ValueError, match="^line 3: group must be 'A' or 'B', got 'C'$"):
+            read_text("group,p,rho\r\nA,0.5,0.25\r\nC,0.125,1")
+
+    def test_lone_cr_line_ends(self):
+        pop = read_text("group,p,rho\rA,0.5,0.25\r\rB,0.125,1\r")
+        assert pop.groups.tolist() == ["A", "B"]
+        with pytest.raises(ValueError, match="^line 4: expected 3 columns, got 2$"):
+            read_text("group,p,rho\rA,0.5,0.25\r\rB,0.125\r")
+
+    def test_quoted_fields(self):
+        pop = read_text('"group","p","rho"\n"A","0.5",0.25\nB,"0.125"," 1 "\n')
+        assert pop.groups.tolist() == ["A", "B"]
+        assert pop.p.tolist() == [0.5, 0.125] and pop.rho.tolist() == [0.25, 1.0]
+        with pytest.raises(ValueError, match="^line 3: group must be 'A' or 'B', got 'A,B'$"):
+            read_text('group,p,rho\nA,0.5,0.5\n"A,B",0.5,0.5\n')
+
+    def test_line_of_only_quotes_is_a_row(self):
+        with pytest.raises(ValueError, match="^line 3: expected 3 columns, got 1$"):
+            read_text('group,p,rho\nA,0.5,0.5\n""\nB,0.5,0.5\n')
+
+    def test_whitespace_around_labels_and_numbers(self):
+        pop = read_text(" group , p ,rho\n A ,\t0.5 , 0.25\n\tB\t, 1e-3,0 \n")
+        assert pop.groups.tolist() == ["A", "B"]
+        assert pop.p.tolist() == [0.5, 0.001] and pop.rho.tolist() == [0.25, 0.0]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("B,nan,0.5", r"p must lie in \[0, 1\], got nan"),
+            ("B,0.5,inf", r"rho must lie in \[0, 1\], got inf"),
+            ("B,-inf,0.5", r"p must lie in \[0, 1\], got -inf"),
+            ("B,0.5 # c,0.5", "p and rho must be numbers"),
+            ("B,0.000_1,0.5", "p and rho must be numbers"),
+            ("B,0.5", "expected 3 columns, got 2"),
+            ("B,0.5,0.5,1", "expected 3 columns, got 4"),
+        ],
+    )
+    def test_rejected_rows_numbered(self, row, message):
+        with pytest.raises(ValueError, match=f"^line 4: {message}$"):
+            read_text(f"group,p,rho\nA,0.5,0.5\n\n{row}\nB,0.5,0.5\n")
+
+    def test_header_only(self):
+        for text in ("group,p,rho", "group,p,rho\r\n", "group,p,rho\n\n  \n"):
+            with pytest.raises(ValueError, match="^population CSV contains no user rows$"):
+                read_text(text)
+
+    def test_long_label_named_in_full(self):
+        label = "Anonymous-" * 20
+        with pytest.raises(ValueError, match=f"^line 3: group must be 'A' or 'B', got '{label}'$"):
+            read_text(f"group,p,rho\nA,0.5,0.5\n  {label}  ,0.5,0.5\n")
+
+
+unit_floats = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 1.1e-308, 0.1, 1.0 - 2.0**-53]),
+)
+
+
+@st.composite
+def populations(draw):
+    groups = draw(st.lists(st.sampled_from("AB"), min_size=2, max_size=40)
+                  .filter(lambda g: "A" in g and "B" in g))
+    p = draw(st.lists(unit_floats, min_size=len(groups), max_size=len(groups)))
+    rho = draw(st.lists(unit_floats, min_size=len(groups), max_size=len(groups)))
+    return Population.from_arrays(groups, p, rho)
+
+
+@given(populations())
+def test_csv_round_trip_bit_exact(pop):
+    buf = io.StringIO()
+    population_to_csv(pop, buf)
+    buf.seek(0)
+    back = population_from_csv(buf)
+    assert back == pop
+    assert back.p.tobytes() == pop.p.tobytes() and back.rho.tobytes() == pop.rho.tobytes()
+
+
+class TestCsvBytes:
+    def test_population_csv_matches_csv_writer(self, tmp_path):
+        pop = sample_population(spec(n_a=30, n_b=20, seed=4))
+        pop = Population.from_arrays(
+            pop.groups, np.r_[pop.p[:-3], 0.0, 1.0, 0.1], np.r_[pop.rho[:-2], 5e-324, 1.0]
+        )
+        path = tmp_path / "pop.csv"
+        population_to_csv(pop, path)
+        expected = reference_csv(("group", "p", "rho"), pop.groups, pop.p, pop.rho)
+        assert path.read_bytes() == expected.encode()
+
+    def test_allocation_csv_matches_csv_writer(self, tmp_path):
+        pop = sample_population(spec(n_a=12, n_b=9, seed=6))
+        decision = np.linspace(0.0, 1.0, pop.size)
+        buf = io.StringIO(newline="")
+        allocation_to_csv(pop, decision, buf)
+        expected = reference_csv(("group", "p", "rho", "decision"),
+                                 pop.groups, pop.p, pop.rho, decision)
+        assert buf.getvalue() == expected
+        with pytest.raises(ValueError, match="one value per user"):
+            allocation_to_csv(pop, decision[1:], io.StringIO())
+
+    def test_chunks_join_seamlessly(self, monkeypatch):
+        import hermfair.population as population
+
+        pop = sample_population(spec(n_a=9, n_b=8, seed=1))
+        whole = io.StringIO()
+        population_to_csv(pop, whole)
+        monkeypatch.setattr(population, "_WRITE_CHUNK_ROWS", 4)
+        chunked = io.StringIO()
+        population_to_csv(pop, chunked)
+        assert chunked.getvalue() == whole.getvalue()
+
+
+def test_caller_handles_stay_open():
+    pop = sample_population(spec(n_a=5, n_b=5, seed=3))
+    table = ContingencyTable(np.array([[3, 4], [5, 6]]), ["r1", "r2"], ["c1", "c2"])
+    sweep = run_sweep(builtin_scenario("A", grid=(0.05,), replications=1, n_a=5, n_b=5),
+                      base_seed=1)
+    writers = [
+        lambda fh: population_to_csv(pop, fh),
+        lambda fh: allocation_to_csv(pop, np.zeros(pop.size), fh),
+        lambda fh: table_to_csv(table, fh),
+        lambda fh: write_records_csv(sweep, fh),
+        lambda fh: write_aggregates_csv(sweep, aggregate(sweep), fh),
+        lambda fh: write_aggregates_json(sweep, aggregate(sweep), fh),
+    ]
+    for write in writers:
+        fh = io.StringIO()
+        write(fh)
+        assert not fh.closed and fh.getvalue()
+    fh = io.StringIO()
+    population_to_csv(pop, fh)
+    fh.seek(0)
+    assert population_from_csv(fh) == pop and not fh.closed
+    fh = io.StringIO()
+    table_to_csv(table, fh)
+    fh.seek(0)
+    assert table_from_csv(fh).row_labels == ("r1", "r2") and not fh.closed

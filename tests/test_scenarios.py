@@ -6,7 +6,10 @@ import pytest
 
 from hermfair.model import ModelParams
 from hermfair.population import UptakeConfig
+import hermfair.scenarios
 from hermfair.scenarios import (
+    MAX_GRID_POINTS,
+    MAX_JOBS,
     AllocationRule,
     ScenarioId,
     ScenarioSpec,
@@ -84,6 +87,35 @@ class TestBuiltinScenarios:
     def test_grid_validation_runs_upfront(self):
         with pytest.raises(ValueError):
             builtin_scenario("D", grid=(0.1, -0.2))  # xi must stay positive
+
+
+class TestCeilings:
+    def test_grid_point_ceiling(self):
+        assert len(build_grid(0.0, MAX_GRID_POINTS - 1, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            build_grid(0.0, MAX_GRID_POINTS, 1.0)
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            build_grid(-1e308, 1e308, 1e-300)  # the count overflows to inf
+
+    def test_grid_bounds_must_be_finite(self):
+        for start, stop, step in ((0.0, math.inf, 1.0), (math.nan, 1.0, 0.1)):
+            with pytest.raises(ValueError, match="finite"):
+                build_grid(start, stop, step)
+        with pytest.raises(ValueError, match="step must be positive"):
+            build_grid(0.0, 1.0, math.nan)
+
+    def test_spec_grid_ceiling(self):
+        grid = tuple(np.linspace(0.04, 0.4, MAX_GRID_POINTS + 1))
+        with pytest.raises(ValueError, match=f"{MAX_GRID_POINTS + 1} points, more than"):
+            builtin_scenario("A", grid=grid)
+
+    def test_jobs_ceiling_before_any_worker(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(hermfair.scenarios, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=f"exceeds the ceiling of {MAX_JOBS} workers"):
+            run_sweep(tiny_spec(), base_seed=1, jobs=MAX_JOBS + 1)
 
 
 class TestRunSweep:

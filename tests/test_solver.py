@@ -24,6 +24,7 @@ from hermfair.population import (
 )
 from hermfair.scenarios import ScenarioId, builtin_scenario
 from hermfair.solver import (
+    MAX_ENUMERATION_CAP,
     PopulationTooLargeError,
     RoundingStrategy,
     SolveMode,
@@ -393,6 +394,12 @@ class TestBinaryExact:
             solve_binary_exact(
                 SolveRequest(pop, make_params(), mode=SolveMode.BINARY_EXACT)
             )
+
+    def test_cap_ceiling(self):
+        pop = pop_from(["A", "B"], [0.5, 0.5], [0.5, 0.5])
+        SolveRequest(pop, make_params(), enumeration_cap=MAX_ENUMERATION_CAP)
+        with pytest.raises(ValueError, match="enumeration cap 31 exceeds the ceiling 30"):
+            SolveRequest(pop, make_params(), enumeration_cap=MAX_ENUMERATION_CAP + 1)
 
     def test_parity_zero_tolerance_equal_counts(self):
         pop = pop_from(["A", "A", "B", "B"], [0.9, 0.8, 0.7, 0.6], [0.5] * 4)
