@@ -11,10 +11,8 @@ from .model import (
     AllocationMode,
     ConstraintSet,
     DegenerateGroupError,
-    GroupLabel,
     ModelParams,
     Population,
-    UserRecord,
     decision_gains,
     economic_utility,
     eho_gap,
@@ -23,8 +21,6 @@ from .model import (
     hermeneutical_cost,
     is_hermeneutically_fair,
     parity_gap,
-    user_hermeneutical_cost,
-    user_utility,
 )
 from .population import (
     RNG_STREAM,

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import reprlib
 import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -59,38 +60,6 @@ _PARAM_DEFAULTS = dataclasses.asdict(ModelParams.default())
 
 _UPTAKE_CHOICES = tuple(v.value for v in UptakeVariant)
 _SCENARIO_CHOICES = tuple(s.value for s in ScenarioId)
-
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "scenario": {"enum": list(_SCENARIO_CHOICES)},
-        "uptake": {"enum": list(_UPTAKE_CHOICES)},
-        "seed": {"type": "integer", "minimum": 0},
-        "reps": {"type": "integer", "minimum": 1},
-        "grid": {
-            "oneOf": [
-                {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["start", "stop", "step"],
-                    "properties": {
-                        "start": {"type": "number"},
-                        "stop": {"type": "number"},
-                        "step": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-            ]
-        },
-        "n_a": {"type": "integer", "minimum": 1},
-        "n_b": {"type": "integer", "minimum": 1},
-        "tolerance": {"type": "number", "minimum": 0},
-        "jobs": {"type": "integer", "minimum": 1, "maximum": MAX_JOBS},
-    },
-    "required": ["scenario"],
-}
-
 
 class _InputError(Exception):
     """User input problem; exits with code 1."""
@@ -152,19 +121,18 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _InputError(f"{args.population}: {exc}") from exc
 
-    try:
-        params = ModelParams(**{k: getattr(args, k) for k in _PARAM_DEFAULTS})
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-
     mode = SolveMode.BINARY_EXACT if args.mode == "binary-exact" else SolveMode.FRACTIONAL
     tol = args.tol if args.tol is not None else (0.02 if mode is SolveMode.BINARY_EXACT else 1e-6)
-    constraints = ConstraintSet(
-        parity_exposure=args.parity,
-        equality_opportunity=args.eo,
-        equality_herm_opportunity=args.eho,
-        tolerance=tol,
-    )
+    try:
+        params = ModelParams(**{k: getattr(args, k) for k in _PARAM_DEFAULTS})
+        constraints = ConstraintSet(
+            parity_exposure=args.parity,
+            equality_opportunity=args.eo,
+            equality_herm_opportunity=args.eho,
+            tolerance=tol,
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     req = SolveRequest(pop, params, constraints, mode=mode, enumeration_cap=args.cap)
     try:
         result = solve(req)
@@ -199,61 +167,87 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _grid(value) -> bool:
+    if type(value) is dict:
+        return sorted(value) == ["start", "step", "stop"] and all(
+            map(_finite_number, value.values()))
+    return type(value) is list and bool(value) and all(map(_finite_number, value))
+
+
+_INTEGER = (lambda value: type(value) is int, "an integer")  # not true, not 1.0
+_NUMBER = (_finite_number, "a finite number")
+
+# The JSON type of each run-configuration key: a test and what it asks for.
+# `--config` and the sweep flags fill one dict of these keys (each flag's
+# dest is its key); value ranges are checked by the library.
+_CONFIG_TYPES = {
+    "scenario": (_SCENARIO_CHOICES.__contains__, f"one of {list(_SCENARIO_CHOICES)}"),
+    "uptake": (_UPTAKE_CHOICES.__contains__, f"one of {list(_UPTAKE_CHOICES)}"),
+    "seed": _INTEGER,
+    "reps": _INTEGER,
+    "grid": (_grid, "a non-empty list of finite numbers or a {start, stop, step} object"),
+    "n_a": _INTEGER,
+    "n_b": _INTEGER,
+    "tolerance": _NUMBER,
+    "jobs": _INTEGER,
+}
+
+
+def _check_config(config: dict) -> None:
+    """Reject unknown keys and values of the wrong JSON type."""
+    unknown = sorted(set(config) - set(_CONFIG_TYPES))
+    if unknown:
+        raise _InputError(f"unknown run configuration keys: {unknown}")
+    for key, value in config.items():
+        ok, want = _CONFIG_TYPES[key]
+        if not ok(value):
+            raise _InputError(f"{key} must be {want}, got {reprlib.repr(value)}")
+
+
 def _load_sweep_config(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise _InputError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise _InputError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, _CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise _InputError(f"config failed validation: {exc.message}") from exc
-    if isinstance(raw.get("grid"), dict):
-        g = raw["grid"]
-        try:
-            raw["grid"] = list(build_grid(g["start"], g["stop"], g["step"]))
-        except ValueError as exc:
-            raise _InputError(f"config grid: {exc}") from exc
+    if type(raw) is not dict:
+        raise _InputError("config must be a JSON object")
     return raw
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config: dict = {}
-    if args.config:
-        config = _load_sweep_config(args.config)
-    if args.scenario:
-        config["scenario"] = args.scenario
+    # explicit flags override the config file
+    config = _load_sweep_config(args.config) if args.config else {}
+    flags = {key: getattr(args, key) for key in _CONFIG_TYPES}
+    if flags["grid"] is not None:
+        flags["grid"] = list(_parse_grid(flags["grid"]))
+    config.update((key, value) for key, value in flags.items() if value is not None)
     if "scenario" not in config:
         raise _InputError("either --scenario or --config with a scenario is required")
-    # explicit flags override the config file
-    if args.uptake is not None:
-        config["uptake"] = args.uptake
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.reps is not None:
-        config["reps"] = args.reps
-    if args.grid is not None:
-        config["grid"] = list(_parse_grid(args.grid))
-    if args.na is not None:
-        config["n_a"] = args.na
-    if args.nb is not None:
-        config["n_b"] = args.nb
-    if args.tol is not None:
-        config["tolerance"] = args.tol
-    if args.jobs is not None:
-        config["jobs"] = args.jobs
-    try:
-        jsonschema.validate(config, _CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise _InputError(f"run configuration invalid: {exc.message}") from exc
+    _check_config(config)
 
+    grid = config.get("grid")
+    if type(grid) is dict:
+        try:
+            grid = build_grid(grid["start"], grid["stop"], grid["step"])
+        except ValueError as exc:
+            raise _InputError(f"config grid: {exc}") from exc
+    jobs = config.get("jobs", 1)
+    if jobs > MAX_JOBS:
+        raise _InputError(f"jobs: {jobs} is greater than the maximum of {MAX_JOBS}")
     try:
         spec = builtin_scenario(
             config["scenario"],
             config.get("uptake", UptakeVariant.MAIN_B_ADVANTAGED.value),
-            grid=tuple(config["grid"]) if "grid" in config else None,
+            grid=grid,
             replications=config.get("reps", 100),
             n_a=config.get("n_a", 1000),
             n_b=config.get("n_b", 1000),
@@ -262,13 +256,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
 
-    base_seed = config.get("seed", 0)
-    jobs = config.get("jobs", 1)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    result = run_sweep(spec, base_seed=base_seed, jobs=jobs)
+    try:
+        result = run_sweep(spec, base_seed=config.get("seed", 0), jobs=jobs)
+    except ValueError as exc:  # seed or jobs out of range, before any cell runs
+        raise _InputError(str(exc)) from exc
     wall = time.perf_counter() - t0
     rows = aggregate(result)
 
@@ -431,9 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", default=None,
                          help="varying-parameter grid: 'start:stop:step' or comma list "
                               f"(at most {MAX_GRID_POINTS} points)")
-    p_sweep.add_argument("--na", type=int, default=None, help="group A size (default 1000)")
-    p_sweep.add_argument("--nb", type=int, default=None, help="group B size (default 1000)")
-    p_sweep.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-6)")
+    p_sweep.add_argument("--na", type=int, default=None, dest="n_a",
+                         help="group A size (default 1000)")
+    p_sweep.add_argument("--nb", type=int, default=None, dest="n_b",
+                         help="group B size (default 1000)")
+    p_sweep.add_argument("--tol", type=float, default=None, dest="tolerance",
+                         help="solver tolerance (default 1e-6)")
     p_sweep.add_argument("--jobs", type=int, default=None,
                          help=f"parallel workers (default 1, at most {MAX_JOBS})")
     p_sweep.add_argument("--out", default="sweep-out", help="output directory")

@@ -16,21 +16,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "GroupLabel",
-    "UserRecord",
     "Population",
     "ModelParams",
     "AllocationMode",
     "Allocation",
     "ConstraintSet",
     "DegenerateGroupError",
-    "user_utility",
-    "user_hermeneutical_cost",
     "economic_utility",
     "hermeneutical_cost",
     "herm_aware_utility",
@@ -46,55 +42,16 @@ class DegenerateGroupError(ValueError):
     """A group is empty or carries zero weight, so a group ratio is undefined."""
 
 
-class GroupLabel(enum.Enum):
-    A = "A"
-    B = "B"
-
-
-def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if not (0.0 <= value <= 1.0):  # also rejects NaN
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class UserRecord:
-    """One potential ad recipient.
-
-    ``p`` is the probability the user takes the advertiser's desired action
-    (e.g. clicks); ``rho`` is the probability the user makes sense of the
-    ad's content.
-    """
-
-    group: GroupLabel
-    p: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.group, GroupLabel):
-            object.__setattr__(self, "group", GroupLabel(self.group))
-        object.__setattr__(self, "p", _check_prob("p", self.p))
-        object.__setattr__(self, "rho", _check_prob("rho", self.rho))
-
-
 class Population:
     """An ordered collection of users split into the two protected groups.
 
-    Internally stored as aligned numpy arrays (``groups``, ``p``, ``rho``) so
-    that objective and gap evaluations vectorize.  Both groups must be
-    non-empty; group ratios are undefined otherwise.
+    Stored as aligned read-only numpy arrays (``groups``, ``p``, ``rho``) so
+    that objective and gap evaluations vectorize; build one with
+    :meth:`from_arrays`.  Both groups must be non-empty; group ratios are
+    undefined otherwise.
     """
 
-    __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b", "_users")
-
-    def __init__(self, users: Iterable[UserRecord]):
-        users = tuple(users)
-        groups = np.array([u.group.value for u in users], dtype="U1")
-        p = np.array([u.p for u in users], dtype=np.float64)
-        rho = np.array([u.rho for u in users], dtype=np.float64)
-        self._init_arrays(groups, p, rho)
-        self._users = users
+    __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b")
 
     @classmethod
     def from_arrays(
@@ -103,8 +60,7 @@ class Population:
         p: Sequence[float] | np.ndarray,
         rho: Sequence[float] | np.ndarray,
     ) -> "Population":
-        """Build a population directly from aligned arrays of labels, p and rho."""
-        self = object.__new__(cls)
+        """Build a population from aligned arrays of labels, p and rho."""
         groups = np.asarray(groups)
         # validate before the cast: "U1" would truncate "Apple" to "A"
         known = np.isin(groups, ("A", "B"))
@@ -117,11 +73,6 @@ class Population:
             raise ValueError("p values must lie in [0, 1]")
         if not (np.isfinite(rho).all() and (rho >= 0).all() and (rho <= 1).all()):
             raise ValueError("rho values must lie in [0, 1]")
-        self._init_arrays(groups, p, rho)
-        self._users = None
-        return self
-
-    def _init_arrays(self, groups: np.ndarray, p: np.ndarray, rho: np.ndarray) -> None:
         if groups.shape != p.shape or p.shape != rho.shape or groups.ndim != 1:
             raise ValueError("groups, p and rho must be 1-d arrays of equal length")
         mask_a = groups == "A"
@@ -129,16 +80,18 @@ class Population:
         n_b = int(groups.size - n_a)
         if n_a < 1 or n_b < 1:
             raise DegenerateGroupError("both groups must contain at least one user")
-        for arr in (groups, p, rho, mask_a):
+        mask_b = ~mask_a
+        for arr in (groups, p, rho, mask_a, mask_b):
             arr.flags.writeable = False
+        self = object.__new__(cls)
         self.groups = groups
         self.p = p
         self.rho = rho
         self.mask_a = mask_a
-        self.mask_b = ~mask_a
-        self.mask_b.flags.writeable = False
+        self.mask_b = mask_b
         self.n_a = n_a
         self.n_b = n_b
+        return self
 
     @property
     def size(self) -> int:
@@ -146,15 +99,6 @@ class Population:
 
     def __len__(self) -> int:
         return self.size
-
-    @property
-    def users(self) -> tuple[UserRecord, ...]:
-        if self._users is None:
-            self._users = tuple(
-                UserRecord(GroupLabel(g), float(p), float(r))
-                for g, p, r in zip(self.groups, self.p, self.rho)
-            )
-        return self._users
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Population):
@@ -213,15 +157,6 @@ class ModelParams:
             alpha=0.2, beta_a=0.03, beta_b=0.05, theta_a=0.05, theta_b=0.1,
             omega_a=0.01, omega_b=0.01, xi=0.2, gamma=0.01,
         )
-
-    def beta_for(self, group: GroupLabel) -> float:
-        return self.beta_a if group is GroupLabel.A else self.beta_b
-
-    def theta_for(self, group: GroupLabel) -> float:
-        return self.theta_a if group is GroupLabel.A else self.theta_b
-
-    def omega_for(self, group: GroupLabel) -> float:
-        return self.omega_a if group is GroupLabel.A else self.omega_b
 
     def per_user(self, pop: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expand (beta, theta, omega) into per-user arrays aligned with ``pop``."""
@@ -326,32 +261,6 @@ class ConstraintSet:
     @property
     def any_active(self) -> bool:
         return bool(self.active)
-
-
-def _check_decision(d: float) -> float:
-    d = float(d)
-    if not (0.0 <= d <= 1.0):
-        raise ValueError(f"decision must lie in [0, 1], got {d!r}")
-    return d
-
-
-def user_utility(user: UserRecord, d: float, params: ModelParams) -> float:
-    """Economic utility ``alpha * p * d + beta_g * (1 - d)`` for one user."""
-    d = _check_decision(d)
-    return params.alpha * user.p * d + params.beta_for(user.group) * (1.0 - d)
-
-
-def user_hermeneutical_cost(user: UserRecord, d: float, params: ModelParams) -> float:
-    """Interpretative cost ``[-theta_g * rho + omega_g * (1 - rho)] * d + xi * (1 - d)``.
-
-    Showing the ad earns ``-theta_g * rho`` (uptake reward) plus
-    ``omega_g * (1 - rho)`` (failed-uptake penalty); withholding costs the
-    flat exclusion penalty ``xi``.
-    """
-    d = _check_decision(d)
-    theta = params.theta_for(user.group)
-    omega = params.omega_for(user.group)
-    return (-theta * user.rho + omega * (1.0 - user.rho)) * d + params.xi * (1.0 - d)
 
 
 def _check_aligned(pop: Population, alloc: Allocation) -> np.ndarray:

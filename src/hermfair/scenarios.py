@@ -176,6 +176,10 @@ class ScenarioSpec:
             )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.n_a < 1 or self.n_b < 1:
+            raise ValueError(f"group sizes must be at least 1, got {self.n_a} and {self.n_b}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
         for value in self.grid:
             self.params_for(value)  # validates every grid point up front
 
@@ -348,16 +352,21 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = 1) -> SweepResult:
     sub-seed derived from ``(base_seed, value index, replication)``, so cells
     are reproducible in isolation and parallel scheduling cannot change any
     number.  Solver failures are recorded per record and the sweep continues.
-    At most ``MAX_JOBS`` worker processes are allowed.
+    ``base_seed`` must be non-negative and ``jobs`` between 1 and
+    ``MAX_JOBS``; both are checked before any cell runs.
     """
     if jobs > MAX_JOBS:
         raise ValueError(f"jobs {jobs} exceeds the ceiling of {MAX_JOBS} workers")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if base_seed < 0:
+        raise ValueError(f"base seed must be non-negative, got {base_seed}")
     cells = [
         (spec, base_seed, vi, rep)
         for vi in range(len(spec.grid))
         for rep in range(spec.replications)
     ]
-    if jobs <= 1:
+    if jobs == 1:
         chunks = [_run_cell(cell) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

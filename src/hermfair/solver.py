@@ -1,13 +1,13 @@
 """Optimal allocation: closed-form threshold rule, constrained LP, binary oracle.
 
-The unconstrained problem decomposes per user, so the optimum is a threshold
-on the click probability.  Constrained problems maximize the same linear
-objective over the box ``[0, 1]^n`` subject to each active group-gap being
-zero up to the request tolerance ``eps`` (``|gap| <= eps``).  Every
-constrained solve first tries the threshold allocation (``d_i = 1`` iff the
-gain ``c_i >= 0``): if it already meets every retained row it is optimal and
-is returned with no further work.  Otherwise one of two engines runs behind
-one contract:
+The unconstrained problem decomposes per user, so the optimum shows exactly
+the users whose gain (show minus withhold) is non-negative.  Constrained
+problems maximize the same linear objective over the box ``[0, 1]^n``
+subject to each active group-gap being zero up to the request tolerance
+``eps`` (``|gap| <= eps``).  Every constrained solve first tries the
+threshold allocation (``d_i = 1`` iff the gain ``c_i >= 0``): if it already
+meets every retained row it is optimal and is returned with no further
+work.  Otherwise one of two engines runs behind one contract:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
@@ -182,19 +182,12 @@ def constraint_rows(
 
 
 def threshold_rule(pop: Population, params: ModelParams) -> Allocation:
-    """Unconstrained optimum: show iff the click probability clears a threshold.
+    """Unconstrained optimum: show iff the user's gain is non-negative.
 
-    ``d_x = 1  iff  p_x >= (beta_g - gamma*xi + gamma*omega_g*(1-rho_x)
-    - gamma*theta_g*rho_x) / alpha``; equality shows the ad.
+    The gain is :func:`~hermfair.model.decision_gains`; a zero gain shows
+    the ad.
     """
-    beta, theta, omega = params.per_user(pop)
-    thr = (
-        beta
-        - params.gamma * params.xi
-        + params.gamma * omega * (1.0 - pop.rho)
-        - params.gamma * theta * pop.rho
-    ) / params.alpha
-    return Allocation.binary((pop.p >= thr).astype(np.float64))
+    return Allocation.binary((decision_gains(pop, params) >= 0.0).astype(np.float64))
 
 
 def _gap_or_nan(fn, pop: Population, alloc: Allocation) -> float:
@@ -258,18 +251,20 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _solve_slab_single(c: np.ndarray, a: np.ndarray, eps: float) -> np.ndarray:
+def _solve_slab_single(
+    c: np.ndarray, a: np.ndarray, eps: float, threshold: np.ndarray
+) -> np.ndarray:
     """Maximize ``c . d`` over ``0 <= d <= 1`` with ``|a . d| <= eps``, exactly.
 
     The value of the equality-constrained problem is concave in the
     right-hand side, so the slab optimum sits at the unconstrained optimum if
     that is feasible and otherwise on the nearer slab face.  The face problem
     is solved by scanning the breakpoints ``c_i / a_i`` of the one-multiplier
-    Lagrangian; at most one coordinate ends up strictly fractional.  The
-    caller returns the unconstrained optimum itself when it is feasible, so
-    here it lies outside the slab.
+    Lagrangian; at most one coordinate ends up strictly fractional.
+    ``threshold`` is the unconstrained optimum (``c >= 0``); the caller
+    returns it itself when it is feasible, so here it lies outside the slab.
     """
-    d = np.where(c >= 0.0, 1.0, 0.0)  # ties show the ad, matching the threshold rule
+    d = threshold.copy()
     b = eps if float(a @ d) > 0.0 else -eps
 
     active = a != 0.0
@@ -386,7 +381,7 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     if np.all(np.abs(rows @ threshold) <= eps):
         values = threshold  # the unconstrained optimum is feasible, hence optimal
     elif method == "parametric":
-        values = _solve_slab_single(c, rows[0], eps)
+        values = _solve_slab_single(c, rows[0], eps, threshold)
     else:
         values = _solve_slab_highs(c, rows, eps)
 

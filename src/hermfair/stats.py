@@ -252,7 +252,9 @@ def table_from_csv(path: str | Path | io.TextIOBase) -> ContingencyTable:
 
     Expected layout: first row is a header whose first cell is ignored and
     whose remaining cells are column labels; each following row starts with
-    its row label followed by non-negative integer counts.
+    its row label followed by non-negative integer counts, written in ASCII
+    digits without digit-group underscores.  Labels are stripped of
+    surrounding whitespace.
     """
     with open_text(path, "r") as fh:
         reader = csv.reader(fh)
@@ -277,6 +279,9 @@ def table_from_csv(path: str | Path | io.TextIOBase) -> ContingencyTable:
             for cell in row[1:]:
                 cell = cell.strip()
                 try:
+                    # int() also reads "1_0" as 10 and non-ASCII digits such as "٣"
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(cell)
                     value = int(cell)
                 except ValueError:
                     raise ValueError(

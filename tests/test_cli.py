@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hermfair
 import hermfair.cli
+import hermfair.scenarios
 from hermfair.cli import main
 from hermfair.model import ConstraintSet, ModelParams
 from hermfair.population import population_from_csv, population_to_csv
@@ -75,6 +80,14 @@ class TestAllocate:
         pop_csv = write(tmp_path / "pop.csv", "group,p,rho\nA,0.5,0.5\nB,0.5,0.5\n")
         assert main(["allocate", pop_csv, "--alpha", "0", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_exits_1(self, tmp_path, capsys, monkeypatch, tol):
+        monkeypatch.setattr(hermfair.cli, "solve", fail_if_called)
+        pop_csv = write(tmp_path / "pop.csv", "group,p,rho\nA,0.5,0.5\nB,0.5,0.5\n")
+        rc = main(["allocate", pop_csv, "--parity", "--tol", tol, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+
 
     def test_allocation_csv_bytes(self, tmp_path):
         pop = population_from_csv(io.StringIO(
@@ -130,6 +143,94 @@ class TestCeilings:
         cfg = write(tmp_path / "cfg.json", json.dumps({"scenario": "A", **config}))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    """Each value of the wrong JSON type exits 1 before the sweep runs."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"reps": 1.0}, "reps must be an integer, got 1.0"),
+        ({"n_a": 10.0}, "n_a must be an integer, got 10.0"),
+        ({"jobs": 2.0}, "jobs must be an integer, got 2.0"),
+        ({"seed": 3.0}, "seed must be an integer, got 3.0"),
+        ({"reps": True}, "reps must be an integer, got True"),
+        ({"tolerance": float("nan")}, "tolerance must be a finite number, got nan"),
+        ({"tolerance": True}, "tolerance must be a finite number, got True"),
+        ({"tolerance": 10 ** 400}, "tolerance must be a finite number"),
+        ({"scenario": "Z"}, "scenario must be one of"),
+        ({"uptake": 3}, "uptake must be one of"),
+        ({"grid": []}, "grid must be a non-empty list"),
+        ({"grid": [0.1, "x"]}, "grid must be a non-empty list"),
+        ({"grid": {"start": 0, "stop": 1}}, "{start, stop, step} object"),
+        ({"grid": {"start": 0, "stop": 1, "step": 0.5, "x": 1}}, "{start, stop, step} object"),
+        ({"grid": {"start": 0, "stop": 1, "step": 0}}, "config grid: step must be positive"),
+        ({"repz": 5}, "unknown run configuration keys: ['repz']"),
+    ])
+    def test_config(self, tmp_path, capsys, monkeypatch, config, message):
+        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
+        cfg = write(tmp_path / "cfg.json", json.dumps({"scenario": "A", **config}))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "config must be a JSON object"),
+        ("{", "config is not valid JSON"),
+    ])
+    def test_config_not_a_json_object(self, tmp_path, capsys, monkeypatch, text, message):
+        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
+        cfg = write(tmp_path / "cfg.json", text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--tol", "nan"], "tolerance must be a finite number, got nan"),
+        (["--tol", "inf"], "tolerance must be a finite number, got inf"),
+        (["--tol", "-1"], "tolerance must be finite and non-negative, got -1.0"),
+        (["--na", "0"], "group sizes must be at least 1"),
+        (["--reps", "0"], "replications must be at least 1"),
+    ])
+    def test_flags(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
+        rc = main(["sweep", "--scenario", "A", *argv, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "base seed must be non-negative"),
+        (["--jobs", "0"], "jobs must be at least 1"),
+    ])
+    def test_run_arguments(self, tmp_path, capsys, monkeypatch, argv, message):
+        # checked by run_sweep itself, before any cell runs
+        monkeypatch.setattr(hermfair.scenarios, "_run_cell", fail_if_called)
+        rc = main(["sweep", "--scenario", "A", *argv, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    def test_flag_replaces_bad_config_value(self, tmp_path):
+        cfg = write(tmp_path / "cfg.json", json.dumps(
+            {"scenario": "A", "reps": 1.0, "n_a": 10, "n_b": 10, "grid": [0.05]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--reps", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "metadata.json").read_text())["replications"] == 1
+
+
+def test_config_sweep_without_jsonschema(tmp_path):
+    """A `--config` sweep needs no jsonschema: the import is blocked outright."""
+    cfg = write(tmp_path / "cfg.json", json.dumps(
+        {"scenario": "B", "reps": 1, "n_a": 10, "n_b": 10,
+         "grid": {"start": 0.01, "stop": 0.05, "step": 0.02}}))
+    out = tmp_path / "o"
+    code = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        f"sys.path.insert(0, {str(Path(hermfair.__file__).parents[1])!r})\n"
+        "from hermfair.cli import main\n"
+        f"sys.exit(main(['sweep', '--config', {cfg!r}, '--out', {str(out)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "metadata.json").read_text())["grid"] == [0.01, 0.03, 0.05]
 
 
 class TestSweep:

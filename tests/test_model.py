@@ -7,19 +7,16 @@ from hermfair.model import (
     Allocation,
     ConstraintSet,
     DegenerateGroupError,
-    GroupLabel,
     ModelParams,
     Population,
-    UserRecord,
     decision_gains,
     economic_utility,
     eho_gap,
     eo_gap,
     herm_aware_utility,
+    hermeneutical_cost,
     is_hermeneutically_fair,
     parity_gap,
-    user_hermeneutical_cost,
-    user_utility,
 )
 from hermfair.scenarios import builtin_scenario
 
@@ -44,13 +41,13 @@ def test_default_params_are_the_documented_values():
 # ---------------------------------------------------------------- type checks
 
 class TestValidation:
-    def test_user_record_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            UserRecord(GroupLabel.A, p=1.2, rho=0.5)
-        with pytest.raises(ValueError):
-            UserRecord(GroupLabel.A, p=0.5, rho=-0.1)
-        with pytest.raises(ValueError):
-            UserRecord(GroupLabel.A, p=float("nan"), rho=0.5)
+    def test_population_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="p values"):
+            pop_from(["A", "B"], [1.2, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="rho values"):
+            pop_from(["A", "B"], [0.5, 0.5], [-0.1, 0.5])
+        with pytest.raises(ValueError, match="p values"):
+            pop_from(["A", "B"], [float("nan"), 0.5], [0.5, 0.5])
 
     def test_population_requires_both_groups(self):
         with pytest.raises(DegenerateGroupError):
@@ -58,8 +55,10 @@ class TestValidation:
 
     def test_population_counts(self):
         pop = pop_from(["A", "B", "B"], [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
-        assert pop.n_a == 1 and pop.n_b == 2 and pop.size == 3
-        assert [u.group for u in pop.users] == [GroupLabel.A, GroupLabel.B, GroupLabel.B]
+        assert pop.n_a == 1 and pop.n_b == 2 and pop.size == 3 and len(pop) == 3
+        assert pop.groups.tolist() == ["A", "B", "B"]
+        assert pop.mask_a.tolist() == [True, False, False]
+        assert pop.mask_b.tolist() == [False, True, True]
 
     def test_population_rejects_unknown_label(self):
         with pytest.raises(ValueError):
@@ -102,40 +101,57 @@ class TestValidation:
             economic_utility(pop, Allocation.binary([1.0]), make_params())
 
 
-# ------------------------------------------------------------ pointwise terms
+# ------------------------------------------------------------ per-user terms
+
+def one_user(group, p, rho):
+    """A population whose first user is the one under test; the second user,
+    of the other group, is always withheld and adds a known constant."""
+    other = "B" if group == "A" else "A"
+    return pop_from([group, other], [p, 0.0], [rho, 0.0])
+
 
 class TestUserTerms:
+    # withholding the filler user adds beta_other to the utility and xi to the cost
     def test_withheld_utility_is_beta(self):
-        u = UserRecord(GroupLabel.A, p=0.7, rho=0.2)
-        assert user_utility(u, 0.0, make_params(beta_a=0.03)) == 0.03
+        pop = one_user("A", p=0.7, rho=0.2)
+        params = make_params(beta_a=0.03, beta_b=0.05)
+        assert economic_utility(pop, Allocation.binary([0.0, 0.0]), params) == 0.03 + 0.05
 
     def test_certain_click_full_exposure(self):
-        u = UserRecord(GroupLabel.B, p=1.0, rho=0.2)
-        assert user_utility(u, 1.0, make_params(alpha=0.2)) == 0.2
+        pop = one_user("B", p=1.0, rho=0.2)
+        params = make_params(alpha=0.2, beta_a=0.0)
+        assert economic_utility(pop, Allocation.binary([1.0, 0.0]), params) == 0.2
 
     def test_half_click(self):
         # alpha*p*d + beta*(1-d) = 0.2*0.5*1 = 0.1
-        u = UserRecord(GroupLabel.A, p=0.5, rho=0.2)
-        assert user_utility(u, 1.0, make_params(alpha=0.2, beta_a=0.03)) == pytest.approx(0.1)
+        pop = one_user("A", p=0.5, rho=0.2)
+        params = make_params(alpha=0.2, beta_a=0.03, beta_b=0.0)
+        got = economic_utility(pop, Allocation.binary([1.0, 0.0]), params)
+        assert got == pytest.approx(0.1)
 
     def test_withheld_cost_is_exclusion_penalty(self):
-        u = UserRecord(GroupLabel.B, p=0.5, rho=0.9)
-        assert user_hermeneutical_cost(u, 0.0, make_params(xi=0.2)) == 0.2
+        pop = one_user("B", p=0.5, rho=0.9)
+        params = make_params(xi=0.2)
+        assert hermeneutical_cost(pop, Allocation.binary([0.0, 0.0]), params) == 0.2 + 0.2
 
     def test_perfect_uptake(self):
-        u = UserRecord(GroupLabel.A, p=0.5, rho=1.0)
-        assert user_hermeneutical_cost(u, 1.0, make_params(theta_a=0.05)) == pytest.approx(-0.05)
+        pop = one_user("A", p=0.5, rho=1.0)
+        params = make_params(theta_a=0.05, xi=0.2)
+        got = hermeneutical_cost(pop, Allocation.binary([1.0, 0.0]), params)
+        assert got - 0.2 == pytest.approx(-0.05)
 
     def test_total_uptake_failure(self):
-        u = UserRecord(GroupLabel.A, p=0.5, rho=0.0)
-        assert user_hermeneutical_cost(u, 1.0, make_params(omega_a=0.01)) == pytest.approx(0.01)
+        pop = one_user("A", p=0.5, rho=0.0)
+        params = make_params(omega_a=0.01, xi=0.2)
+        got = hermeneutical_cost(pop, Allocation.binary([1.0, 0.0]), params)
+        assert got - 0.2 == pytest.approx(0.01)
 
     def test_decision_domain(self):
-        u = UserRecord(GroupLabel.A, p=0.5, rho=0.5)
+        pop = one_user("A", p=0.5, rho=0.5)
         with pytest.raises(ValueError):
-            user_utility(u, 1.1, make_params())
+            economic_utility(pop, Allocation.fractional([1.1, 0.0]), make_params())
         with pytest.raises(ValueError):
-            user_hermeneutical_cost(u, -0.2, make_params())
+            hermeneutical_cost(pop, Allocation.fractional([-0.2, 0.0]), make_params())
 
 
 # ----------------------------------------------------------------- aggregates
@@ -148,15 +164,14 @@ class TestAggregateObjective:
         assert herm_aware_utility(pop, alloc, params) == economic_utility(pop, alloc, params)
 
     def test_single_user_hand_value(self):
-        # 0.1 - 0.01*(-0.05*0.4 + 0.01*0.6) = 0.10014
+        # 0.1 - 0.01*(-0.05*0.4 + 0.01*0.6) = 0.10014 for the shown user,
+        # 0.05 - 0.01*0.2 = 0.048 for the withheld one
         pop = pop_from(["A", "B"], [0.5, 0.0], [0.4, 0.5])
         params = make_params()
-        alloc = Allocation.binary([1.0, 0.0])
-        per_user = (
-            user_utility(pop.users[0], 1.0, params)
-            - params.gamma * user_hermeneutical_cost(pop.users[0], 1.0, params)
-        )
-        assert per_user == pytest.approx(0.10014, abs=1e-12)
+        got = herm_aware_utility(pop, Allocation.binary([1.0, 0.0]), params)
+        assert got - 0.048 == pytest.approx(0.10014, abs=1e-12)
+        # withholding the first user instead would earn 0.03 - 0.01*0.2
+        assert decision_gains(pop, params)[0] == pytest.approx(0.10014 - 0.028, abs=1e-12)
 
     def test_all_withheld_closed_form(self):
         # beta_a + beta_b - gamma * 2 * xi
@@ -292,10 +307,11 @@ class TestProperties:
            st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_cost_strictly_decreasing_in_rho(self, params, r1, r2):
         lo, hi = min(r1, r2), max(r1, r2)
-        u_lo = UserRecord(GroupLabel.A, 0.5, lo)
-        u_hi = UserRecord(GroupLabel.A, 0.5, hi)
-        c_lo = user_hermeneutical_cost(u_lo, 1.0, params)
-        c_hi = user_hermeneutical_cost(u_hi, 1.0, params)
+        # the shown group-A user's cost, with the withheld group-B user's xi
+        # as the same constant in both
+        shown = Allocation.binary([1.0, 0.0])
+        c_lo = hermeneutical_cost(pop_from(["A", "B"], [0.5, 0.5], [lo, 0.5]), shown, params)
+        c_hi = hermeneutical_cost(pop_from(["A", "B"], [0.5, 0.5], [hi, 0.5]), shown, params)
         # slope is -(theta + omega)
         expected = -(params.theta_a + params.omega_a) * (hi - lo)
         assert c_hi - c_lo == pytest.approx(expected, rel=1e-9, abs=1e-12)

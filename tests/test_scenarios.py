@@ -118,6 +118,29 @@ class TestCeilings:
             run_sweep(tiny_spec(), base_seed=1, jobs=MAX_JOBS + 1)
 
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"n": 0}, "group sizes must be at least 1"),
+        ({"tolerance": math.nan}, "tolerance must be finite"),
+        ({"tolerance": math.inf}, "tolerance must be finite"),
+        ({"tolerance": -1e-9}, "tolerance must be finite and non-negative"),
+    ])
+    def test_spec_values_checked_up_front(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"base_seed": -1}, "base seed must be non-negative"),
+        ({"base_seed": 1, "jobs": 0}, "jobs must be at least 1"),
+    ])
+    def test_run_arguments_checked_before_any_cell(self, monkeypatch, kw, message):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(hermfair.scenarios, "_run_cell", no_cell)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(tiny_spec(), **kw)
+
+
 class TestRunSweep:
     def test_deterministic(self):
         spec = tiny_spec()

@@ -186,6 +186,34 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="line 2"):
             table_from_csv(io.StringIO(",x,y\nr1,1,notanumber\nr2,1,2\n"))
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff11", "1.0", "", "0x1"])
+    def test_csv_count_dialect(self, cell):
+        # int() would read "1_0" as 10 and the Arabic-Indic or full-width digits as 3 and 1
+        with pytest.raises(ValueError, match="line 3: counts must be non-negative integers"):
+            table_from_csv(io.StringIO(f",x,y\nr1,1,2\nr2,{cell},2\n"))
+
+    @given(st.data())
+    def test_csv_round_trip_labels(self, data):
+        # the reader strips labels, so only labels equal to their strip() survive
+        label = (st.text(st.sampled_from(' ,"\n\rab\u00e9\u0663_'), max_size=6)
+                 | st.text(max_size=4)).filter(lambda text: text == text.strip())
+        nr = data.draw(st.integers(2, 4))
+        nc = data.draw(st.integers(2, 4))
+        counts = data.draw(st.lists(st.lists(st.integers(1, 10**12), min_size=nc, max_size=nc),
+                                    min_size=nr, max_size=nr))
+        table = ContingencyTable(
+            counts,
+            data.draw(st.lists(label, min_size=nr, max_size=nr)),
+            data.draw(st.lists(label, min_size=nc, max_size=nc)),
+        )
+        buf = io.StringIO(newline="")
+        table_to_csv(table, buf)
+        buf.seek(0)
+        back = table_from_csv(buf)
+        assert np.array_equal(back.counts, table.counts)
+        assert back.row_labels == table.row_labels
+        assert back.col_labels == table.col_labels
+
     def test_csv_single_row_rejected(self):
         with pytest.raises(ValueError):
             table_from_csv(io.StringIO(",x,y\nr1,1,2\n"))
