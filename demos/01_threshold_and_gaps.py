@@ -13,11 +13,9 @@ from hermfair import (
     Allocation,
     ModelParams,
     Population,
-    RoundingStrategy,
     eho_gap,
     eo_gap,
     herm_aware_utility,
-    is_hermeneutically_fair,
     parity_gap,
     round_allocation,
     threshold_rule,
@@ -54,9 +52,8 @@ print("objective at the optimum :", herm_aware_utility(pop, best, params))
 print("\nexposure gap   (B - A)   :", parity_gap(pop, best))
 print("click-share gap (B - A)  :", eo_gap(pop, best))
 print("uptake-share gap (B - A) :", eho_gap(pop, best))
-print("fair at tolerance 0.05?  :", is_hermeneutically_fair(pop, best, 0.05))
 
 # Fractional allocations are randomized policies; realize one with a seed.
-half = Allocation.fractional(np.full(6, 0.5))
-drawn = round_allocation(half, RoundingStrategy.BERNOULLI_SEEDED, seed=7)
+half = Allocation(np.full(6, 0.5))
+drawn = round_allocation(half, seed=7)
 print("\nall-0.5 policy realized  :", drawn.values)

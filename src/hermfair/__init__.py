@@ -8,7 +8,6 @@ diagnostics.
 
 from .model import (
     Allocation,
-    AllocationMode,
     ConstraintSet,
     DegenerateGroupError,
     ModelParams,
@@ -19,7 +18,6 @@ from .model import (
     eo_gap,
     herm_aware_utility,
     hermeneutical_cost,
-    is_hermeneutically_fair,
     parity_gap,
 )
 from .population import (
@@ -48,7 +46,6 @@ from .scenarios import (
 from .solver import (
     NoFeasibleBinaryError,
     PopulationTooLargeError,
-    RoundingStrategy,
     SolveMode,
     SolveRequest,
     SolveResult,

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .model import ConstraintSet, ModelParams
 from .population import (
+    MAX_GROUP_SIZE,
     RNG_STREAM,
     ClickConfig,
     PopulationSpec,
@@ -31,10 +32,12 @@ from .population import (
     sample_population,
 )
 from .scenarios import (
+    MAX_CELLS,
     MAX_GRID_POINTS,
     MAX_JOBS,
     UPTAKE_VARIANTS,
     ScenarioId,
+    ScenarioSpec,
     UptakeVariant,
     aggregate,
     build_grid,
@@ -60,6 +63,10 @@ _PARAM_DEFAULTS = dataclasses.asdict(ModelParams.default())
 
 _UPTAKE_CHOICES = tuple(v.value for v in UptakeVariant)
 _SCENARIO_CHOICES = tuple(s.value for s in ScenarioId)
+
+# allocate's default tolerance in binary-exact mode, where a binary vector
+# rarely meets the fractional default
+_EXACT_TOLERANCE = 0.02
 
 class _InputError(Exception):
     """User input problem; exits with code 1."""
@@ -122,7 +129,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         raise _InputError(f"{args.population}: {exc}") from exc
 
     mode = SolveMode.BINARY_EXACT if args.mode == "binary-exact" else SolveMode.FRACTIONAL
-    tol = args.tol if args.tol is not None else (0.02 if mode is SolveMode.BINARY_EXACT else 1e-6)
+    tol = args.tol
+    if tol is None:
+        tol = _EXACT_TOLERANCE if mode is SolveMode.BINARY_EXACT else ConstraintSet.tolerance
     try:
         params = ModelParams(**{k: getattr(args, k) for k in _PARAM_DEFAULTS})
         constraints = ConstraintSet(
@@ -248,10 +257,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             config["scenario"],
             config.get("uptake", UptakeVariant.MAIN_B_ADVANTAGED.value),
             grid=grid,
-            replications=config.get("reps", 100),
-            n_a=config.get("n_a", 1000),
-            n_b=config.get("n_b", 1000),
-            tolerance=config.get("tolerance", 1e-6),
+            replications=config.get("reps", ScenarioSpec.replications),
+            n_a=config.get("n_a", ScenarioSpec.n_a),
+            n_b=config.get("n_b", ScenarioSpec.n_b),
+            tolerance=config.get("tolerance", ScenarioSpec.tolerance),
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
@@ -411,9 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--eho", action="store_true", help="enforce uptake-weighted equality")
     p_alloc.add_argument("--mode", choices=("fractional", "binary-exact"), default="fractional")
     p_alloc.add_argument("--tol", type=float, default=None,
-                         help="constraint tolerance (default 1e-6 fractional, 0.02 binary-exact)")
-    p_alloc.add_argument("--cap", type=int, default=22,
-                         help=f"binary enumeration cap (at most {MAX_ENUMERATION_CAP})")
+                         help=f"constraint tolerance (default {ConstraintSet.tolerance} "
+                              f"fractional, {_EXACT_TOLERANCE} binary-exact)")
+    p_alloc.add_argument("--cap", type=int, default=SolveRequest.enumeration_cap,
+                         help=f"binary enumeration cap (default %(default)s, "
+                              f"at most {MAX_ENUMERATION_CAP})")
     p_alloc.add_argument("--out", default=".", help="output directory")
     p_alloc.set_defaults(func=cmd_allocate)
 
@@ -422,16 +433,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="JSON run configuration (flags override it)")
     p_sweep.add_argument("--uptake", choices=_UPTAKE_CHOICES, default=None)
     p_sweep.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    p_sweep.add_argument("--reps", type=int, default=None, help="replications (default 100)")
+    p_sweep.add_argument("--reps", type=int, default=None,
+                         help=f"replications (default {ScenarioSpec.replications}; "
+                              f"grid points x replications at most {MAX_CELLS})")
     p_sweep.add_argument("--grid", default=None,
                          help="varying-parameter grid: 'start:stop:step' or comma list "
                               f"(at most {MAX_GRID_POINTS} points)")
     p_sweep.add_argument("--na", type=int, default=None, dest="n_a",
-                         help="group A size (default 1000)")
+                         help=f"group A size (default {ScenarioSpec.n_a}, "
+                              f"at most {MAX_GROUP_SIZE})")
     p_sweep.add_argument("--nb", type=int, default=None, dest="n_b",
-                         help="group B size (default 1000)")
+                         help=f"group B size (default {ScenarioSpec.n_b}, "
+                              f"at most {MAX_GROUP_SIZE})")
     p_sweep.add_argument("--tol", type=float, default=None, dest="tolerance",
-                         help="solver tolerance (default 1e-6)")
+                         help=f"solver tolerance (default {ScenarioSpec.tolerance})")
     p_sweep.add_argument("--jobs", type=int, default=None,
                          help=f"parallel workers (default 1, at most {MAX_JOBS})")
     p_sweep.add_argument("--out", default="sweep-out", help="output directory")
@@ -450,14 +465,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_export = sub.add_parser("export-population", help="sample a population to CSV")
-    p_export.add_argument("--na", type=int, default=1000)
-    p_export.add_argument("--nb", type=int, default=1000)
+    p_export.add_argument("--na", type=int, default=ScenarioSpec.n_a,
+                          help=f"group A size (default %(default)s, at most {MAX_GROUP_SIZE})")
+    p_export.add_argument("--nb", type=int, default=ScenarioSpec.n_b,
+                          help=f"group B size (default %(default)s, at most {MAX_GROUP_SIZE})")
     p_export.add_argument("--uptake", choices=_UPTAKE_CHOICES,
                           default=UptakeVariant.MAIN_B_ADVANTAGED.value)
     p_export.add_argument("--beta-a", default=None, help="custom group-A shapes 'a,b'")
     p_export.add_argument("--beta-b", default=None, help="custom group-B shapes 'a,b'")
-    p_export.add_argument("--ka", type=float, default=0.05, help="group A click coefficient")
-    p_export.add_argument("--kb", type=float, default=0.05, help="group B click coefficient")
+    p_export.add_argument("--ka", type=float, default=ClickConfig.k_a,
+                          help="group A click coefficient (default %(default)s)")
+    p_export.add_argument("--kb", type=float, default=ClickConfig.k_b,
+                          help="group B click coefficient (default %(default)s)")
     p_export.add_argument("--seed", type=int, default=0)
     p_export.add_argument("--out", required=True, help="output CSV path")
     p_export.set_defaults(func=cmd_export_population)

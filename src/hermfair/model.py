@@ -13,7 +13,6 @@ All aggregate functions sum in ascending user-index order.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +22,6 @@ import numpy as np
 __all__ = [
     "Population",
     "ModelParams",
-    "AllocationMode",
     "Allocation",
     "ConstraintSet",
     "DegenerateGroupError",
@@ -34,7 +32,6 @@ __all__ = [
     "parity_gap",
     "eo_gap",
     "eho_gap",
-    "is_hermeneutically_fair",
 ]
 
 
@@ -166,21 +163,15 @@ class ModelParams:
         return beta, theta, omega
 
 
-class AllocationMode(enum.Enum):
-    BINARY = "binary"
-    FRACTIONAL = "fractional"
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Per-user show decisions aligned index-by-index with a population.
 
-    Binary allocations carry decisions in {0, 1}; fractional allocations carry
-    show probabilities in [0, 1] (a randomized policy).
+    ``Allocation(values)`` holds show probabilities in [0, 1] (a randomized
+    policy); :meth:`binary` also requires every decision to be 0 or 1.
     """
 
     values: np.ndarray
-    mode: AllocationMode
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64).copy()
@@ -188,22 +179,17 @@ class Allocation:
             raise ValueError("allocation values must form a 1-d vector")
         if not np.isfinite(values).all():
             raise ValueError("allocation values must be finite")
-        if self.mode is AllocationMode.BINARY:
-            if not np.isin(values, (0.0, 1.0)).all():
-                raise ValueError("binary allocation entries must be exactly 0 or 1")
-        else:
-            if ((values < 0.0) | (values > 1.0)).any():
-                raise ValueError("fractional allocation entries must lie in [0, 1]")
+        if ((values < 0.0) | (values > 1.0)).any():
+            raise ValueError("allocation entries must lie in [0, 1]")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @classmethod
     def binary(cls, values: Sequence[float] | np.ndarray) -> "Allocation":
-        return cls(np.asarray(values, dtype=np.float64), AllocationMode.BINARY)
-
-    @classmethod
-    def fractional(cls, values: Sequence[float] | np.ndarray) -> "Allocation":
-        return cls(np.asarray(values, dtype=np.float64), AllocationMode.FRACTIONAL)
+        alloc = cls(values)
+        if not np.isin(alloc.values, (0.0, 1.0)).all():
+            raise ValueError("binary allocation entries must be exactly 0 or 1")
+        return alloc
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -227,24 +213,21 @@ class ConstraintSet:
             raise ValueError("tolerance must be finite and non-negative")
         object.__setattr__(self, "tolerance", tol)
 
+    # The constructors' ``tolerance`` default is the field default above.
     @classmethod
-    def none(cls, tolerance: float = 1e-6) -> "ConstraintSet":
-        return cls(tolerance=tolerance)
-
-    @classmethod
-    def parity(cls, tolerance: float = 1e-6) -> "ConstraintSet":
+    def parity(cls, tolerance: float = tolerance) -> "ConstraintSet":
         return cls(parity_exposure=True, tolerance=tolerance)
 
     @classmethod
-    def opportunity(cls, tolerance: float = 1e-6) -> "ConstraintSet":
+    def opportunity(cls, tolerance: float = tolerance) -> "ConstraintSet":
         return cls(equality_opportunity=True, tolerance=tolerance)
 
     @classmethod
-    def herm_opportunity(cls, tolerance: float = 1e-6) -> "ConstraintSet":
+    def herm_opportunity(cls, tolerance: float = tolerance) -> "ConstraintSet":
         return cls(equality_herm_opportunity=True, tolerance=tolerance)
 
     @classmethod
-    def all(cls, tolerance: float = 1e-6) -> "ConstraintSet":
+    def all(cls, tolerance: float = tolerance) -> "ConstraintSet":
         return cls(True, True, True, tolerance)
 
     @property
@@ -353,10 +336,3 @@ def eho_gap(pop: Population, alloc: Allocation) -> float:
     d = _check_aligned(pop, alloc)
     return _weighted_gap(pop, d, pop.rho, "uptake probability")
 
-
-def is_hermeneutically_fair(pop: Population, alloc: Allocation, tol: float) -> bool:
-    """True iff both the exposure gap and the uptake-weighted gap are within ``tol``."""
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError("tol must be finite and non-negative")
-    return abs(parity_gap(pop, alloc)) <= tol and abs(eho_gap(pop, alloc)) <= tol

@@ -1,8 +1,8 @@
 """Seeded synthetic populations: Beta-distributed uptake, power-law clicks.
 
 Click probabilities follow ``p = u ** (1/k)`` with ``u ~ Uniform(0, 1)`` and a
-group coefficient ``k`` (mean ``k / (1 + k)``, about 0.048 for the default
-``k = 0.05``), a heavy mass near zero consistent with click-through rates.
+group coefficient ``k`` (mean ``k / (1 + k)``, about 0.048 at the default
+:class:`ClickConfig`), a heavy mass near zero consistent with click-through rates.
 This is one reading of a "power law with coefficient k"; alternatives can be
 added behind :class:`ClickConfig`.
 
@@ -29,6 +29,7 @@ from .model import Population
 
 __all__ = [
     "RNG_STREAM",
+    "MAX_GROUP_SIZE",
     "UptakeConfig",
     "ClickConfig",
     "PopulationSpec",
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 RNG_STREAM = "numpy-pcg64"
+
+# Ceiling on the users per group, checked before any draw: a population of
+# two such groups holds ~44 MB of arrays.
+MAX_GROUP_SIZE = 1_000_000
 
 POPULATION_CSV_HEADER = ("group", "p", "rho")
 ALLOCATION_CSV_HEADER = (*POPULATION_CSV_HEADER, "decision")
@@ -71,7 +76,7 @@ class ClickConfig:
     """Per-group power-law coefficients for click probabilities."""
 
     k_a: float = 0.05
-    k_b: float = 0.05
+    k_b: float = k_a
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_a", _check_shape("k_a", self.k_a))
@@ -90,7 +95,12 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         if self.n_a < 1 or self.n_b < 1:
-            raise ValueError("group sizes must be at least 1")
+            raise ValueError(f"group sizes must be at least 1, got {self.n_a} and {self.n_b}")
+        if max(self.n_a, self.n_b) > MAX_GROUP_SIZE:
+            raise ValueError(
+                f"group sizes {self.n_a} and {self.n_b}: more than the ceiling of "
+                f"{MAX_GROUP_SIZE} users per group"
+            )
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 

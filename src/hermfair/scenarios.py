@@ -21,7 +21,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +29,7 @@ import numpy as np
 from ._textio import open_text
 from .model import ConstraintSet, ModelParams
 from .population import ClickConfig, PopulationSpec, UptakeConfig, sample_population, subseed
-from .solver import (
-    SolveRequest,
-    SolveResult,
-    solve_constrained_lp,
-    solve_unconstrained,
-)
+from .solver import SolveRequest, SolveResult, solve_constrained_lp, solve_unconstrained
 
 __all__ = [
     "AllocationRule",
@@ -54,6 +49,7 @@ __all__ = [
     "json_number",
     "RECORD_COLUMNS",
     "MAX_GRID_POINTS",
+    "MAX_CELLS",
     "MAX_JOBS",
 ]
 
@@ -109,8 +105,10 @@ UPTAKE_VARIANTS: dict[UptakeVariant, UptakeConfig] = {
 }
 
 
-# Ceilings on the size of a sweep, checked before any work starts.
+# Ceilings on the size of a sweep, checked before any work starts.  A cell
+# is one (grid value, replication) pair: one population, five solves.
 MAX_GRID_POINTS = 10_000
+MAX_CELLS = 100_000
 MAX_JOBS = 64
 
 
@@ -161,9 +159,9 @@ class ScenarioSpec:
     base_params: ModelParams
     replications: int = 100
     n_a: int = 1000
-    n_b: int = 1000
+    n_b: int = n_a
     click: ClickConfig = ClickConfig()
-    tolerance: float = 1e-6
+    tolerance: float = ConstraintSet.tolerance
 
     def __post_init__(self) -> None:
         if self.varying not in ModelParams.__dataclass_fields__:
@@ -176,8 +174,13 @@ class ScenarioSpec:
             )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.n_a < 1 or self.n_b < 1:
-            raise ValueError(f"group sizes must be at least 1, got {self.n_a} and {self.n_b}")
+        cells = len(self.grid) * self.replications
+        if cells > MAX_CELLS:
+            raise ValueError(
+                f"{len(self.grid)} grid points x {self.replications} replications "
+                f"is {cells} cells, more than {MAX_CELLS}"
+            )
+        PopulationSpec(self.n_a, self.n_b, self.uptake, self.click)  # checks the group sizes
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
         for value in self.grid:
@@ -196,10 +199,10 @@ def builtin_scenario(
     uptake_variant: UptakeVariant | str = UptakeVariant.MAIN_B_ADVANTAGED,
     *,
     grid: tuple[float, ...] | None = None,
-    replications: int = 100,
-    n_a: int = 1000,
-    n_b: int = 1000,
-    tolerance: float = 1e-6,
+    replications: int = ScenarioSpec.replications,
+    n_a: int = ScenarioSpec.n_a,
+    n_b: int = ScenarioSpec.n_b,
+    tolerance: float = ScenarioSpec.tolerance,
 ) -> ScenarioSpec:
     """Build one of the canonical sweeps with its default grid and parameters.
 
@@ -247,11 +250,7 @@ class SweepRecord:
     seed: int
 
 
-RECORD_COLUMNS = (
-    "scenario", "rule", "param_name", "param_value", "replication",
-    "objective", "utility_pct", "parity_gap", "eo_gap", "eho_gap",
-    "status", "seed",
-)
+RECORD_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass(frozen=True)
@@ -269,52 +268,42 @@ class SweepResult:
     n_failed: int
 
 
-def _record_from_solve(
+def _record(
     spec: ScenarioSpec,
     rule: AllocationRule,
     value: float,
     rep: int,
     seed: int,
-    res: SolveResult,
+    outcome: SolveResult | Exception,
     objective_unconstrained: float,
 ) -> SweepRecord:
-    if rule is AllocationRule.UNCONSTRAINED:
-        pct = 100.0
-    elif objective_unconstrained != 0.0:
-        pct = 100.0 * res.objective / objective_unconstrained
+    """The record of one solve; a solve that raised has NaN numbers and the
+    status ``failed:<exception class>``."""
+    if isinstance(outcome, Exception):
+        objective = pct = parity = eo = eho = math.nan
+        status = f"failed:{type(outcome).__name__}"
     else:
-        pct = math.nan
+        objective = outcome.objective
+        if rule is AllocationRule.UNCONSTRAINED:
+            pct = 100.0
+        elif objective_unconstrained != 0.0:
+            pct = 100.0 * objective / objective_unconstrained
+        else:
+            pct = math.nan
+        parity, eo, eho = (-gap for gap in outcome.gaps)  # group A minus group B
+        status = outcome.status.value
     return SweepRecord(
         scenario=spec.scenario.value,
         rule=rule.value,
         param_name=spec.varying,
         param_value=float(value),
         replication=rep,
-        objective=res.objective,
+        objective=objective,
         utility_pct=pct,
-        parity_gap=-res.parity_gap,
-        eo_gap=-res.eo_gap,
-        eho_gap=-res.eho_gap,
-        status=res.status.value,
-        seed=seed,
-    )
-
-
-def _failed_record(
-    spec: ScenarioSpec, rule: AllocationRule, value: float, rep: int, seed: int, exc: Exception
-) -> SweepRecord:
-    return SweepRecord(
-        scenario=spec.scenario.value,
-        rule=rule.value,
-        param_name=spec.varying,
-        param_value=float(value),
-        replication=rep,
-        objective=math.nan,
-        utility_pct=math.nan,
-        parity_gap=math.nan,
-        eo_gap=math.nan,
-        eho_gap=math.nan,
-        status=f"failed:{type(exc).__name__}",
+        parity_gap=parity,
+        eo_gap=eo,
+        eho_gap=eho,
+        status=status,
         seed=seed,
     )
 
@@ -328,21 +317,19 @@ def _run_cell(args: tuple[ScenarioSpec, int, int, int]) -> list[SweepRecord]:
         PopulationSpec(n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click, seed=seed)
     )
     params = spec.params_for(value)
-    records: list[SweepRecord] = []
-
-    unc_req = SolveRequest(pop, params, ConstraintSet(tolerance=spec.tolerance))
-    unc = solve_unconstrained(unc_req)
-    records.append(_record_from_solve(spec, AllocationRule.UNCONSTRAINED, value, rep, seed, unc, unc.objective))
-
+    unc = solve_unconstrained(SolveRequest(pop, params, ConstraintSet(tolerance=spec.tolerance)))
+    outcomes: dict[AllocationRule, SolveResult | Exception] = {AllocationRule.UNCONSTRAINED: unc}
     for rule in CONSTRAINED_RULES:
-        req = SolveRequest(pop, params, rule.constraint_set(spec.tolerance))
         try:
-            res = solve_constrained_lp(req)
+            outcomes[rule] = solve_constrained_lp(
+                SolveRequest(pop, params, rule.constraint_set(spec.tolerance))
+            )
         except Exception as exc:  # keep the sweep alive; failures surface in counts
-            records.append(_failed_record(spec, rule, value, rep, seed, exc))
-            continue
-        records.append(_record_from_solve(spec, rule, value, rep, seed, res, unc.objective))
-    return records
+            outcomes[rule] = exc
+    return [
+        _record(spec, rule, value, rep, seed, outcome, unc.objective)
+        for rule, outcome in outcomes.items()
+    ]
 
 
 def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = 1) -> SweepResult:
@@ -474,11 +461,7 @@ def write_records_csv(result: SweepResult, path: str | Path | io.TextIOBase) -> 
             writer.writerow([_fmt(getattr(rec, col)) for col in RECORD_COLUMNS])
 
 
-_AGG_COLUMNS = (
-    "scenario", "rule", "param_name", "param_value", "n_used", "n_failed",
-    "utility_pct_median", "utility_pct_q25", "utility_pct_q75",
-    "parity_gap_median", "parity_gap_q25", "parity_gap_q75",
-)
+_AGG_COLUMNS = ("scenario", *(f.name for f in fields(AggregateRow)))
 
 
 def write_aggregates_csv(

@@ -33,7 +33,6 @@ from scipy.optimize import linprog
 
 from .model import (
     Allocation,
-    AllocationMode,
     ConstraintSet,
     DegenerateGroupError,
     ModelParams,
@@ -50,7 +49,6 @@ __all__ = [
     "SolveStatus",
     "SolveRequest",
     "SolveResult",
-    "RoundingStrategy",
     "PopulationTooLargeError",
     "NoFeasibleBinaryError",
     "SolverNumericalError",
@@ -95,12 +93,6 @@ class SolveMode(enum.Enum):
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     TOLERANCE_RELAXED = "tolerance_relaxed"
-
-
-class RoundingStrategy(enum.Enum):
-    FLOOR = "floor"
-    CEIL = "ceil"
-    BERNOULLI_SEEDED = "bernoulli"
 
 
 # Ceiling on ``SolveRequest.enumeration_cap``: the oracle scores 2**n vectors.
@@ -202,10 +194,9 @@ def _build_result(
     params: ModelParams,
     values: np.ndarray,
     constraints: ConstraintSet,
-    mode: AllocationMode,
 ) -> SolveResult:
     n_frac = int(np.sum((values > SNAP_EPS) & (values < 1.0 - SNAP_EPS)))
-    alloc = Allocation(values, mode)
+    alloc = Allocation(values)
     result_gaps = {
         "parity_exposure": _gap_or_nan(parity_gap, pop, alloc),
         "equality_opportunity": _gap_or_nan(eo_gap, pop, alloc),
@@ -238,10 +229,7 @@ def solve_unconstrained(req: SolveRequest) -> SolveResult:
     if req.constraints.any_active:
         raise ValueError("solve_unconstrained requires an empty constraint set")
     alloc = threshold_rule(req.population, req.params)
-    return _build_result(
-        req.population, req.params, np.asarray(alloc.values), req.constraints,
-        AllocationMode.BINARY,
-    )
+    return _build_result(req.population, req.params, alloc.values, req.constraints)
 
 
 def _snap(values: np.ndarray) -> np.ndarray:
@@ -385,7 +373,7 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     else:
         values = _solve_slab_highs(c, rows, eps)
 
-    return _build_result(pop, params, _snap(values), req.constraints, AllocationMode.FRACTIONAL)
+    return _build_result(pop, params, _snap(values), req.constraints)
 
 
 _CHUNK_BITS = 16
@@ -437,7 +425,7 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
             f"no binary vector satisfies the active constraints at tolerance {tol}"
         )
     values = ((best_mask >> shifts) & np.uint64(1)).astype(np.float64)
-    return _build_result(pop, params, values, req.constraints, AllocationMode.BINARY)
+    return _build_result(pop, params, values, req.constraints)
 
 
 def solve(req: SolveRequest) -> SolveResult:
@@ -449,26 +437,14 @@ def solve(req: SolveRequest) -> SolveResult:
     return solve_unconstrained(req)
 
 
-def round_allocation(
-    alloc: Allocation, strategy: RoundingStrategy, seed: int | None = None
-) -> Allocation:
-    """Realize a fractional allocation as a binary one.
+def round_allocation(alloc: Allocation, seed: int) -> Allocation:
+    """Realize a fractional allocation as a binary one by a seeded draw.
 
-    ``BERNOULLI_SEEDED`` draws each coordinate independently with its
-    fractional value as the show probability, so expected gaps equal the
-    fractional gaps; the stream is fixed by ``seed``.  Integral inputs pass
-    through unchanged under every strategy.
+    Each coordinate is shown independently with its fractional value as the
+    probability, so expected gaps equal the fractional gaps; the stream is
+    fixed by ``seed``.  Integral inputs pass through unchanged.
     """
-    values = np.asarray(alloc.values)
-    if strategy is RoundingStrategy.FLOOR:
-        out = np.floor(values)
-    elif strategy is RoundingStrategy.CEIL:
-        out = np.ceil(values)
-    elif strategy is RoundingStrategy.BERNOULLI_SEEDED:
-        if seed is None:
-            raise ValueError("BERNOULLI_SEEDED requires a seed")
-        draws = np.random.default_rng(seed).random(values.size)
-        out = (draws < values).astype(np.float64)
-    else:
-        raise ValueError(f"unknown rounding strategy {strategy!r}")
-    return Allocation.binary(out)
+    if seed is None:
+        raise ValueError("round_allocation requires a seed")
+    draws = np.random.default_rng(seed).random(alloc.values.size)
+    return Allocation.binary((draws < alloc.values).astype(np.float64))

@@ -31,6 +31,7 @@ __all__ = [
     "conditional_proportions",
     "table_from_csv",
     "table_to_csv",
+    "MAX_TOTAL",
 ]
 
 
@@ -78,11 +79,16 @@ class Chi2Result:
     expected: np.ndarray
 
 
+# Largest grand total: every integer up to it is exact in float64.
+MAX_TOTAL = 2**53
+
+
 class ContingencyTable:
     """A labelled matrix of non-negative integer counts, at least 2x2.
 
     All-zero rows or columns are rejected: their expected counts under
-    independence would be zero and the test statistic undefined.
+    independence would be zero and the test statistic undefined.  So is a
+    grand total above ``MAX_TOTAL``.
     """
 
     __slots__ = ("row_labels", "col_labels", "counts")
@@ -91,17 +97,22 @@ class ContingencyTable:
         arr = np.asarray(counts)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
             raise ValueError("counts must form a matrix with at least 2 rows and 2 columns")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(np.asarray(arr, dtype=np.float64))
-            if not np.array_equal(rounded, np.asarray(arr, dtype=np.float64)):
-                raise ValueError("counts must be integers")
-            arr = rounded.astype(np.int64)
-        else:
-            arr = arr.astype(np.int64)
-        if (arr < 0).any():
+        # Python numbers, so the checks below cannot wrap as int64 sums do
+        cells = arr.ravel().tolist()
+        if not all(isinstance(c, int) or (isinstance(c, float) and c.is_integer())
+                   for c in cells):
+            raise ValueError("counts must be integers")
+        if min(cells) < 0:
             raise ValueError("counts must be non-negative")
-        if arr.sum() < 1:
+        total = sum(map(int, cells))
+        if total < 1:
             raise ValueError("grand total must be at least 1")
+        if total > MAX_TOTAL:
+            raise ValueError(
+                f"grand total {total} is above 2**53, where float64 (used by the "
+                f"chi-squared test) stops being exact"
+            )
+        arr = np.array(cells, dtype=np.int64).reshape(arr.shape)
         if (arr.sum(axis=1) == 0).any():
             raise ValueError("table has an all-zero row")
         if (arr.sum(axis=0) == 0).any():

@@ -422,10 +422,10 @@ def test_criterion_8_property_suites():
         params = _random_params(rng)
         d1, d2 = rng.random(pop.size), rng.random(pop.size)
         lam = float(rng.random())
-        mix = Allocation.fractional(np.clip(lam * d1 + (1 - lam) * d2, 0, 1))
+        mix = Allocation(np.clip(lam * d1 + (1 - lam) * d2, 0, 1))
         lhs = herm_aware_utility(pop, mix, params)
-        rhs = lam * herm_aware_utility(pop, Allocation.fractional(d1), params) + \
-            (1 - lam) * herm_aware_utility(pop, Allocation.fractional(d2), params)
+        rhs = lam * herm_aware_utility(pop, Allocation(d1), params) + \
+            (1 - lam) * herm_aware_utility(pop, Allocation(d2), params)
         if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)) + 1e-9:
             bad += 1
     checks["linearity"] = bad
@@ -434,7 +434,7 @@ def test_criterion_8_property_suites():
     bad = 0
     for _ in range(200):
         pop = _random_population(rng)
-        alloc = Allocation.fractional(rng.random(pop.size))
+        alloc = Allocation(rng.random(pop.size))
         swapped = Population.from_arrays(
             np.where(pop.groups == "A", "B", "A"), pop.p, pop.rho)
         if parity_gap(swapped, alloc) != -parity_gap(pop, alloc):
@@ -480,7 +480,7 @@ def test_criterion_8_property_suites():
     for _ in range(200):
         pop = _random_population(rng)
         params = _random_params(rng, gamma=0.0)
-        alloc = Allocation.fractional(rng.random(pop.size))
+        alloc = Allocation(rng.random(pop.size))
         if herm_aware_utility(pop, alloc, params) != economic_utility(pop, alloc, params):
             bad += 1
     checks["gamma0_reduction"] = bad

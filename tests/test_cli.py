@@ -126,6 +126,10 @@ class TestCeilings:
         (["--grid", "0:1:1e-5"], "--grid: grid 0.0:1.0:1e-05 has more than 10000 points"),
         (["--grid", "0:1:0"], "--grid: step must be positive"),
         (["--grid", ",".join(["0.1"] * 10001)], "grid has 10001 points, more than 10000"),
+        (["--na", "1000001"], "ceiling of 1000000 users per group"),
+        (["--nb", str(10**12)], "ceiling of 1000000 users per group"),
+        (["--reps", "100000"], "14 grid points x 100000 replications is 1400000 cells"),
+        (["--grid", "0.05", "--reps", "100001"], "is 100001 cells, more than 100000"),
     ])
     def test_sweep_flags(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
@@ -137,12 +141,23 @@ class TestCeilings:
         ({"jobs": 65}, "65 is greater than the maximum of 64"),
         ({"grid": {"start": 0, "stop": 1, "step": 1e-5}}, "config grid: grid 0:1:1e-05 has more"),
         ({"grid": [0.1] * 10001}, "grid has 10001 points, more than 10000"),
+        ({"n_a": 1000001}, "ceiling of 1000000 users per group"),
+        ({"reps": 10**9}, "cells, more than 100000"),
     ])
     def test_sweep_config(self, tmp_path, capsys, monkeypatch, config, message):
         monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
         cfg = write(tmp_path / "cfg.json", json.dumps({"scenario": "A", **config}))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flag", ["--na", "--nb"])
+    def test_export_group_size(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setattr(hermfair.cli, "sample_population", fail_if_called)
+        out = tmp_path / "pop.csv"
+        assert main(["export-population", flag, "1000001", "--out", str(out)]) == 1
+        assert "ceiling of 1000000 users per group" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigTypes:
@@ -349,6 +364,14 @@ class TestStats:
 
     def test_wilson_requires_counts(self):
         assert main(["stats", "wilson"]) == 1
+
+    @pytest.mark.parametrize("count", [2**63 - 1, 4 * 10**18, 10**29, 2**53])
+    def test_grand_total_above_2_53_exits_1(self, tmp_path, capsys, count):
+        # four equal cells: the int64 total of 2**63 - 1 wraps, that of 4e18
+        # wraps negative, 10**29 is beyond int64, and 4 * 2**53 is exact
+        table = write(tmp_path / "t.csv", f",a,b\nx,{count},{count}\ny,{count},{count}\n")
+        assert main(["stats", "chi2", table]) == 1
+        assert "is above 2**53" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path):
         table = write(tmp_path / "t.csv", EXPOSURE_TABLE)

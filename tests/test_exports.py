@@ -1,0 +1,28 @@
+"""Every exported name resolves, so no export outlives the code it names."""
+
+import types
+
+import pytest
+
+import hermfair
+from hermfair import model, population, scenarios, solver, stats
+
+MODULES = (model, population, scenarios, solver, stats)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_module_all_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_reexports_resolve():
+    exported = {name: getattr(module, name) for module in MODULES for name in module.__all__}
+    reexports = [
+        name for name, value in vars(hermfair).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert reexports
+    for name in reexports:
+        assert name in exported, f"hermfair.{name} is in no module's __all__"
+        assert getattr(hermfair, name) is exported[name]

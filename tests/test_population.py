@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import hermfair.population
 from hermfair.model import Population
 from hermfair.population import (
     ClickConfig,
@@ -66,6 +67,14 @@ class TestSampling:
             UptakeConfig(beta_a=(0.0, 1.0), beta_b=(1.0, 1.0))
         with pytest.raises(ValueError):
             ClickConfig(k_a=0.0)
+
+    def test_group_size_ceiling(self):
+        # only specs are built here; nothing is drawn
+        ceiling = hermfair.population.MAX_GROUP_SIZE
+        assert spec(n_a=ceiling, n_b=ceiling).n_b == ceiling
+        for kw in ({"n_a": ceiling + 1}, {"n_b": ceiling + 1}, {"n_a": 10**12, "n_b": 10**12}):
+            with pytest.raises(ValueError, match=f"ceiling of {ceiling} users per group"):
+                spec(**kw)
 
 
 class TestMoments:

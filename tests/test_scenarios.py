@@ -6,6 +6,7 @@ import pytest
 
 from hermfair.model import ModelParams
 from hermfair.population import UptakeConfig
+import hermfair.population
 import hermfair.scenarios
 from hermfair.scenarios import (
     MAX_GRID_POINTS,
@@ -117,6 +118,24 @@ class TestCeilings:
         with pytest.raises(ValueError, match=f"exceeds the ceiling of {MAX_JOBS} workers"):
             run_sweep(tiny_spec(), base_seed=1, jobs=MAX_JOBS + 1)
 
+
+    def test_sweep_size_ceilings_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the spec was checked")
+
+        monkeypatch.setattr(hermfair.scenarios, "_run_cell", no_work)
+        monkeypatch.setattr(hermfair.scenarios, "sample_population", no_work)
+        cells = hermfair.scenarios.MAX_CELLS
+        users = hermfair.population.MAX_GROUP_SIZE
+        grid = tuple(np.linspace(0.04, 0.4, 1000))
+        assert builtin_scenario("A", grid=grid, replications=cells // 1000).replications == 100
+        with pytest.raises(ValueError, match=f"is {cells + 1000} cells, more than {cells}"):
+            builtin_scenario("A", grid=grid, replications=cells // 1000 + 1)
+        assert tiny_spec(n=users).n_a == users
+        with pytest.raises(ValueError, match=f"ceiling of {users} users per group"):
+            tiny_spec(n=users + 1)
+        with pytest.raises(ValueError, match="more than"):
+            builtin_scenario("A", n_a=10**12, n_b=10**12, replications=10**9)
 
     @pytest.mark.parametrize("kw, message", [
         ({"n": 0}, "group sizes must be at least 1"),

@@ -26,7 +26,6 @@ from hermfair.scenarios import ScenarioId, builtin_scenario
 from hermfair.solver import (
     MAX_ENUMERATION_CAP,
     PopulationTooLargeError,
-    RoundingStrategy,
     SolveMode,
     SolveRequest,
     SolveStatus,
@@ -327,7 +326,7 @@ class TestConstrainedLP:
                          "dual_feasibility_tolerance": 1e-9},
             )
             assert res.status == 0
-            return herm_aware_utility(pop, Allocation.fractional(np.clip(res.x, 0.0, 1.0)), params)
+            return herm_aware_utility(pop, Allocation(np.clip(res.x, 0.0, 1.0)), params)
 
         cells = 0
         for scenario in ScenarioId:
@@ -505,35 +504,31 @@ class TestSolverProperties:
 
 class TestRounding:
     def test_integral_input_unchanged(self):
-        alloc = Allocation.fractional([0.0, 1.0, 1.0, 0.0])
-        for strat in RoundingStrategy:
-            out = round_allocation(alloc, strat, seed=5)
-            assert out.values.tolist() == [0.0, 1.0, 1.0, 0.0]
-
-    def test_floor_and_ceil(self):
-        alloc = Allocation.fractional([0.5, 0.5, 0.5])
-        assert round_allocation(alloc, RoundingStrategy.FLOOR).values.tolist() == [0, 0, 0]
-        assert round_allocation(alloc, RoundingStrategy.CEIL).values.tolist() == [1, 1, 1]
+        alloc = Allocation([0.0, 1.0, 1.0, 0.0])
+        for seed in range(5):
+            assert round_allocation(alloc, seed).values.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_bernoulli_deterministic(self):
-        alloc = Allocation.fractional([0.3, 0.7, 0.5, 0.2, 0.9])
-        a = round_allocation(alloc, RoundingStrategy.BERNOULLI_SEEDED, seed=42)
-        b = round_allocation(alloc, RoundingStrategy.BERNOULLI_SEEDED, seed=42)
+        alloc = Allocation([0.3, 0.7, 0.5, 0.2, 0.9])
+        a = round_allocation(alloc, seed=42)
+        b = round_allocation(alloc, seed=42)
         assert np.array_equal(a.values, b.values)
 
     def test_bernoulli_requires_seed(self):
-        with pytest.raises(ValueError):
-            round_allocation(Allocation.fractional([0.5]), RoundingStrategy.BERNOULLI_SEEDED)
+        with pytest.raises(TypeError):
+            round_allocation(Allocation([0.5]))
+        with pytest.raises(ValueError, match="requires a seed"):
+            round_allocation(Allocation([0.5]), None)
 
     def test_bernoulli_expected_gap_matches_fractional(self):
         # average the realized parity gap over many seeds
         pop = pop_from(["A"] * 4 + ["B"] * 4, [0.5] * 8, [0.5] * 8)
-        frac = Allocation.fractional([0.2, 0.8, 0.5, 0.5, 0.9, 0.1, 0.4, 0.6])
+        frac = Allocation([0.2, 0.8, 0.5, 0.5, 0.9, 0.1, 0.4, 0.6])
         from hermfair.model import parity_gap
 
         target = parity_gap(pop, frac)
         draws = [
-            parity_gap(pop, round_allocation(frac, RoundingStrategy.BERNOULLI_SEEDED, seed=s))
+            parity_gap(pop, round_allocation(frac, seed=s))
             for s in range(4000)
         ]
         assert np.mean(draws) == pytest.approx(target, abs=0.02)
@@ -542,12 +537,12 @@ class TestRounding:
 # ------------------------------------------------------------------- dispatch
 
 class TestDispatch:
-    def test_solve_routes_by_mode_and_constraints(self):
+    def test_solve_routes_by_mode_and_constraints(self, monkeypatch):
+        for name in ("solve_unconstrained", "solve_constrained_lp", "solve_binary_exact"):
+            monkeypatch.setattr(hermfair.solver, name, lambda req, name=name: name)
         pop = pop_from(["A", "A", "B", "B"], [0.9, 0.1, 0.8, 0.2], [0.5] * 4)
         params = make_params()
-        r1 = solve(SolveRequest(pop, params))
-        assert r1.allocation.mode.value == "binary"
-        r2 = solve(SolveRequest(pop, params, ConstraintSet.parity()))
-        assert r2.allocation.mode.value == "fractional"
-        r3 = solve(SolveRequest(pop, params, ConstraintSet.parity(0.02), mode=SolveMode.BINARY_EXACT))
-        assert r3.allocation.mode.value == "binary"
+        assert solve(SolveRequest(pop, params)) == "solve_unconstrained"
+        assert solve(SolveRequest(pop, params, ConstraintSet.parity())) == "solve_constrained_lp"
+        exact = SolveRequest(pop, params, ConstraintSet.parity(0.02), mode=SolveMode.BINARY_EXACT)
+        assert solve(exact) == "solve_binary_exact"

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,29 @@ class TestTableValidation:
     def test_zero_column(self):
         with pytest.raises(ValueError, match="all-zero column"):
             ContingencyTable([[1, 0], [3, 0]])
+
+    @pytest.mark.parametrize("counts", [
+        [[2**63 - 1, 2**63 - 1], [2**63 - 1, 2**63 - 1]],  # the int64 total wraps
+        [[4 * 10**18, 4 * 10**18], [4 * 10**18, 4 * 10**18]],  # ... to a negative number
+        [[10**29, 1], [1, 1]],  # beyond int64
+        [[10**400, 1], [1, 1]],  # beyond float64
+        [[2**52, 2**52 - 1], [1, 1]],  # one above the ceiling
+        np.full((2, 2), 2**62, dtype=np.int64),
+    ])
+    def test_grand_total_ceiling(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(ValueError, match=r"grand total \d+ is above 2\*\*53"):
+                ContingencyTable(counts)
+
+    def test_grand_total_at_the_ceiling(self):
+        table = ContingencyTable([[2**52, 2**52 - 2], [1, 1]])
+        assert table.total == 2**53
+        assert table.counts.dtype == np.int64
+
+    def test_csv_grand_total_ceiling(self):
+        with pytest.raises(ValueError, match="is above 2\\*\\*53"):
+            table_from_csv(io.StringIO(f",x,y\nr1,{2**63 - 1},1\nr2,1,1\n"))
 
     def test_csv_round_trip(self):
         table = ContingencyTable(EXPOSURE_2X2, ("same-sex", "opposite-sex"),
