@@ -68,4 +68,4 @@ from .stats import (
     wilson_interval,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

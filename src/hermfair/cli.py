@@ -32,6 +32,7 @@ from .population import (
     sample_population,
 )
 from .scenarios import (
+    DEFAULT_JOBS,
     MAX_CELLS,
     MAX_GRID_POINTS,
     MAX_JOBS,
@@ -249,7 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             grid = build_grid(grid["start"], grid["stop"], grid["step"])
         except ValueError as exc:
             raise _InputError(f"config grid: {exc}") from exc
-    jobs = config.get("jobs", 1)
+    jobs = config.get("jobs", DEFAULT_JOBS)
     if jobs > MAX_JOBS:
         raise _InputError(f"jobs: {jobs} is greater than the maximum of {MAX_JOBS}")
     try:
@@ -270,7 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     try:
-        result = run_sweep(spec, base_seed=config.get("seed", 0), jobs=jobs)
+        result = run_sweep(spec, base_seed=config.get("seed", PopulationSpec.seed), jobs=jobs)
     except ValueError as exc:  # seed or jobs out of range, before any cell runs
         raise _InputError(str(exc)) from exc
     wall = time.perf_counter() - t0
@@ -432,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", choices=_SCENARIO_CHOICES)
     p_sweep.add_argument("--config", help="JSON run configuration (flags override it)")
     p_sweep.add_argument("--uptake", choices=_UPTAKE_CHOICES, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
+    p_sweep.add_argument("--seed", type=int, default=None,
+                         help=f"base seed (default {PopulationSpec.seed})")
     p_sweep.add_argument("--reps", type=int, default=None,
                          help=f"replications (default {ScenarioSpec.replications}; "
                               f"grid points x replications at most {MAX_CELLS})")
@@ -448,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tol", type=float, default=None, dest="tolerance",
                          help=f"solver tolerance (default {ScenarioSpec.tolerance})")
     p_sweep.add_argument("--jobs", type=int, default=None,
-                         help=f"parallel workers (default 1, at most {MAX_JOBS})")
+                         help=f"parallel workers (default {DEFAULT_JOBS}, at most {MAX_JOBS})")
     p_sweep.add_argument("--out", default="sweep-out", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -477,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="group A click coefficient (default %(default)s)")
     p_export.add_argument("--kb", type=float, default=ClickConfig.k_b,
                           help="group B click coefficient (default %(default)s)")
-    p_export.add_argument("--seed", type=int, default=0)
+    p_export.add_argument("--seed", type=int, default=PopulationSpec.seed,
+                          help="sampling seed (default %(default)s)")
     p_export.add_argument("--out", required=True, help="output CSV path")
     p_export.set_defaults(func=cmd_export_population)
 

@@ -51,6 +51,7 @@ __all__ = [
     "MAX_GRID_POINTS",
     "MAX_CELLS",
     "MAX_JOBS",
+    "DEFAULT_JOBS",
 ]
 
 
@@ -110,6 +111,9 @@ UPTAKE_VARIANTS: dict[UptakeVariant, UptakeConfig] = {
 MAX_GRID_POINTS = 10_000
 MAX_CELLS = 100_000
 MAX_JOBS = 64
+
+# Worker processes for a sweep whose caller names no count.
+DEFAULT_JOBS = 1
 
 
 def build_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -332,7 +336,7 @@ def _run_cell(args: tuple[ScenarioSpec, int, int, int]) -> list[SweepRecord]:
     ]
 
 
-def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = 1) -> SweepResult:
+def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> SweepResult:
     """Run the sweep; deterministic in ``base_seed`` and independent of ``jobs``.
 
     Every (grid value, replication) cell draws its population from a

@@ -7,18 +7,37 @@ subject to each active group-gap being zero up to the request tolerance
 ``eps`` (``|gap| <= eps``).  Every constrained solve first tries the
 threshold allocation (``d_i = 1`` iff the gain ``c_i >= 0``): if it already
 meets every retained row it is optimal and is returned with no further
-work.  Otherwise one of two engines runs behind one contract:
+work.  Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
-* two or three retained rows go to scipy's HiGHS dual simplex, posed as m
-  equality rows ``R d - s = 0`` with m bounded slack columns
-  ``|s_k| <= eps * scale_k`` (fixed at zero when ``eps = 0``).  Presolve is
-  off: on a few dense rows over boxed columns it removes nothing, yet at
-  2x10^5 users it cost more than half the HiGHS time and ~200 MB of memory.
+* two or three retained rows climb a ladder of structured numpy rungs, each
+  of which returns only an allocation it has certified optimal, and
+  otherwise passes the cell on:
 
-Both return vertex solutions: at most one strictly fractional coordinate per
-retained row.  An exhaustive enumeration oracle over binary vectors is
+  - (b) one group indifferent, three rows and ``eps > 0``: within a group
+    the gain and every row are affine in (1, p, rho), so the multipliers
+    that make the whole group indifferent have a closed form.  The other
+    group follows the sign of its reduced cost, and the indifferent group
+    meets three moment targets (damped Newton, then purification to a
+    vertex).  Certificate: every row within ``eps`` plus
+    ``ROUNDOFF_ALLOWANCE``, and the objective within ``_DUALITY_GAP`` of
+    the weak-duality bound ``sum((c - lam . R)^+) + eps * |lam|_1``.
+  - (a) one active multiplier, ``eps > 0``: each violated row is solved
+    alone by the parametric engine; a result that meets every other row is
+    optimal, being optimal for a relaxation.
+  - HiGHS: scipy's dual simplex, posed as m equality rows ``R d - s = 0``
+    with m bounded slack columns ``|s_k| <= eps * scale_k`` (fixed at zero
+    when ``eps = 0``).  Presolve is off: on a few dense rows over boxed
+    columns it removes nothing, yet at 2x10^5 users it cost more than half
+    the HiGHS time and ~200 MB of memory.
+
+  Rung (b) runs before (a) because it is the cheaper one to fail: a failing
+  rung (a) costs one O(n log n) scan per violated row.
+
+Every engine returns a vertex: at most one strictly fractional coordinate
+per retained row.  ``method="highs"`` skips the structured rungs and is the
+cross-check.  An exhaustive enumeration oracle over binary vectors is
 provided for verification on small instances.
 """
 
@@ -65,6 +84,19 @@ __all__ = [
 # Realized gaps may exceed the request tolerance by at most this much before
 # the solve is considered a numerical failure.
 RESIDUAL_BOUND = 1e-8
+
+# A re-measured gap may exceed the tolerance by this much from floating-point
+# round-off alone: the numpy engines land at most ~8e-16 beyond a face they
+# target exactly.  A larger excess, up to RESIDUAL_BOUND, marks the solve
+# TOLERANCE_RELAXED.
+ROUNDOFF_ALLOWANCE = 1e-12
+
+# A structured rung's allocation is accepted only when its objective is
+# within this fraction of sum(|gain|) of its weak-duality bound.
+_DUALITY_GAP = 1e-10
+# Newton stops once every moment is within this fraction of its total.
+_MOMENT_TOL = 1e-14
+_NEWTON_STEPS = 40
 
 # Coordinates within this distance of 0 or 1 are snapped to the bound; the
 # remainder count as strictly fractional.
@@ -211,7 +243,9 @@ def _build_result(
             f"(tolerance {constraints.tolerance:.3e} + residual bound {RESIDUAL_BOUND:.0e})"
         )
     status = (
-        SolveStatus.OPTIMAL if worst <= constraints.tolerance else SolveStatus.TOLERANCE_RELAXED
+        SolveStatus.OPTIMAL
+        if worst <= constraints.tolerance + ROUNDOFF_ALLOWANCE
+        else SolveStatus.TOLERANCE_RELAXED
     )
     return SolveResult(
         allocation=alloc,
@@ -333,6 +367,172 @@ def _solve_slab_highs(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray
     return np.asarray(res.x[:n], dtype=np.float64)
 
 
+def _one_active_row(
+    c: np.ndarray, rows: np.ndarray, eps: float, threshold: np.ndarray
+) -> np.ndarray | None:
+    """Rung (a): the optimum when one multiplier is active, or ``None``.
+
+    Each row the threshold allocation violates is solved alone.  A result
+    that meets every other retained row is optimal for the full problem,
+    because it is optimal for a relaxation of it.
+    """
+    for k in np.flatnonzero(np.abs(rows @ threshold) > eps):
+        d = _solve_slab_single(c, rows[k], eps, threshold)
+        excess = np.abs(rows @ d) - eps
+        excess[k] -= ROUNDOFF_ALLOWANCE  # the engine's own face, re-measured
+        if np.all(excess <= 0.0):
+            return d
+    return None
+
+
+_CROSS_TO_NULL = np.array([[1.0, 0.0, 0.0, -1.0], [-1.0, 0.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
+
+
+def _block_null_vectors(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """A null vector, of unit max norm, of the 3 x 4 matrix (1, p, rho) of
+    each block of four users (``p`` and ``rho`` have shape (k, 4)).
+
+    With user 0 of a block moved to the origin, the 3x3 minors are the
+    cross products ``X_uv = p_u rho_v - p_v rho_u`` of users 1 to 3, and
+    ``(X12 - X13 + X23, -X23, X13, -X12)`` is a null vector.  Moving the
+    origin keeps its round-off at the scale of the block's spread.  A block
+    whose minors cancel to round-off (collinear or duplicate users) gets
+    the SVD's null vector instead.
+    """
+    dp = p[:, 1:] - p[:, :1]
+    dr = rho[:, 1:] - rho[:, :1]
+    u, v = [0, 0, 1], [1, 2, 2]
+    z = (dp[:, u] * dr[:, v] - dp[:, v] * dr[:, u]) @ _CROSS_TO_NULL  # from X12, X13, X23
+    top = np.max(np.abs(z), axis=1, keepdims=True)
+    z = np.divide(z, top, out=np.zeros_like(z), where=top > 0.0)
+    # z sums to zero by construction; the p and rho rows show the round-off
+    miss = np.abs((dp * z[:, 1:]).sum(axis=1)) + np.abs((dr * z[:, 1:]).sum(axis=1))
+    bad = (top[:, 0] == 0.0) | (miss > 1e-13)
+    if bad.any():
+        block = np.stack([np.ones_like(p[bad]), p[bad], rho[bad]], axis=1)
+        null = np.linalg.svd(block)[2][:, -1, :]
+        z[bad] = null / np.max(np.abs(null), axis=1, keepdims=True)
+    return z
+
+
+def _purify(p: np.ndarray, rho: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Move ``d`` to a vertex of ``{x in [0, 1]^n : x has the moments of d}``.
+
+    The moments are the sums of ``x``, ``p x`` and ``rho x``.  Fractional
+    coordinates are taken four at a time in disjoint blocks; each block moves
+    along its own null vector until one coordinate reaches 0 or 1, which
+    leaves every moment unchanged.  Each pass thus removes at least a
+    quarter of the fractional coordinates, until at most three remain.
+    """
+    frac = np.flatnonzero((d > 0.0) & (d < 1.0))
+    while frac.size > 3:
+        whole = frac.size // 4 * 4
+        blocks = frac[:whole].reshape(-1, 4)
+        z = _block_null_vectors(p[blocks], rho[blocks])
+        x = d[blocks]
+        room = np.divide(np.where(z > 0.0, 1.0 - x, -x), z,
+                         out=np.full(z.shape, np.inf), where=z != 0.0)
+        hit = np.argmin(room, axis=1)
+        rows = np.arange(blocks.shape[0])
+        x += room[rows, hit][:, None] * z
+        x[rows, hit] = z[rows, hit] > 0.0  # exactly on the bound it reached
+        np.clip(x, 0.0, 1.0, out=x)
+        d[blocks] = x
+        frac = np.concatenate([blocks[(x > 0.0) & (x < 1.0)], frac[whole:]])
+    return d
+
+
+def _meet_moments(p: np.ndarray, rho: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+    """A vertex ``d`` of ``[0, 1]^n`` whose sums of ``d``, ``p d`` and ``rho d``
+    equal ``target``, or ``None``.
+
+    A damped Newton method finds ``theta`` with
+    ``feats @ clip(theta @ feats, 0, 1) = target``, where ``feats`` stacks
+    (1, p, rho).  That is the minimizer of a convex piecewise-quadratic
+    function, so once the set of strictly fractional coordinates settles, a
+    full step is exact.  The result is then purified to at most three
+    fractional coordinates.
+    """
+    feats = np.vstack([np.ones(p.size), p, rho])
+    mass = feats.sum(axis=1)
+    theta = np.array([target[0] / mass[0], 0.0, 0.0])
+
+    def merit(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        x = t @ feats
+        d = np.clip(x, 0.0, 1.0)
+        # the integral of clip(., 0, 1) from 0 to x, summed
+        return float(np.sum(d * (x - 0.5 * d)) - t @ target), x, d
+
+    value, x, d = merit(theta)
+    for _ in range(_NEWTON_STEPS):
+        resid = feats @ d - target
+        if np.all(np.abs(resid) <= _MOMENT_TOL * mass):
+            return _purify(p, rho, d)
+        hess = (feats * ((x > 0.0) & (x < 1.0))) @ feats.T
+        eig = np.linalg.eigvalsh(hess)
+        if not eig[0] > 1e-12 * eig[-1]:
+            return None  # too few, or collinear, users left to steer the moments
+        step = -np.linalg.solve(hess, resid)
+        slope = float(resid @ step)
+        size = 1.0
+        while True:
+            new_value, new_x, new_d = merit(theta + size * step)
+            if new_value <= value + 1e-4 * size * slope:
+                break
+            size *= 0.5
+            if size < 1e-10:
+                return None
+        theta, value, x, d = theta + size * step, new_value, new_x, new_d
+    return None
+
+
+def _one_indifferent_group(
+    pop: Population, params: ModelParams, c: np.ndarray, rows: np.ndarray, eps: float
+) -> np.ndarray | None:
+    """Rung (b): the optimum when one group is indifferent, or ``None``.
+
+    Within group g the gain is ``u_g + v_g p + w_g rho`` and each of the three
+    rows is ``sign_g * (1, p, rho) / mass_g`` (sign -1 for A, +1 for B), so the
+    multipliers that make every user of g indifferent are
+    ``lam = sign_g * (u_g n_g, v_g P_g, w_g R_g)``.  The other group follows
+    the sign of its reduced cost ``c - lam . R``, and the slab faces
+    ``sign(lam) * eps`` leave g three moment targets.  A vertex meeting them
+    is accepted when every row is within ``eps`` plus the round-off
+    allowance and ``c . d`` is within ``_DUALITY_GAP * sum(|c|)`` of the weak
+    dual bound ``sum((c - lam . R)^+) + eps * |lam|_1``.  The candidate group
+    with the lower bound is tried first.
+    """
+    candidates = []
+    for mask, sign, beta, theta, omega in (
+        (pop.mask_a, -1.0, params.beta_a, params.theta_a, params.omega_a),
+        (pop.mask_b, 1.0, params.beta_b, params.theta_b, params.omega_b),
+    ):
+        mass = np.array([mask.sum(), pop.p[mask].sum(), pop.rho[mask].sum()], dtype=float)
+        coef = np.array([-beta + params.gamma * (params.xi - omega), params.alpha,
+                         params.gamma * (theta + omega)])
+        lam = sign * coef * mass
+        reduced = c - lam @ rows
+        bound = float(np.maximum(reduced, 0.0).sum() + eps * np.abs(lam).sum())
+        candidates.append((bound, mask, sign, mass, lam, reduced))
+
+    scale = float(np.abs(c).sum())
+    for bound, mask, sign, mass, lam, reduced in sorted(candidates, key=lambda t: t[0]):
+        d = np.where(reduced >= 0.0, 1.0, 0.0)
+        d[mask] = 0.0
+        # the indifferent group supplies what the other group leaves of each face
+        target = sign * (eps * np.sign(lam) - rows @ d) * mass
+        if np.any(target < 0.0) or np.any(target > mass):
+            continue
+        dg = _meet_moments(pop.p[mask], pop.rho[mask], target)
+        if dg is None:
+            continue
+        d[mask] = dg
+        if (np.all(np.abs(rows @ d) <= eps + ROUNDOFF_ALLOWANCE)
+                and bound - float(c @ d) <= _DUALITY_GAP * scale):
+            return d
+    return None
+
+
 def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult:
     """Maximize the combined objective under the active group-equality constraints.
 
@@ -342,9 +542,10 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
 
     Args:
         req: request with ``mode=FRACTIONAL`` and at least one active constraint.
-        method: "auto" (parametric when one row remains, HiGHS otherwise),
-            "parametric", or "highs".  Either engine runs only when the
-            threshold allocation violates a retained row.
+        method: "auto" (parametric when one row remains; otherwise the
+            structured rungs, then HiGHS for any cell they cannot certify),
+            "parametric", or "highs".  No engine runs when the threshold
+            allocation meets every retained row.
 
     Raises:
         SolverNumericalError: solver failure or residual above the bound.
@@ -358,19 +559,24 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     c = decision_gains(pop, params)
     eps = req.constraints.tolerance
 
-    if method == "auto":
-        method = "parametric" if rows.shape[0] == 1 else "highs"
+    if method not in ("auto", "parametric", "highs"):
+        raise ValueError(f"unknown method {method!r}")
     if method == "parametric" and rows.shape[0] != 1:
         raise ValueError("parametric method handles exactly one retained constraint row")
-    if method not in ("parametric", "highs"):
-        raise ValueError(f"unknown method {method!r}")
 
     threshold = np.where(c >= 0.0, 1.0, 0.0)  # ties show the ad, matching the threshold rule
+    values = None
     if np.all(np.abs(rows @ threshold) <= eps):
         values = threshold  # the unconstrained optimum is feasible, hence optimal
-    elif method == "parametric":
+    elif method != "highs" and rows.shape[0] == 1:
         values = _solve_slab_single(c, rows[0], eps, threshold)
-    else:
+    elif method != "highs" and eps > 0.0:
+        # each structured rung returns only an allocation it has certified
+        if rows.shape[0] == 3:
+            values = _one_indifferent_group(pop, params, c, rows, eps)
+        if values is None:
+            values = _one_active_row(c, rows, eps, threshold)
+    if values is None:
         values = _solve_slab_highs(c, rows, eps)
 
     return _build_result(pop, params, _snap(values), req.constraints)
