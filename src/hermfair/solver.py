@@ -30,7 +30,9 @@ work.  Otherwise:
     with m bounded slack columns ``|s_k| <= eps * scale_k`` (fixed at zero
     when ``eps = 0``).  Presolve is off: on a few dense rows over boxed
     columns it removes nothing, yet at 2x10^5 users it cost more than half
-    the HiGHS time and ~200 MB of memory.
+    the HiGHS time and ~200 MB of memory.  ``scipy.optimize`` is imported
+    on the first HiGHS solve, so a process whose solves all end on an
+    earlier rung never loads it.
 
   Rung (b) runs before (a) because it is the cheaper one to fail: a failing
   rung (a) costs one O(n log n) scan per violated row.
@@ -48,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import (
     Allocation,
@@ -329,6 +330,13 @@ def _solve_slab_single(
     idx = np.nonzero(active)[0]
     d[idx[order]] = dd  # zero-coefficient coordinates keep their unconstrained value
     return d
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as _linprog
+
+    return _linprog(*args, **kwargs)
 
 
 def _solve_slab_highs(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:

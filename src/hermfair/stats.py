@@ -7,6 +7,10 @@ proportion tables with per-cell intervals.
 P-values come from the regularized incomplete gamma function (the
 chi-squared upper tail) and are also reported in log10 space, since survey
 missingness tests can push them far below double-precision readability.
+They and the Wilson quantile call ``scipy.special`` ufuncs with the branches
+``scipy.stats`` takes, so they give its bits without its dispatch cost.
+``scipy.special`` is imported when a statistic first runs, not with this
+module.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _sps
 
 from ._textio import open_text
 
@@ -143,13 +146,21 @@ class ContingencyTable:
 def _log10_chi2_tail(statistic: float, dof: int) -> float:
     """Base-10 log of the chi-squared upper tail, finite for any finite statistic.
 
-    Uses the library tail while it is representable and switches to the
-    asymptotic expansion of the upper incomplete gamma once it underflows
-    (statistic far beyond dof, exactly where the expansion converges fast).
+    Computes the natural log as ``scipy.stats.chi2.logsf`` does: the log of
+    the upper tail above the median, ``log1p`` of minus the lower tail at or
+    below it.  Once the tail underflows it switches to the asymptotic
+    expansion of the upper incomplete gamma (statistic far beyond dof,
+    exactly where the expansion converges fast).
     """
     if statistic <= 0.0:
         return 0.0
-    log_sf = float(_sps.chi2.logsf(statistic, dof))
+    from scipy.special import chdtr, chdtrc, gammaincinv
+
+    with np.errstate(divide="ignore"):
+        if statistic > 2.0 * gammaincinv(dof / 2.0, 0.5):
+            log_sf = float(np.log(chdtrc(dof, statistic)))
+        else:
+            log_sf = float(np.log1p(-chdtr(dof, statistic)))
     if math.isfinite(log_sf):
         return log_sf / math.log(10.0)
     a = dof / 2.0
@@ -164,6 +175,14 @@ def _log10_chi2_tail(statistic: float, dof: int) -> float:
     return (-x + (a - 1.0) * math.log(x) - math.lgamma(a) + math.log(series)) / math.log(10.0)
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer; integral floats pass, bools do not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> WilsonInterval:
     """Wilson score interval for a binomial proportion.
 
@@ -174,14 +193,22 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> WilsonI
 
     Returns:
         WilsonInterval with the raw proportion and score bounds.
+
+    Raises:
+        ValueError: a count that is not an integer (bools included) or out of
+            range, or a confidence outside (0, 1).
     """
+    _check_count("successes", successes)
+    _check_count("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    z = float(_sps.norm.ppf(0.5 + confidence / 2.0))
+    from scipy.special import ndtri
+
+    z = float(ndtri(0.5 + confidence / 2.0))
     phat = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -208,18 +235,25 @@ def chi2_independence(
     Returns:
         Chi2Result; ``cramers_v`` is computed from the same (possibly
         corrected) statistic.
+
+    Raises:
+        ValueError: ``correction`` is not ``"auto"``, ``True`` or ``False``.
     """
+    from scipy.special import chdtrc
+
     obs = table.counts.astype(np.float64)
     n = obs.sum()
     expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / n
     dof = (obs.shape[0] - 1) * (obs.shape[1] - 1)
-    if correction == "auto":
+    if isinstance(correction, str) and correction == "auto":
         correction = dof == 1
+    elif not isinstance(correction, bool):
+        raise ValueError(f"correction must be 'auto', True or False, got {correction!r}")
     resid = np.abs(obs - expected)
     if correction:
         resid = np.maximum(resid - 0.5, 0.0)
     statistic = float(np.sum(resid**2 / expected))
-    p_value = float(_sps.chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     log10_p = _log10_chi2_tail(statistic, dof)
     cramers_v = math.sqrt(statistic / (n * min(obs.shape[0] - 1, obs.shape[1] - 1)))
     return Chi2Result(

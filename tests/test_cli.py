@@ -248,6 +248,40 @@ def test_config_sweep_without_jsonschema(tmp_path):
     assert json.loads((out / "metadata.json").read_text())["grid"] == [0.01, 0.03, 0.05]
 
 
+def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
+    """A fresh interpreter: the CLI, an export and a one-row allocate load no
+    scipy; survey statistics load ``scipy.special`` alone."""
+    pop, table = tmp_path / "pop.csv", write(tmp_path / "t.csv", EXPOSURE_TABLE)
+    runs = {
+        "export": ["export-population", "--na", "20", "--nb", "20", "--out", str(pop)],
+        "allocate": ["allocate", str(pop), "--parity", "--out", str(tmp_path / "alloc")],
+        "wilson": ["stats", "wilson", "--successes", "3", "--n", "10",
+                   "--out", str(tmp_path / "w.json")],
+        "chi2": ["stats", "chi2", table, "--out", str(tmp_path / "c.json")],
+    }
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(hermfair.__file__).parents[1])!r})\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from hermfair.cli import main\n"
+        "seen = {'import': (0, scipy_modules())}\n"
+        f"for stage, argv in {runs!r}.items():\n"
+        "    seen[stage] = (main(argv), scipy_modules())\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert {stage: rc for stage, (rc, _) in seen.items()} == dict.fromkeys(seen, 0)
+    for stage in ("import", "export", "allocate"):
+        assert seen[stage][1] == [], stage
+    loaded = seen["chi2"][1]
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.split(".")[1:2] in (["stats"], ["optimize"])] == []
+
+
 class TestSweep:
     def run_tiny(self, tmp_path, name, extra=()):
         out = tmp_path / name

@@ -12,6 +12,7 @@ from hermfair.stats import (
     Chi2Result,
     ContingencyTable,
     WilsonInterval,
+    _log10_chi2_tail,
     chi2_independence,
     conditional_proportions,
     table_from_csv,
@@ -86,6 +87,12 @@ class TestChi2Goldens:
         forced = chi2_independence(ContingencyTable(BEHAVIOR_2X3), correction=False)
         assert auto.statistic == forced.statistic
 
+    @pytest.mark.parametrize("correction", ["never", "always", "", None, 0, 1, np.True_])
+    def test_correction_policy_validated(self, correction):
+        # a truthy string such as "never" used to apply the correction
+        with pytest.raises(ValueError, match=f"got {correction!r}"):
+            chi2_independence(ContingencyTable([[10, 20], [30, 5]]), correction=correction)
+
     def test_perfect_independence_is_exact_zero(self):
         res = chi2_independence(ContingencyTable([[10, 20], [30, 60]]), correction=False)
         assert res.statistic == 0.0
@@ -120,6 +127,17 @@ class TestWilsonGoldens:
             wilson_interval(5, 4)
         with pytest.raises(ValueError):
             wilson_interval(1, 4, confidence=1.0)
+
+    @pytest.mark.parametrize("successes,n", [(3.5, 10), (True, 2), (3, 10.5), (1, True),
+                                             ("3", 10), (float("nan"), 10)])
+    def test_counts_must_be_integers(self, successes, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            wilson_interval(successes, n)
+
+    def test_integer_types_accepted(self):
+        ref = wilson_interval(3, 10)
+        assert wilson_interval(np.int64(3), np.int32(10)) == ref
+        assert wilson_interval(3.0, 10.0) == ref
 
 
 class TestConditionalProportions:
@@ -316,6 +334,57 @@ class TestLogSpacePvalues:
         assert 0.0 <= res.cramers_v <= 1.0
         assert res.expected.shape == (2, 3)
         assert res.expected.sum() == pytest.approx(sum(map(sum, BEHAVIOR_2X3)))
+
+
+def _wilson_with_norm_ppf(successes, n, confidence):
+    """Reference Wilson bounds, with the z quantile from ``scipy.stats.norm``."""
+    z = float(sps.norm.ppf(0.5 + confidence / 2.0))
+    phat = successes / n
+    z2 = z * z
+    denom = 1.0 + z2 / n
+    center = (phat + z2 / (2.0 * n)) / denom
+    half = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
+    return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
+
+
+class TestAgainstScipyStats:
+    """The scipy.special calls reproduce scipy.stats' chi2 and norm bit for bit."""
+
+    @pytest.mark.parametrize("counts", [EXPOSURE_2X2, BEHAVIOR_2X3, SENSATIONALISM_4X2,
+                                        SENSATIONALISM_BY_EXPOSURE_2X4,
+                                        [[10, 20], [30, 60]], [[100000, 1], [1, 100000]]])
+    def test_p_value_is_chi2_sf(self, counts):
+        for correction in (True, False):
+            res = chi2_independence(ContingencyTable(counts), correction=correction)
+            assert res.p_value == float(sps.chi2.sf(res.statistic, res.dof))
+
+    @pytest.mark.parametrize("confidence", [1e-9, 0.5, 0.9, 0.95, 0.99, 0.999999])
+    def test_wilson_z_is_norm_ppf(self, confidence):
+        for successes, n in ((0, 7), (3, 10), (219, 1102), (10, 10)):
+            res = wilson_interval(successes, n, confidence)
+            assert (res.lo, res.hi) == _wilson_with_norm_ppf(successes, n, confidence)
+
+    @pytest.mark.parametrize("dof", range(1, 41))
+    def test_log_tail_is_chi2_logsf(self, dof):
+        # exact on scipy 1.17.1; 2 ulp leaves room for a release that
+        # re-derives its tail
+        median = float(sps.chi2.median(dof))
+        below = [median * f for f in (1e-6, 0.1, 0.5, 0.9, 0.999)] + [median]
+        above = [median * f for f in (1.001, 1.1, 2.0, 5.0, 20.0)]
+        for statistic in below + [np.nextafter(median, np.inf)] + above:
+            ref = float(sps.chi2.logsf(statistic, dof)) / math.log(10.0)
+            assert math.isfinite(ref)
+            assert abs(_log10_chi2_tail(float(statistic), dof) - ref) <= 2 * math.ulp(ref)
+
+    @pytest.mark.parametrize("dof", [1, 12, 40])
+    def test_underflowed_tail_takes_the_expansion(self, dof):
+        statistic = 5000.0
+        assert sps.chi2.sf(statistic, dof) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log10_p = _log10_chi2_tail(statistic, dof)
+        # below the log10 of the smallest subnormal double, yet finite
+        assert math.isfinite(log10_p) and log10_p < math.log10(5e-324)
 
 
 class TestWilsonIntervalType:
