@@ -11,31 +11,38 @@ work.  Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
-* two or three retained rows climb a ladder of structured numpy rungs, each
-  of which returns only an allocation it has certified optimal, and
-  otherwise passes the cell on:
+* two or three retained rows climb a ladder of numpy rungs, each of which
+  returns only an allocation it has certified optimal, and otherwise
+  passes the cell on.  The certificate (``_certified``): every row within
+  ``eps`` plus ``ROUNDOFF_ALLOWANCE``, and the objective within
+  ``_DUALITY_GAP * sum(|gain|)`` of the weak-duality bound
+  ``sum((c - lam . R)^+) + eps * |lam|_1`` for the rung's multipliers.
 
-  - (b) one group indifferent, three rows and ``eps > 0``: within a group
-    the gain and every row are affine in (1, p, rho), so the multipliers
-    that make the whole group indifferent have a closed form.  The other
-    group follows the sign of its reduced cost, and the indifferent group
-    meets three moment targets (damped Newton, then purification to a
-    vertex).  Certificate: every row within ``eps`` plus
-    ``ROUNDOFF_ALLOWANCE``, and the objective within ``_DUALITY_GAP`` of
-    the weak-duality bound ``sum((c - lam . R)^+) + eps * |lam|_1``.
-  - (a) one active multiplier, ``eps > 0``: each violated row is solved
-    alone by the parametric engine; a result that meets every other row is
-    optimal, being optimal for a relaxation.
-  - HiGHS: scipy's dual simplex, posed as m equality rows ``R d - s = 0``
-    with m bounded slack columns ``|s_k| <= eps * scale_k`` (fixed at zero
-    when ``eps = 0``).  Presolve is off: on a few dense rows over boxed
-    columns it removes nothing, yet at 2x10^5 users it cost more than half
-    the HiGHS time and ~200 MB of memory.  ``scipy.optimize`` is imported
-    on the first HiGHS solve, so a process whose solves all end on an
-    earlier rung never loads it.
+  - One group indifferent (three rows, ``eps > 0``): within a group the
+    gain and every row are affine in (1, p, rho), so the multipliers that
+    make the whole group indifferent have a closed form.  The other group
+    follows the sign of its reduced cost, and the indifferent group meets
+    three moment targets (damped Newton, then purification to a vertex).
+  - Dual simplex (any ``eps``): a bounded dual simplex over the m rows
+    ``R d - s = 0`` with ``|s_k| <= eps``, started from the slack basis at
+    ``lam = 0``, where the threshold allocation is dual feasible.  Its ratio
+    test flips bounds along the sorted breakpoints, as the one-row engine's
+    scan does, and a tiny fixed cost perturbation breaks the dual ties of an
+    indifferent group.  It takes the cells of the first rung's class that
+    its check rejects, every cell with no group indifferent, two-row cells
+    and ``eps = 0``.
+  - HiGHS: scipy's dual simplex on the same equality form, each row scaled
+    to unit maximum coefficient and its slack bounded by ``eps * scale_k``
+    (fixed at zero when ``eps = 0``).  It takes only a cell neither numpy
+    rung certifies.  Presolve is off: on a
+    few dense rows over boxed columns it removes nothing, yet at 2x10^5
+    users it cost more than half the HiGHS time and ~200 MB of memory.
+    ``scipy.optimize`` is imported on the first HiGHS solve, so a process
+    whose solves all end on a numpy rung never loads it.
 
-  Rung (b) runs before (a) because it is the cheaper one to fail: a failing
-  rung (a) costs one O(n log n) scan per violated row.
+  The indifferent-group rung runs first because it is the cheaper one on
+  the cells it takes: ~0.03 s at 2x10^5 users, against ~0.1 s for the dual
+  simplex's 15-25 iterations.
 
 Every engine returns a vertex: at most one strictly fractional coordinate
 per retained row.  ``method="highs"`` skips the structured rungs and is the
@@ -98,6 +105,18 @@ _DUALITY_GAP = 1e-10
 # Newton stops once every moment is within this fraction of its total.
 _MOMENT_TOL = 1e-14
 _NEWTON_STEPS = 40
+# The dual simplex gives up after this many basis changes.
+_SIMPLEX_ITERATIONS = 60
+# A basic decision within this distance of [0, 1] counts as feasible.
+_PRIMAL_TOL = 1e-13
+# Ratio-test entries below this fraction of the largest are round-off.
+_PIVOT_TOL = 1e-9
+# Relative size of the dual simplex's cost perturbation, and the step of
+# the sequence that spreads it over the columns.
+_PERTURBATION = 1e-11
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+# The ratio test first sorts this many of its smallest breakpoints.
+_SORTED_HEAD = 1024
 
 # Coordinates within this distance of 0 or 1 are snapped to the bound; the
 # remainder count as strictly fractional.
@@ -375,22 +394,25 @@ def _solve_slab_highs(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray
     return np.asarray(res.x[:n], dtype=np.float64)
 
 
-def _one_active_row(
-    c: np.ndarray, rows: np.ndarray, eps: float, threshold: np.ndarray
-) -> np.ndarray | None:
-    """Rung (a): the optimum when one multiplier is active, or ``None``.
+def _dual_bound(reduced: np.ndarray, eps: float, lam: np.ndarray) -> float:
+    """Weak-duality bound ``sum((c - lam . R)^+) + eps * |lam|_1`` on ``c . d``,
+    given the reduced costs ``c - lam . R``."""
+    return float(np.maximum(reduced, 0.0).sum() + eps * np.abs(lam).sum())
 
-    Each row the threshold allocation violates is solved alone.  A result
-    that meets every other retained row is optimal for the full problem,
-    because it is optimal for a relaxation of it.
+
+def _certified(
+    c: np.ndarray, rows: np.ndarray, eps: float, d: np.ndarray, lam: np.ndarray
+) -> bool:
+    """Whether ``d`` is certified optimal by the multipliers ``lam``.
+
+    Every row must be within ``eps`` plus ``ROUNDOFF_ALLOWANCE``, and ``c . d``
+    within ``_DUALITY_GAP * sum(|c|)`` of the weak-duality bound.
     """
-    for k in np.flatnonzero(np.abs(rows @ threshold) > eps):
-        d = _solve_slab_single(c, rows[k], eps, threshold)
-        excess = np.abs(rows @ d) - eps
-        excess[k] -= ROUNDOFF_ALLOWANCE  # the engine's own face, re-measured
-        if np.all(excess <= 0.0):
-            return d
-    return None
+    return bool(
+        np.all(np.abs(rows @ d) <= eps + ROUNDOFF_ALLOWANCE)
+        and _dual_bound(c - lam @ rows, eps, lam) - float(c @ d)
+        <= _DUALITY_GAP * float(np.abs(c).sum())
+    )
 
 
 _CROSS_TO_NULL = np.array([[1.0, 0.0, 0.0, -1.0], [-1.0, 0.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
@@ -497,7 +519,7 @@ def _meet_moments(p: np.ndarray, rho: np.ndarray, target: np.ndarray) -> np.ndar
 def _one_indifferent_group(
     pop: Population, params: ModelParams, c: np.ndarray, rows: np.ndarray, eps: float
 ) -> np.ndarray | None:
-    """Rung (b): the optimum when one group is indifferent, or ``None``.
+    """The optimum when one group is indifferent, or ``None``.
 
     Within group g the gain is ``u_g + v_g p + w_g rho`` and each of the three
     rows is ``sign_g * (1, p, rho) / mass_g`` (sign -1 for A, +1 for B), so the
@@ -505,10 +527,8 @@ def _one_indifferent_group(
     ``lam = sign_g * (u_g n_g, v_g P_g, w_g R_g)``.  The other group follows
     the sign of its reduced cost ``c - lam . R``, and the slab faces
     ``sign(lam) * eps`` leave g three moment targets.  A vertex meeting them
-    is accepted when every row is within ``eps`` plus the round-off
-    allowance and ``c . d`` is within ``_DUALITY_GAP * sum(|c|)`` of the weak
-    dual bound ``sum((c - lam . R)^+) + eps * |lam|_1``.  The candidate group
-    with the lower bound is tried first.
+    is returned when ``_certified`` accepts it with these multipliers.  The
+    candidate group with the lower weak-duality bound is tried first.
     """
     candidates = []
     for mask, sign, beta, theta, omega in (
@@ -520,10 +540,8 @@ def _one_indifferent_group(
                          params.gamma * (theta + omega)])
         lam = sign * coef * mass
         reduced = c - lam @ rows
-        bound = float(np.maximum(reduced, 0.0).sum() + eps * np.abs(lam).sum())
-        candidates.append((bound, mask, sign, mass, lam, reduced))
+        candidates.append((_dual_bound(reduced, eps, lam), mask, sign, mass, lam, reduced))
 
-    scale = float(np.abs(c).sum())
     for bound, mask, sign, mass, lam, reduced in sorted(candidates, key=lambda t: t[0]):
         d = np.where(reduced >= 0.0, 1.0, 0.0)
         d[mask] = 0.0
@@ -535,9 +553,100 @@ def _one_indifferent_group(
         if dg is None:
             continue
         d[mask] = dg
-        if (np.all(np.abs(rows @ d) <= eps + ROUNDOFF_ALLOWANCE)
-                and bound - float(c @ d) <= _DUALITY_GAP * scale):
+        if _certified(c, rows, eps, d, lam):
             return d
+    return None
+
+
+def _ascending(breaks: np.ndarray, weight: np.ndarray, need: float) -> np.ndarray:
+    """Indices of the smallest ``breaks``, in (value, index) order, whose
+    ``weight`` sums to at least ``need`` when any do.
+
+    Only the head of the order is sorted: a partition finds the k smallest
+    values, and k grows eightfold until their weight reaches ``need``.
+    """
+    k = _SORTED_HEAD
+    while k < breaks.size:
+        head = np.flatnonzero(breaks <= np.partition(breaks, k)[k])
+        if weight[head].sum() >= need:
+            return head[np.argsort(breaks[head], kind="stable")]
+        k *= 8
+    return np.argsort(breaks, kind="stable")
+
+
+def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | None:
+    """The optimum of a 2- or 3-row solve by a bounded dual simplex, or ``None``.
+
+    The problem is posed as for HiGHS: rows ``R d - s = 0``, each scaled to
+    unit maximum coefficient, over ``0 <= d <= 1`` and
+    ``|s_k| <= eps * scale_k``.  The
+    slack basis with ``d`` at the threshold allocation is dual feasible at
+    ``lam = 0``, so no phase 1 is needed.  Each iteration takes the most
+    violated basic variable out of the basis and runs the bound-flipping
+    ratio test (Maros, EJOR 149(1), 2003): the nonbasic columns whose
+    reduced costs the dual step drives through zero are taken in the order
+    of their breakpoints, and each is flipped to its other bound while the
+    leaving variable stays infeasible; one at which it turns feasible
+    enters.  Basic values and duals are recomputed from the m x m basis.
+    The final vertex has at most m fractional coordinates; it is returned
+    only when ``_certified`` accepts it with the final duals.
+    """
+    m, n = rows.shape
+    scale = 1.0 / np.max(np.abs(rows), axis=1)
+    cols = np.hstack([rows * scale[:, None], -np.eye(m)])  # decisions, then slacks
+    box = eps * scale
+    lower = np.concatenate([np.zeros(n), -box])
+    upper = np.concatenate([np.ones(n), box])
+    width = upper - lower
+    fixed = width == 0.0  # a slack at eps = 0 never enters
+    feasible_tol = np.concatenate([np.full(n, _PRIMAL_TOL), 0.5 * ROUNDOFF_ALLOWANCE * scale])
+    x = np.concatenate([np.where(c >= 0.0, 1.0, 0.0), np.zeros(m)])
+    # Gains pushed away from zero by a fixed pseudo-random amount break the
+    # dual ties of an indifferent group or of duplicate users; they move the
+    # optimum by at most 4 * _PERTURBATION * sum(|c|), inside the certificate.
+    gain_scale = float(np.abs(c).mean())
+    cost = np.zeros(n + m)
+    spread = np.arange(n) * _GOLDEN % 1.0  # an equidistributed sequence in [0, 1)
+    cost[:n] = c + (2.0 * x[:n] - 1.0) * (_PERTURBATION * gain_scale) * (1.0 + spread)
+    basis = np.arange(n, n + m)
+    for _ in range(_SIMPLEX_ITERATIONS):
+        try:
+            inv = np.linalg.inv(cols[:, basis])
+        except np.linalg.LinAlgError:
+            return None
+        x[basis] = 0.0
+        xb = -inv @ (cols @ x)
+        x[basis] = xb
+        y = cost[basis] @ inv
+        excess = np.maximum(lower[basis] - xb, xb - upper[basis])
+        tol = feasible_tol[basis]
+        r = int(np.argmax(excess - tol))
+        if excess[r] <= tol[r]:
+            d = np.clip(x[:n], 0.0, 1.0)
+            return d if _certified(c, rows, eps, d, y * scale) else None
+
+        # The dual step moves y by -sign * t * inv[r], so the reduced cost of
+        # column j moves by t * alpha_j.  A column at its lower bound (reduced
+        # cost <= 0) reaches zero when alpha_j > 0, one at its upper bound
+        # when alpha_j < 0.
+        sign = 1.0 if xb[r] > upper[basis[r]] else -1.0
+        alpha = sign * (inv[r] @ cols)
+        pivot_tol = _PIVOT_TOL * float(np.max(np.abs(alpha)))
+        alpha[basis] = 0.0
+        alpha[fixed] = 0.0
+        cand = np.flatnonzero(np.where(x > lower, -alpha, alpha) > pivot_tol)
+        breaks = np.maximum((y @ cols - cost)[cand] / alpha[cand], 0.0)
+        # flipping a column moves the leaving variable `weight` toward its bound
+        weight = np.abs(alpha[cand]) * width[cand]
+        order = _ascending(breaks, weight, excess[r])
+        k = int(np.searchsorted(np.cumsum(weight[order]), excess[r], side="left"))
+        if k == order.size:
+            return None  # no dual step restores feasibility: round-off
+        entering = cand[order[k]]
+        flip = cand[order[:k]]
+        x[flip] = lower[flip] + upper[flip] - x[flip]
+        x[basis[r]] = upper[basis[r]] if sign > 0.0 else lower[basis[r]]
+        basis[r] = entering
     return None
 
 
@@ -578,12 +687,12 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
         values = threshold  # the unconstrained optimum is feasible, hence optimal
     elif method != "highs" and rows.shape[0] == 1:
         values = _solve_slab_single(c, rows[0], eps, threshold)
-    elif method != "highs" and eps > 0.0:
+    elif method != "highs":
         # each structured rung returns only an allocation it has certified
-        if rows.shape[0] == 3:
+        if rows.shape[0] == 3 and eps > 0.0:
             values = _one_indifferent_group(pop, params, c, rows, eps)
         if values is None:
-            values = _one_active_row(c, rows, eps, threshold)
+            values = _dual_simplex(c, rows, eps)
     if values is None:
         values = _solve_slab_highs(c, rows, eps)
 

@@ -282,6 +282,25 @@ def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
     assert [m for m in loaded if m.split(".")[1:2] in (["stats"], ["optimize"])] == []
 
 
+def test_builtin_sweep_needs_no_lp_solver(tmp_path):
+    """A fresh interpreter: every cell of a built-in scenario-A sweep ends on
+    a numpy engine, so ``scipy.optimize`` is never imported."""
+    out = tmp_path / "sweep"
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(hermfair.__file__).parents[1])!r})\n"
+        "from hermfair.cli import main\n"
+        f"rc = main(['sweep', '--scenario', 'A', '--reps', '1', '--na', '100', '--nb', '100',"
+        f" '--out', {str(out)!r}])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('scipy.optimize'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert json.loads((out / "metadata.json").read_text())["n_failed"] == 0
+
+
 class TestSweep:
     def run_tiny(self, tmp_path, name, extra=()):
         out = tmp_path / name

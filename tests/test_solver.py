@@ -416,9 +416,9 @@ def _scenario_a_cell(value_index, n=50):
 
 
 def _count_rungs(monkeypatch):
-    """Wrap both structured rungs and ``linprog``; count the calls that
-    returned an allocation."""
-    counts = {"_one_active_row": 0, "_one_indifferent_group": 0, "linprog": 0}
+    """Wrap the indifferent-group rung, the dual simplex and ``linprog``;
+    count the calls that returned an allocation."""
+    counts = {"_one_indifferent_group": 0, "_dual_simplex": 0, "linprog": 0}
     for name in counts:
         inner = getattr(hermfair.solver, name)
 
@@ -431,13 +431,48 @@ def _count_rungs(monkeypatch):
     return counts
 
 
+def _refuse_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called on a certified cell")
+
+    monkeypatch.setattr(hermfair.solver, "linprog", refuse)
+
+
+def _adversarial_instance(rng):
+    """A small instance (population, parameters, constraints) with ties,
+    duplicate users, a collinear group, one-user groups, two rows or
+    ``eps = 0``."""
+    n = int(rng.choice([int(rng.integers(2, 13)), int(rng.integers(13, 120))]))
+    n_a = int(rng.integers(1, n))
+    p = rng.integers(0, 21, n) / 20.0  # a 1/20 grid ties often
+    rho = rng.integers(0, 21, n) / 20.0
+    shape = rng.choice(["free", "duplicates", "collinear", "one-user"])
+    if shape == "duplicates":
+        p[n // 2:] = p[: n - n // 2]
+        rho[n // 2:] = rho[: n - n // 2]
+    elif shape == "collinear":
+        rho[:n_a] = 0.25 + 0.5 * p[:n_a]
+    elif shape == "one-user":
+        n_a = 1
+    p[p == 0.0] = 0.05  # both groups keep positive EO and EHO weight
+    rho[rho == 0.0] = 0.05
+    pop = pop_from(["A"] * n_a + ["B"] * (n - n_a), p, rho)
+    params = make_params(gamma=float(rng.choice([0.0, 0.01, 0.2])),
+                         beta_a=float(rng.choice([0.0, 0.03, 0.1])),
+                         beta_b=float(rng.choice([0.05, 0.1, 0.3])))
+    flags = [(True, True, True), (True, True, False), (True, False, True),
+             (False, True, True)][int(rng.integers(4))]
+    eps = float(rng.choice([0.0, 1e-6, 0.05]))
+    return pop, params, ConstraintSet(*flags, eps)
+
+
 class TestLadder:
     def test_every_scenario_matches_highs(self, monkeypatch):
         # a reduced sweep of every scenario and uptake variant: the ladder's
-        # objective matches HiGHS on every cell, and every rung certifies
-        # some cells while class (c) cells still reach HiGHS
-        counts = _count_rungs(monkeypatch)
-        cells = fallbacks = 0
+        # objective matches HiGHS on every cell, both numpy rungs certify
+        # some cells, no cell reaches HiGHS, and the dual simplex alone
+        # certifies every cell, those with an indifferent group included
+        cells = []
         for scenario in ScenarioId:
             for variant in UptakeVariant:
                 spec = builtin_scenario(scenario, variant, replications=1, n_a=200, n_b=200)
@@ -448,30 +483,32 @@ class TestLadder:
                         seed=subseed(11, vi, 0),
                     ))
                     req = SolveRequest(pop, spec.params_for(spec.grid[vi]), cs)
-                    lp_calls = counts["linprog"]
-                    auto = solve_constrained_lp(req)
-                    fallbacks += counts["linprog"] - lp_calls
-                    ref = solve_constrained_lp(req, method="highs")
-                    assert auto.objective == pytest.approx(ref.objective, rel=1e-9)
-                    assert auto.n_fractional <= 3
-                    cells += 1
-        assert cells == 192
-        assert counts["_one_active_row"] >= 10
+                    cells.append((req, solve_constrained_lp(req, method="highs").objective))
+        assert len(cells) == 192
+        counts = _count_rungs(monkeypatch)
+        _refuse_lp(monkeypatch)
+        for req, expected in cells:
+            auto = solve_constrained_lp(req)
+            assert auto.objective == pytest.approx(expected, rel=1e-9)
+            assert auto.n_fractional <= 3
+            _, rows = constraint_rows(req.population, req.constraints)
+            d = hermfair.solver._dual_simplex(
+                decision_gains(req.population, req.params), rows, req.constraints.tolerance)
+            assert d is not None
+            objective = herm_aware_utility(req.population, Allocation(d), req.params)
+            assert objective == pytest.approx(expected, rel=1e-9)
         assert counts["_one_indifferent_group"] >= 50
-        assert fallbacks >= 10
+        assert counts["_dual_simplex"] >= 10
+        assert counts["linprog"] == 0
 
     def test_certified_cells_call_no_lp(self, monkeypatch):
-        # value index 8 is class (a): only the EO multiplier is active;
-        # index 2 is class (b): every group-A user is indifferent
+        # value index 8 has only the EO multiplier active and goes to the
+        # dual simplex; at index 2 every group-A user is indifferent
         expected = {
             vi: solve_constrained_lp(_scenario_a_cell(vi), method="highs").objective
             for vi in (2, 8)
         }
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("linprog called on a certified cell")
-
-        monkeypatch.setattr(hermfair.solver, "linprog", refuse)
+        _refuse_lp(monkeypatch)
         for vi, objective in expected.items():
             res = solve_constrained_lp(_scenario_a_cell(vi))
             assert res.objective == pytest.approx(objective, rel=1e-9)
@@ -499,14 +536,78 @@ class TestLadder:
         assert np.abs(feats @ out - feats @ d).max() <= 1e-12
         assert np.sum((out > 0.0) & (out < 1.0)) <= 3
 
-    def test_class_c_cell_reaches_highs(self, monkeypatch):
+    def test_class_c_cell_is_certified_without_lp(self, monkeypatch):
         # value index 0 has no group indifferent and three active multipliers
         req = _scenario_a_cell(0)
         expected = solve_constrained_lp(req, method="highs").objective
         counts = _count_rungs(monkeypatch)
+        _refuse_lp(monkeypatch)
         res = solve_constrained_lp(req)
-        assert counts == {"_one_active_row": 0, "_one_indifferent_group": 0, "linprog": 1}
+        assert counts == {"_one_indifferent_group": 0, "_dual_simplex": 1, "linprog": 0}
         assert res.objective == pytest.approx(expected, rel=1e-9)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.n_fractional <= 3
+
+    def test_moment_target_at_the_edge(self, monkeypatch):
+        # scenario C, a-adv, value index 8: the indifferent group's moment
+        # target lies ~1e-6 from what the group can reach, so Newton's
+        # fractional band empties and the dual simplex finishes the cell
+        spec = builtin_scenario("C", "a-adv", n_a=1000, n_b=1000)
+        pop = sample_population(PopulationSpec(
+            n_a=1000, n_b=1000, uptake=spec.uptake, click=spec.click, seed=subseed(5, 8, 0),
+        ))
+        req = SolveRequest(pop, spec.params_for(spec.grid[8]), ConstraintSet.all(1e-6))
+        expected = solve_constrained_lp(req, method="highs").objective
+        counts = _count_rungs(monkeypatch)
+        _refuse_lp(monkeypatch)
+        res = solve_constrained_lp(req)
+        assert counts["_one_indifferent_group"] == 0
+        assert res.objective == pytest.approx(expected, rel=1e-9)
+        assert res.n_fractional <= 3
+
+    def test_dual_simplex_alone_on_an_indifferent_group(self):
+        # scenario A at 2 x 1000 users, value index 1: the optimal duals make
+        # one whole group indifferent, so a thousand breakpoints tie; without
+        # the cost perturbation the dual simplex stalls on this cell
+        vi = 1
+        spec = builtin_scenario("A", n_a=1000, n_b=1000)
+        pop = sample_population(PopulationSpec(
+            n_a=1000, n_b=1000, uptake=spec.uptake, click=spec.click, seed=subseed(5, vi, 0),
+        ))
+        params = spec.params_for(spec.grid[vi])
+        _, rows = constraint_rows(pop, ConstraintSet.all())
+        c = decision_gains(pop, params)
+        eps = ConstraintSet.all().tolerance
+        assert hermfair.solver._one_indifferent_group(pop, params, c, rows, eps) is not None
+        d = hermfair.solver._dual_simplex(c, rows, eps)
+        assert d is not None
+        expected = solve_constrained_lp(
+            SolveRequest(pop, params, ConstraintSet.all()), method="highs").objective
+        assert herm_aware_utility(pop, Allocation(d), params) == pytest.approx(expected, rel=1e-9)
+
+    def test_dual_simplex_on_adversarial_instances(self):
+        # the engine alone, on instances the indifferent-group rung cannot
+        # take: what it returns is feasible, a vertex, and no worse than HiGHS
+        rng = np.random.default_rng(2003)
+        certified = 0
+        for _ in range(300):
+            pop, params, cs = _adversarial_instance(rng)
+            _, rows = constraint_rows(pop, cs)
+            c = decision_gains(pop, params)
+            eps = cs.tolerance
+            if np.all(np.abs(rows @ (c >= 0.0)) <= eps):
+                continue  # the threshold allocation is feasible
+            d = hermfair.solver._dual_simplex(c, rows, eps)
+            ref = solve_constrained_lp(SolveRequest(pop, params, cs), method="highs").objective
+            if d is None:
+                continue
+            certified += 1
+            assert np.all((d >= 0.0) & (d <= 1.0))
+            assert np.sum((d > 0.0) & (d < 1.0)) <= rows.shape[0]
+            assert np.abs(rows @ d).max() <= eps + hermfair.solver.ROUNDOFF_ALLOWANCE
+            objective = herm_aware_utility(pop, Allocation(d), params)
+            assert objective >= ref - 1e-9 * max(1.0, abs(ref))
+        assert certified >= 250
 
 
 # Values on a 1/1000 grid tie often, and a few palette values force
