@@ -11,41 +11,28 @@ work.  Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
-* two or three retained rows climb a ladder of numpy rungs, each of which
-  returns only an allocation it has certified optimal, and otherwise
-  passes the cell on.  The certificate (``_certified``): every row within
-  ``eps`` plus ``ROUNDOFF_ALLOWANCE``, and the objective within
+* two or three retained rows go to a bounded dual simplex over the m rows
+  ``R d - s = 0`` with ``|s_k| <= eps``, started from the slack basis at
+  ``lam = 0``, where the threshold allocation is dual feasible.  Its ratio
+  test flips bounds along the sorted breakpoints, as the one-row engine's
+  scan does, and a tiny fixed cost perturbation breaks the dual ties of an
+  indifferent group.  It returns only an allocation its final duals
+  certify (``_certified``): every row within ``eps`` plus
+  ``ROUNDOFF_ALLOWANCE``, and the objective within
   ``_DUALITY_GAP * sum(|gain|)`` of the weak-duality bound
-  ``sum((c - lam . R)^+) + eps * |lam|_1`` for the rung's multipliers.
-
-  - One group indifferent (three rows, ``eps > 0``): within a group the
-    gain and every row are affine in (1, p, rho), so the multipliers that
-    make the whole group indifferent have a closed form.  The other group
-    follows the sign of its reduced cost, and the indifferent group meets
-    three moment targets (damped Newton, then purification to a vertex).
-  - Dual simplex (any ``eps``): a bounded dual simplex over the m rows
-    ``R d - s = 0`` with ``|s_k| <= eps``, started from the slack basis at
-    ``lam = 0``, where the threshold allocation is dual feasible.  Its ratio
-    test flips bounds along the sorted breakpoints, as the one-row engine's
-    scan does, and a tiny fixed cost perturbation breaks the dual ties of an
-    indifferent group.  It takes the cells of the first rung's class that
-    its check rejects, every cell with no group indifferent, two-row cells
-    and ``eps = 0``.
-  - HiGHS: scipy's dual simplex on the same equality form, each row scaled
-    to unit maximum coefficient and its slack bounded by ``eps * scale_k``
-    (fixed at zero when ``eps = 0``).  It takes only a cell neither numpy
-    rung certifies.  Presolve is off: on a
-    few dense rows over boxed columns it removes nothing, yet at 2x10^5
-    users it cost more than half the HiGHS time and ~200 MB of memory.
-    ``scipy.optimize`` is imported on the first HiGHS solve, so a process
-    whose solves all end on a numpy rung never loads it.
-
-  The indifferent-group rung runs first because it is the cheaper one on
-  the cells it takes: ~0.03 s at 2x10^5 users, against ~0.1 s for the dual
-  simplex's 15-25 iterations.
+  ``sum((c - lam . R)^+) + eps * |lam|_1``.  It certifies every probed
+  cell, those with an indifferent group included: all 18 benchmark
+  populations at 2x10^5 users, in a median of ~0.14 s each on 2 CPUs;
+* HiGHS, scipy's dual simplex on the same equality form (each row scaled
+  to unit maximum coefficient and its slack bounded by ``eps * scale_k``,
+  fixed at zero when ``eps = 0``), takes only a cell the dual simplex does
+  not certify.  Presolve is off: on a few dense rows over boxed columns it
+  removes nothing, yet at 2x10^5 users it cost more than half the HiGHS
+  time and ~200 MB of memory.  ``scipy.optimize`` is imported on the first
+  HiGHS solve, so a process whose solves all end in numpy never loads it.
 
 Every engine returns a vertex: at most one strictly fractional coordinate
-per retained row.  ``method="highs"`` skips the structured rungs and is the
+per retained row.  ``method="highs"`` skips the numpy engines and is the
 cross-check.  An exhaustive enumeration oracle over binary vectors is
 provided for verification on small instances.
 """
@@ -99,12 +86,9 @@ RESIDUAL_BOUND = 1e-8
 # TOLERANCE_RELAXED.
 ROUNDOFF_ALLOWANCE = 1e-12
 
-# A structured rung's allocation is accepted only when its objective is
+# The dual simplex's allocation is accepted only when its objective is
 # within this fraction of sum(|gain|) of its weak-duality bound.
 _DUALITY_GAP = 1e-10
-# Newton stops once every moment is within this fraction of its total.
-_MOMENT_TOL = 1e-14
-_NEWTON_STEPS = 40
 # The dual simplex gives up after this many basis changes.
 _SIMPLEX_ITERATIONS = 60
 # A basic decision within this distance of [0, 1] counts as feasible.
@@ -358,27 +342,44 @@ def linprog(*args, **kwargs):
     return _linprog(*args, **kwargs)
 
 
+def _equality_form(
+    rows: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The slab ``|rows . d| <= eps`` as equality rows with bounded slacks.
+
+    The columns are the n decisions followed by one slack per row, and row k
+    reads ``scale_k R_k d - s_k = 0`` over ``0 <= d <= 1`` and
+    ``|s_k| <= eps * scale_k`` (fixed at zero when ``eps = 0``).  Each row is
+    scaled to unit maximum coefficient: gap rows carry ~1/N entries, and a
+    feasibility tolerance of ~1e-9 on the scaled row then binds at
+    ~1e-9/scale in gap units, well inside the residual bound.
+
+    Returns:
+        (scale, cols, lower, upper): the row scales, the m x (n + m) matrix
+        ``[R * scale | -I]`` and the column bounds.
+    """
+    m, n = rows.shape
+    scale = 1.0 / np.max(np.abs(rows), axis=1)
+    cols = np.hstack([rows * scale[:, None], -np.eye(m)])
+    box = eps * scale
+    lower = np.concatenate([np.zeros(n), -box])
+    upper = np.concatenate([np.ones(n), box])
+    return scale, cols, lower, upper
+
+
 def _solve_slab_highs(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
     """Maximize ``c . d`` over ``0 <= d <= 1`` with ``|rows . d| <= eps``, by HiGHS.
 
-    The columns are the n decisions followed by one slack per row, and each
-    row reads ``R_k d - s_k = 0`` with ``|s_k| <= eps * scale_k``.  Presolve
-    is off: it removes nothing from a few dense rows over boxed columns.
+    The problem is posed in ``_equality_form``.  Presolve is off: it removes
+    nothing from a few dense rows over boxed columns.
     """
     m, n = rows.shape
-    # Normalize each row to unit max coefficient (gap rows carry ~1/N scale
-    # entries); the solver's feasibility tolerance then binds at ~1e-9/scale
-    # in gap units, well inside the residual bound.
-    scale = 1.0 / np.max(np.abs(rows), axis=1)
-    bounds = np.empty((n + m, 2))
-    bounds[:n] = (0.0, 1.0)
-    bounds[n:, 0] = -eps * scale
-    bounds[n:, 1] = eps * scale
+    _, cols, lower, upper = _equality_form(rows, eps)
     res = linprog(
         np.concatenate([-c, np.zeros(m)]),
-        A_eq=np.hstack([rows * scale[:, None], -np.eye(m)]),
+        A_eq=cols,
         b_eq=np.zeros(m),
-        bounds=bounds,
+        bounds=np.column_stack([lower, upper]),
         method="highs-ds",
         options={
             "primal_feasibility_tolerance": 1e-9,
@@ -394,168 +395,19 @@ def _solve_slab_highs(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray
     return np.asarray(res.x[:n], dtype=np.float64)
 
 
-def _dual_bound(reduced: np.ndarray, eps: float, lam: np.ndarray) -> float:
-    """Weak-duality bound ``sum((c - lam . R)^+) + eps * |lam|_1`` on ``c . d``,
-    given the reduced costs ``c - lam . R``."""
-    return float(np.maximum(reduced, 0.0).sum() + eps * np.abs(lam).sum())
-
-
 def _certified(
     c: np.ndarray, rows: np.ndarray, eps: float, d: np.ndarray, lam: np.ndarray
 ) -> bool:
     """Whether ``d`` is certified optimal by the multipliers ``lam``.
 
     Every row must be within ``eps`` plus ``ROUNDOFF_ALLOWANCE``, and ``c . d``
-    within ``_DUALITY_GAP * sum(|c|)`` of the weak-duality bound.
+    within ``_DUALITY_GAP * sum(|c|)`` of the weak-duality bound
+    ``sum((c - lam . R)^+) + eps * |lam|_1``.
     """
-    return bool(
-        np.all(np.abs(rows @ d) <= eps + ROUNDOFF_ALLOWANCE)
-        and _dual_bound(c - lam @ rows, eps, lam) - float(c @ d)
-        <= _DUALITY_GAP * float(np.abs(c).sum())
-    )
-
-
-_CROSS_TO_NULL = np.array([[1.0, 0.0, 0.0, -1.0], [-1.0, 0.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
-
-
-def _block_null_vectors(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """A null vector, of unit max norm, of the 3 x 4 matrix (1, p, rho) of
-    each block of four users (``p`` and ``rho`` have shape (k, 4)).
-
-    With user 0 of a block moved to the origin, the 3x3 minors are the
-    cross products ``X_uv = p_u rho_v - p_v rho_u`` of users 1 to 3, and
-    ``(X12 - X13 + X23, -X23, X13, -X12)`` is a null vector.  Moving the
-    origin keeps its round-off at the scale of the block's spread.  A block
-    whose minors cancel to round-off (collinear or duplicate users) gets
-    the SVD's null vector instead.
-    """
-    dp = p[:, 1:] - p[:, :1]
-    dr = rho[:, 1:] - rho[:, :1]
-    u, v = [0, 0, 1], [1, 2, 2]
-    z = (dp[:, u] * dr[:, v] - dp[:, v] * dr[:, u]) @ _CROSS_TO_NULL  # from X12, X13, X23
-    top = np.max(np.abs(z), axis=1, keepdims=True)
-    z = np.divide(z, top, out=np.zeros_like(z), where=top > 0.0)
-    # z sums to zero by construction; the p and rho rows show the round-off
-    miss = np.abs((dp * z[:, 1:]).sum(axis=1)) + np.abs((dr * z[:, 1:]).sum(axis=1))
-    bad = (top[:, 0] == 0.0) | (miss > 1e-13)
-    if bad.any():
-        block = np.stack([np.ones_like(p[bad]), p[bad], rho[bad]], axis=1)
-        null = np.linalg.svd(block)[2][:, -1, :]
-        z[bad] = null / np.max(np.abs(null), axis=1, keepdims=True)
-    return z
-
-
-def _purify(p: np.ndarray, rho: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Move ``d`` to a vertex of ``{x in [0, 1]^n : x has the moments of d}``.
-
-    The moments are the sums of ``x``, ``p x`` and ``rho x``.  Fractional
-    coordinates are taken four at a time in disjoint blocks; each block moves
-    along its own null vector until one coordinate reaches 0 or 1, which
-    leaves every moment unchanged.  Each pass thus removes at least a
-    quarter of the fractional coordinates, until at most three remain.
-    """
-    frac = np.flatnonzero((d > 0.0) & (d < 1.0))
-    while frac.size > 3:
-        whole = frac.size // 4 * 4
-        blocks = frac[:whole].reshape(-1, 4)
-        z = _block_null_vectors(p[blocks], rho[blocks])
-        x = d[blocks]
-        room = np.divide(np.where(z > 0.0, 1.0 - x, -x), z,
-                         out=np.full(z.shape, np.inf), where=z != 0.0)
-        hit = np.argmin(room, axis=1)
-        rows = np.arange(blocks.shape[0])
-        x += room[rows, hit][:, None] * z
-        x[rows, hit] = z[rows, hit] > 0.0  # exactly on the bound it reached
-        np.clip(x, 0.0, 1.0, out=x)
-        d[blocks] = x
-        frac = np.concatenate([blocks[(x > 0.0) & (x < 1.0)], frac[whole:]])
-    return d
-
-
-def _meet_moments(p: np.ndarray, rho: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """A vertex ``d`` of ``[0, 1]^n`` whose sums of ``d``, ``p d`` and ``rho d``
-    equal ``target``, or ``None``.
-
-    A damped Newton method finds ``theta`` with
-    ``feats @ clip(theta @ feats, 0, 1) = target``, where ``feats`` stacks
-    (1, p, rho).  That is the minimizer of a convex piecewise-quadratic
-    function, so once the set of strictly fractional coordinates settles, a
-    full step is exact.  The result is then purified to at most three
-    fractional coordinates.
-    """
-    feats = np.vstack([np.ones(p.size), p, rho])
-    mass = feats.sum(axis=1)
-    theta = np.array([target[0] / mass[0], 0.0, 0.0])
-
-    def merit(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        x = t @ feats
-        d = np.clip(x, 0.0, 1.0)
-        # the integral of clip(., 0, 1) from 0 to x, summed
-        return float(np.sum(d * (x - 0.5 * d)) - t @ target), x, d
-
-    value, x, d = merit(theta)
-    for _ in range(_NEWTON_STEPS):
-        resid = feats @ d - target
-        if np.all(np.abs(resid) <= _MOMENT_TOL * mass):
-            return _purify(p, rho, d)
-        hess = (feats * ((x > 0.0) & (x < 1.0))) @ feats.T
-        eig = np.linalg.eigvalsh(hess)
-        if not eig[0] > 1e-12 * eig[-1]:
-            return None  # too few, or collinear, users left to steer the moments
-        step = -np.linalg.solve(hess, resid)
-        slope = float(resid @ step)
-        size = 1.0
-        while True:
-            new_value, new_x, new_d = merit(theta + size * step)
-            if new_value <= value + 1e-4 * size * slope:
-                break
-            size *= 0.5
-            if size < 1e-10:
-                return None
-        theta, value, x, d = theta + size * step, new_value, new_x, new_d
-    return None
-
-
-def _one_indifferent_group(
-    pop: Population, params: ModelParams, c: np.ndarray, rows: np.ndarray, eps: float
-) -> np.ndarray | None:
-    """The optimum when one group is indifferent, or ``None``.
-
-    Within group g the gain is ``u_g + v_g p + w_g rho`` and each of the three
-    rows is ``sign_g * (1, p, rho) / mass_g`` (sign -1 for A, +1 for B), so the
-    multipliers that make every user of g indifferent are
-    ``lam = sign_g * (u_g n_g, v_g P_g, w_g R_g)``.  The other group follows
-    the sign of its reduced cost ``c - lam . R``, and the slab faces
-    ``sign(lam) * eps`` leave g three moment targets.  A vertex meeting them
-    is returned when ``_certified`` accepts it with these multipliers.  The
-    candidate group with the lower weak-duality bound is tried first.
-    """
-    candidates = []
-    for mask, sign, beta, theta, omega in (
-        (pop.mask_a, -1.0, params.beta_a, params.theta_a, params.omega_a),
-        (pop.mask_b, 1.0, params.beta_b, params.theta_b, params.omega_b),
-    ):
-        mass = np.array([mask.sum(), pop.p[mask].sum(), pop.rho[mask].sum()], dtype=float)
-        coef = np.array([-beta + params.gamma * (params.xi - omega), params.alpha,
-                         params.gamma * (theta + omega)])
-        lam = sign * coef * mass
-        reduced = c - lam @ rows
-        candidates.append((_dual_bound(reduced, eps, lam), mask, sign, mass, lam, reduced))
-
-    for bound, mask, sign, mass, lam, reduced in sorted(candidates, key=lambda t: t[0]):
-        d = np.where(reduced >= 0.0, 1.0, 0.0)
-        d[mask] = 0.0
-        # the indifferent group supplies what the other group leaves of each face
-        target = sign * (eps * np.sign(lam) - rows @ d) * mass
-        if np.any(target < 0.0) or np.any(target > mass):
-            continue
-        dg = _meet_moments(pop.p[mask], pop.rho[mask], target)
-        if dg is None:
-            continue
-        d[mask] = dg
-        if _certified(c, rows, eps, d, lam):
-            return d
-    return None
+    if not np.all(np.abs(rows @ d) <= eps + ROUNDOFF_ALLOWANCE):
+        return False
+    bound = np.maximum(c - lam @ rows, 0.0).sum() + eps * np.abs(lam).sum()
+    return bool(bound - c @ d <= _DUALITY_GAP * np.abs(c).sum())
 
 
 def _ascending(breaks: np.ndarray, weight: np.ndarray, need: float) -> np.ndarray:
@@ -577,10 +429,8 @@ def _ascending(breaks: np.ndarray, weight: np.ndarray, need: float) -> np.ndarra
 def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | None:
     """The optimum of a 2- or 3-row solve by a bounded dual simplex, or ``None``.
 
-    The problem is posed as for HiGHS: rows ``R d - s = 0``, each scaled to
-    unit maximum coefficient, over ``0 <= d <= 1`` and
-    ``|s_k| <= eps * scale_k``.  The
-    slack basis with ``d`` at the threshold allocation is dual feasible at
+    The problem is posed in ``_equality_form``, as for HiGHS.  The slack
+    basis with ``d`` at the threshold allocation is dual feasible at
     ``lam = 0``, so no phase 1 is needed.  Each iteration takes the most
     violated basic variable out of the basis and runs the bound-flipping
     ratio test (Maros, EJOR 149(1), 2003): the nonbasic columns whose
@@ -592,11 +442,7 @@ def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | N
     only when ``_certified`` accepts it with the final duals.
     """
     m, n = rows.shape
-    scale = 1.0 / np.max(np.abs(rows), axis=1)
-    cols = np.hstack([rows * scale[:, None], -np.eye(m)])  # decisions, then slacks
-    box = eps * scale
-    lower = np.concatenate([np.zeros(n), -box])
-    upper = np.concatenate([np.ones(n), box])
+    scale, cols, lower, upper = _equality_form(rows, eps)
     width = upper - lower
     fixed = width == 0.0  # a slack at eps = 0 never enters
     feasible_tol = np.concatenate([np.full(n, _PRIMAL_TOL), 0.5 * ROUNDOFF_ALLOWANCE * scale])
@@ -659,8 +505,8 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
 
     Args:
         req: request with ``mode=FRACTIONAL`` and at least one active constraint.
-        method: "auto" (parametric when one row remains; otherwise the
-            structured rungs, then HiGHS for any cell they cannot certify),
+        method: "auto" (parametric when one row remains; otherwise the dual
+            simplex, then HiGHS for any cell it cannot certify),
             "parametric", or "highs".  No engine runs when the threshold
             allocation meets every retained row.
 
@@ -671,13 +517,13 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
         raise ValueError("solve_constrained_lp requires mode=FRACTIONAL")
     if not req.constraints.any_active:
         raise ValueError("solve_constrained_lp requires at least one active constraint")
+    if method not in ("auto", "parametric", "highs"):
+        raise ValueError(f"unknown method {method!r}")
     pop, params = req.population, req.params
     _, rows = constraint_rows(pop, req.constraints)
     c = decision_gains(pop, params)
     eps = req.constraints.tolerance
 
-    if method not in ("auto", "parametric", "highs"):
-        raise ValueError(f"unknown method {method!r}")
     if method == "parametric" and rows.shape[0] != 1:
         raise ValueError("parametric method handles exactly one retained constraint row")
 
@@ -688,11 +534,7 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     elif method != "highs" and rows.shape[0] == 1:
         values = _solve_slab_single(c, rows[0], eps, threshold)
     elif method != "highs":
-        # each structured rung returns only an allocation it has certified
-        if rows.shape[0] == 3 and eps > 0.0:
-            values = _one_indifferent_group(pop, params, c, rows, eps)
-        if values is None:
-            values = _dual_simplex(c, rows, eps)
+        values = _dual_simplex(c, rows, eps)  # only an allocation it has certified
     if values is None:
         values = _solve_slab_highs(c, rows, eps)
 

@@ -218,6 +218,17 @@ class TestConstrainedLP:
         with pytest.raises(ValueError):
             solve_constrained_lp(SolveRequest(pop, make_params()))
 
+    def test_unknown_method_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rows or gains built before the method was checked")
+
+        monkeypatch.setattr(hermfair.solver, "constraint_rows", refuse)
+        monkeypatch.setattr(hermfair.solver, "decision_gains", refuse)
+        pop = pop_from(["A", "B"], [0.5, 0.5], [0.5, 0.5])
+        req = SolveRequest(pop, make_params(), ConstraintSet.parity())
+        with pytest.raises(ValueError, match="unknown method 'simplex'"):
+            solve_constrained_lp(req, method="simplex")
+
     def test_symmetric_population_parity_costs_nothing(self):
         # group B mirrors group A, so the unconstrained optimum is already fair
         p = [0.9, 0.3, 0.05]
@@ -416,9 +427,9 @@ def _scenario_a_cell(value_index, n=50):
 
 
 def _count_rungs(monkeypatch):
-    """Wrap the indifferent-group rung, the dual simplex and ``linprog``;
-    count the calls that returned an allocation."""
-    counts = {"_one_indifferent_group": 0, "_dual_simplex": 0, "linprog": 0}
+    """Wrap the dual simplex and ``linprog``; count the calls that returned
+    an allocation."""
+    counts = {"_dual_simplex": 0, "linprog": 0}
     for name in counts:
         inner = getattr(hermfair.solver, name)
 
@@ -469,9 +480,9 @@ def _adversarial_instance(rng):
 class TestLadder:
     def test_every_scenario_matches_highs(self, monkeypatch):
         # a reduced sweep of every scenario and uptake variant: the ladder's
-        # objective matches HiGHS on every cell, both numpy rungs certify
-        # some cells, no cell reaches HiGHS, and the dual simplex alone
-        # certifies every cell, those with an indifferent group included
+        # objective matches HiGHS on every cell, and the dual simplex
+        # certifies every cell the threshold allocation does not meet, those
+        # with an indifferent group included, so no cell reaches HiGHS
         cells = []
         for scenario in ScenarioId:
             for variant in UptakeVariant:
@@ -488,17 +499,15 @@ class TestLadder:
         counts = _count_rungs(monkeypatch)
         _refuse_lp(monkeypatch)
         for req, expected in cells:
+            _, rows = constraint_rows(req.population, req.constraints)
+            c = decision_gains(req.population, req.params)
+            infeasible = np.any(np.abs(rows @ (c >= 0.0)) > req.constraints.tolerance)
+            before = counts["_dual_simplex"]
             auto = solve_constrained_lp(req)
+            assert counts["_dual_simplex"] == before + infeasible
             assert auto.objective == pytest.approx(expected, rel=1e-9)
             assert auto.n_fractional <= 3
-            _, rows = constraint_rows(req.population, req.constraints)
-            d = hermfair.solver._dual_simplex(
-                decision_gains(req.population, req.params), rows, req.constraints.tolerance)
-            assert d is not None
-            objective = herm_aware_utility(req.population, Allocation(d), req.params)
-            assert objective == pytest.approx(expected, rel=1e-9)
-        assert counts["_one_indifferent_group"] >= 50
-        assert counts["_dual_simplex"] >= 10
+        assert counts["_dual_simplex"] == 160
         assert counts["linprog"] == 0
 
     def test_certified_cells_call_no_lp(self, monkeypatch):
@@ -515,26 +524,13 @@ class TestLadder:
             assert res.status is SolveStatus.OPTIMAL
             assert res.n_fractional <= 3
 
-        # every user twice: blocks of duplicates have no cofactor null vector
+        # every user twice: each breakpoint ties with its duplicate's
         req = _scenario_a_cell(2)
         pop = req.population
         doubled = Population.from_arrays(*(np.repeat(a, 2) for a in (pop.groups, pop.p, pop.rho)))
         res = solve_constrained_lp(replace(req, population=doubled))
         assert res.objective == pytest.approx(2 * expected[2], rel=1e-9)
         assert res.n_fractional <= 3
-
-    def test_purify_keeps_moments_on_collinear_users(self):
-        # blocks of four users on one line have minors that cancel to
-        # round-off; moving along such a noise vector would shift the moments
-        rng = np.random.default_rng(47)
-        p = rng.random(200)
-        rho = 0.1 + 0.7 * p
-        rho[::10] = rng.random(20)
-        d = rng.random(200)
-        feats = np.vstack([np.ones(200), p, rho])
-        out = hermfair.solver._purify(p, rho, d.copy())
-        assert np.abs(feats @ out - feats @ d).max() <= 1e-12
-        assert np.sum((out > 0.0) & (out < 1.0)) <= 3
 
     def test_class_c_cell_is_certified_without_lp(self, monkeypatch):
         # value index 0 has no group indifferent and three active multipliers
@@ -543,15 +539,15 @@ class TestLadder:
         counts = _count_rungs(monkeypatch)
         _refuse_lp(monkeypatch)
         res = solve_constrained_lp(req)
-        assert counts == {"_one_indifferent_group": 0, "_dual_simplex": 1, "linprog": 0}
+        assert counts == {"_dual_simplex": 1, "linprog": 0}
         assert res.objective == pytest.approx(expected, rel=1e-9)
         assert res.status is SolveStatus.OPTIMAL
         assert res.n_fractional <= 3
 
     def test_moment_target_at_the_edge(self, monkeypatch):
-        # scenario C, a-adv, value index 8: the indifferent group's moment
-        # target lies ~1e-6 from what the group can reach, so Newton's
-        # fractional band empties and the dual simplex finishes the cell
+        # scenario C, a-adv, value index 8: the HiGHS duals make group B
+        # indifferent, and the moments group B must supply lie ~1e-6 from the
+        # edge of what it can reach
         spec = builtin_scenario("C", "a-adv", n_a=1000, n_b=1000)
         pop = sample_population(PopulationSpec(
             n_a=1000, n_b=1000, uptake=spec.uptake, click=spec.click, seed=subseed(5, 8, 0),
@@ -561,7 +557,7 @@ class TestLadder:
         counts = _count_rungs(monkeypatch)
         _refuse_lp(monkeypatch)
         res = solve_constrained_lp(req)
-        assert counts["_one_indifferent_group"] == 0
+        assert counts == {"_dual_simplex": 1, "linprog": 0}
         assert res.objective == pytest.approx(expected, rel=1e-9)
         assert res.n_fractional <= 3
 
@@ -578,16 +574,27 @@ class TestLadder:
         _, rows = constraint_rows(pop, ConstraintSet.all())
         c = decision_gains(pop, params)
         eps = ConstraintSet.all().tolerance
-        assert hermfair.solver._one_indifferent_group(pop, params, c, rows, eps) is not None
         d = hermfair.solver._dual_simplex(c, rows, eps)
         assert d is not None
         expected = solve_constrained_lp(
             SolveRequest(pop, params, ConstraintSet.all()), method="highs").objective
         assert herm_aware_utility(pop, Allocation(d), params) == pytest.approx(expected, rel=1e-9)
 
+        # the closed form of README "How a constrained solve runs": within
+        # group B the gain is u + v p + w rho, so lam = (u n_B, v P_B, w R_B)
+        # makes every user of B indifferent, and it certifies d
+        assert rows.shape[0] == 3
+        b = pop.mask_b
+        coef = np.array([-params.beta_b + params.gamma * (params.xi - params.omega_b),
+                         params.alpha, params.gamma * (params.theta_b + params.omega_b)])
+        lam = coef * np.array([b.sum(), pop.p[b].sum(), pop.rho[b].sum()])
+        assert np.abs((c - lam @ rows)[b]).max() <= 1e-12 * np.abs(c).max()
+        assert hermfair.solver._certified(c, rows, eps, d, lam)
+
     def test_dual_simplex_on_adversarial_instances(self):
-        # the engine alone, on instances the indifferent-group rung cannot
-        # take: what it returns is feasible, a vertex, and no worse than HiGHS
+        # the engine alone, on small instances with ties, duplicate users,
+        # collinear or one-user groups, two rows or eps = 0: what it returns
+        # is feasible, a vertex, and no worse than HiGHS
         rng = np.random.default_rng(2003)
         certified = 0
         for _ in range(300):
