@@ -24,7 +24,7 @@ spec = builtin_scenario(
 )
 result = run_sweep(spec, base_seed=7, jobs=1)
 rows = aggregate(result)
-print(f"scenario {result.scenario}: {len(result.records)} records, "
+print(f"scenario {result.spec.scenario.value}: {len(result.records)} records, "
       f"{result.n_failed} failed\n")
 
 # Exposure disparity of the unconstrained optimizer, by grid value.

@@ -68,4 +68,4 @@ from .stats import (
     wilson_interval,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -102,8 +102,9 @@ def _parse_shapes(text: str, flag: str) -> tuple[float, float]:
         raise _InputError(f"{flag} shapes must be numbers, got {text!r}") from None
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _write_json(payload: dict, out: str | Path | None) -> None:
+    """Strict JSON to ``out``, or to stdout when ``out`` is None or ``-``."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out is None or out == "-":
         print(text)
     else:
@@ -172,7 +173,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         "n_users": pop.size,
         "version": __version__,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    _write_json(summary, outdir / "summary.json")
     print(f"wrote {alloc_path} (objective {result.objective:.6g}, status {result.status.value})")
     return 0
 
@@ -269,9 +270,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    seed = config.get("seed", PopulationSpec.seed)
     t0 = time.perf_counter()
     try:
-        result = run_sweep(spec, base_seed=config.get("seed", PopulationSpec.seed), jobs=jobs)
+        result = run_sweep(spec, base_seed=seed, jobs=jobs)
     except ValueError as exc:  # seed or jobs out of range, before any cell runs
         raise _InputError(str(exc)) from exc
     wall = time.perf_counter() - t0
@@ -282,15 +284,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_aggregates_json(result, rows, outdir / "aggregates.json")
     metadata = {
         "version": __version__,
-        "scenario": result.scenario,
-        "uptake_variant": result.uptake_variant,
-        "param_name": result.param_name,
-        "grid": list(result.grid),
-        "replications": result.replications,
-        "n_a": result.n_a,
-        "n_b": result.n_b,
-        "tolerance": result.tolerance,
-        "base_seed": result.base_seed,
+        "scenario": spec.scenario.value,
+        "uptake_variant": spec.uptake_variant.value,
+        "param_name": spec.varying,
+        "grid": list(spec.grid),
+        "replications": spec.replications,
+        "n_a": spec.n_a,
+        "n_b": spec.n_b,
+        "tolerance": spec.tolerance,
+        "base_seed": seed,
         "jobs": jobs,
         "rng_stream": RNG_STREAM,
         "numpy_version": np.__version__,
@@ -299,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "n_failed": result.n_failed,
         "wall_time_s": wall,
     }
-    (outdir / "metadata.json").write_text(json.dumps(metadata, indent=2) + "\n")
+    _write_json(metadata, outdir / "metadata.json")
     print(
         f"wrote {outdir}/records.csv ({len(result.records)} records, "
         f"{result.n_failed} failed) in {wall:.1f}s"
@@ -346,11 +348,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 "test": "chi2_independence",
                 "row_labels": list(table.row_labels),
                 "col_labels": list(table.col_labels),
-                "statistic": res.statistic,
-                "dof": res.dof,
-                "p_value": res.p_value,
-                "log10_p": res.log10_p,
-                "cramers_v": res.cramers_v,
+                **dataclasses.asdict(res),
                 "expected": res.expected.tolist(),
             },
             args.out,
@@ -365,13 +363,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 "axis": args.axis,
                 "row_labels": list(table.row_labels),
                 "col_labels": list(table.col_labels),
-                "cells": [
-                    [
-                        {"point": c.point, "lo": c.lo, "hi": c.hi, "confidence": c.confidence}
-                        for c in row
-                    ]
-                    for row in cells
-                ],
+                "cells": [[dataclasses.asdict(c) for c in row] for row in cells],
             },
             args.out,
         )
@@ -380,16 +372,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_export_population(args: argparse.Namespace) -> int:
-    if args.beta_a or args.beta_b:
-        if not (args.beta_a and args.beta_b):
-            raise _InputError("--beta-a and --beta-b must be given together")
-        uptake = UptakeConfig(
-            beta_a=_parse_shapes(args.beta_a, "--beta-a"),
-            beta_b=_parse_shapes(args.beta_b, "--beta-b"),
-        )
-    else:
-        uptake = UPTAKE_VARIANTS[UptakeVariant(args.uptake)]
+    if bool(args.beta_a) != bool(args.beta_b):
+        raise _InputError("--beta-a and --beta-b must be given together")
     try:
+        if args.beta_a:
+            uptake = UptakeConfig(
+                beta_a=_parse_shapes(args.beta_a, "--beta-a"),
+                beta_b=_parse_shapes(args.beta_b, "--beta-b"),
+            )
+        else:
+            uptake = UPTAKE_VARIANTS[UptakeVariant(args.uptake)]
         spec = PopulationSpec(
             n_a=args.na,
             n_b=args.nb,
@@ -492,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -210,7 +210,7 @@ class ConstraintSet:
     def __post_init__(self) -> None:
         tol = float(self.tolerance)
         if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError("tolerance must be finite and non-negative")
+            raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
         object.__setattr__(self, "tolerance", tol)
 
     # The constructors' ``tolerance`` default is the field default above.

@@ -185,8 +185,7 @@ class ScenarioSpec:
                 f"is {cells} cells, more than {MAX_CELLS}"
             )
         PopulationSpec(self.n_a, self.n_b, self.uptake, self.click)  # checks the group sizes
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
-            raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
+        ConstraintSet(tolerance=self.tolerance)  # checks the tolerance
         for value in self.grid:
             self.params_for(value)  # validates every grid point up front
 
@@ -259,17 +258,15 @@ RECORD_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 @dataclass(frozen=True)
 class SweepResult:
-    scenario: str
-    uptake_variant: str
-    param_name: str
-    grid: tuple[float, ...]
-    replications: int
-    n_a: int
-    n_b: int
-    tolerance: float
+    """The records of one sweep, with the spec and base seed that made them."""
+
+    spec: ScenarioSpec
     base_seed: int
     records: tuple[SweepRecord, ...]
-    n_failed: int
+
+    @property
+    def n_failed(self) -> int:
+        return sum(1 for rec in self.records if rec.status.startswith("failed:"))
 
 
 def _record(
@@ -363,21 +360,7 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> S
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunksize = max(1, len(cells) // (jobs * 8))
             chunks = list(pool.map(_run_cell, cells, chunksize=chunksize))
-    records = tuple(rec for chunk in chunks for rec in chunk)
-    n_failed = sum(1 for rec in records if rec.status.startswith("failed"))
-    return SweepResult(
-        scenario=spec.scenario.value,
-        uptake_variant=spec.uptake_variant.value,
-        param_name=spec.varying,
-        grid=spec.grid,
-        replications=spec.replications,
-        n_a=spec.n_a,
-        n_b=spec.n_b,
-        tolerance=spec.tolerance,
-        base_seed=base_seed,
-        records=records,
-        n_failed=n_failed,
-    )
+    return SweepResult(spec, base_seed, tuple(rec for chunk in chunks for rec in chunk))
 
 
 @dataclass(frozen=True)
@@ -397,7 +380,16 @@ class AggregateRow:
     parity_gap_q75: float
 
 
+# The record fields summarized per (rule, grid value).  Each one names three
+# AggregateRow fields, ``<field>_median``, ``<field>_q25`` and ``<field>_q75``.
+_SUMMARIZED_FIELDS = ("utility_pct", "parity_gap")
+_STATISTICS = ("median", "q25", "q75")
+
+
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Median, 0.25 and 0.75 quantiles in ``_STATISTICS`` order; NaN for no values."""
+    if not values:
+        return math.nan, math.nan, math.nan
     arr = np.asarray(values, dtype=np.float64)
     q25, med, q75 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
     return float(med), float(q25), float(q75)
@@ -406,47 +398,32 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 def aggregate(result: SweepResult) -> list[AggregateRow]:
     """Collapse replications to medians and 0.25-0.75 quartiles.
 
-    Failed records are excluded; their counts are reported per row.
-    Quantiles use linear interpolation between order statistics.
+    Failed records are excluded; their counts are reported per row, and the
+    statistics of a row with no successful record are NaN.  Quantiles use
+    linear interpolation between order statistics.  Rows come in the order
+    of each (rule, grid value) pair's first record.
     """
     if not result.records:
         raise ValueError("cannot aggregate an empty sweep")
     buckets: dict[tuple[str, float], list[SweepRecord]] = {}
-    order: list[tuple[str, float]] = []
     for rec in result.records:
-        key = (rec.rule, rec.param_value)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(rec)
+        buckets.setdefault((rec.rule, rec.param_value), []).append(rec)
     rows: list[AggregateRow] = []
-    for rule, value in order:
-        recs = buckets[(rule, value)]
-        good = [r for r in recs if not r.status.startswith("failed")]
-        n_failed = len(recs) - len(good)
-        if not good:
-            rows.append(
-                AggregateRow(rule, result.param_name, value, 0, n_failed,
-                             math.nan, math.nan, math.nan, math.nan, math.nan, math.nan)
-            )
-            continue
-        pct_med, pct_q25, pct_q75 = _quartiles([r.utility_pct for r in good])
-        gap_med, gap_q25, gap_q75 = _quartiles([r.parity_gap for r in good])
-        rows.append(
-            AggregateRow(
-                rule=rule,
-                param_name=result.param_name,
-                param_value=value,
-                n_used=len(good),
-                n_failed=n_failed,
-                utility_pct_median=pct_med,
-                utility_pct_q25=pct_q25,
-                utility_pct_q75=pct_q75,
-                parity_gap_median=gap_med,
-                parity_gap_q25=gap_q25,
-                parity_gap_q75=gap_q75,
-            )
-        )
+    for (rule, value), recs in buckets.items():
+        good = [r for r in recs if not r.status.startswith("failed:")]
+        statistics = {
+            f"{name}_{stat}": q
+            for name in _SUMMARIZED_FIELDS
+            for stat, q in zip(_STATISTICS, _quartiles([getattr(r, name) for r in good]))
+        }
+        rows.append(AggregateRow(
+            rule=rule,
+            param_name=result.spec.varying,
+            param_value=value,
+            n_used=len(good),
+            n_failed=len(recs) - len(good),
+            **statistics,
+        ))
     return rows
 
 
@@ -476,7 +453,7 @@ def write_aggregates_csv(
         writer.writerow(_AGG_COLUMNS)
         for row in rows:
             writer.writerow(
-                [result.scenario]
+                [result.spec.scenario.value]
                 + [_fmt(getattr(row, col)) for col in _AGG_COLUMNS[1:]]
             )
 
@@ -491,9 +468,9 @@ def write_aggregates_json(
 ) -> None:
     """Strict JSON: statistics of all-failed rows are ``null``, never ``NaN``."""
     payload = {
-        "scenario": result.scenario,
-        "uptake_variant": result.uptake_variant,
-        "param_name": result.param_name,
+        "scenario": result.spec.scenario.value,
+        "uptake_variant": result.spec.uptake_variant.value,
+        "param_name": result.spec.varying,
         "gap_orientation": "group A minus group B",
         "rows": [
             {col: json_number(getattr(row, col)) for col in _AGG_COLUMNS[1:]}

@@ -258,7 +258,7 @@ def test_criterion_4_near_zero_cost_of_fairness(sweep_a, sweep_b, sweep_c, sweep
     for result, elapsed in (sweep_a, sweep_b, sweep_c, sweep_d):
         total_time += elapsed
         for rule in CONSTRAINED:
-            for value in result.grid:
+            for value in result.spec.grid:
                 worst_median = min(worst_median, median_by(result.records, rule, value))
         observed = [r.utility_pct for r in result.records
                     if r.rule != AllocationRule.UNCONSTRAINED.value
@@ -276,15 +276,15 @@ def test_criterion_4_near_zero_cost_of_fairness(sweep_a, sweep_b, sweep_c, sweep
 def test_criterion_5_unconstrained_disparity_sign(sweep_a):
     result, _ = sweep_a
     unc_medians = {v: median_by(result.records, AllocationRule.UNCONSTRAINED, v, "parity_gap")
-                   for v in result.grid}
+                   for v in result.spec.grid}
     all_positive = all(m > 0.0 for m in unc_medians.values())
     worst_constrained = max(
         abs(median_by(result.records, rule, v, "parity_gap"))
-        for rule in CONSTRAINED for v in result.grid
+        for rule in CONSTRAINED for v in result.spec.grid
     )
     ok = all_positive and worst_constrained <= 0.02
     report("5a unconstrained disparity sign", ok,
-           f"unconstrained exposure-gap medians positive at all {len(result.grid)} grid "
+           f"unconstrained exposure-gap medians positive at all {len(result.spec.grid)} grid "
            f"values: {all_positive}; max constrained |median| {worst_constrained:.2e} (need <= 0.02)")
 
 
@@ -296,13 +296,13 @@ def test_criterion_5_unconstrained_disparity_magnitude(sweep_a):
     # within 4 standard errors of r_A; the median of `reps` replication means
     # of n_a Bernoulli(r_A) draws has SE sqrt(pi/2)*sqrt(r_A*(1-r_A)/n_a)/sqrt(reps).
     result, _ = sweep_a
-    spec = builtin_scenario(result.scenario, result.uptake_variant)
-    top = result.grid[-1]
+    spec = result.spec
+    top = result.spec.grid[-1]
     params = spec.params_for(top)
     bound = _b_exclusion_bound(params)
     r_a = _group_show_rate(params, "A", spec.uptake, spec.click)
-    band = 4.0 * math.sqrt(math.pi / 2.0) * math.sqrt(r_a * (1.0 - r_a) / result.n_a) \
-        / math.sqrt(result.replications)
+    band = 4.0 * math.sqrt(math.pi / 2.0) * math.sqrt(r_a * (1.0 - r_a) / result.spec.n_a) \
+        / math.sqrt(result.spec.replications)
     median_top = median_by(result.records, AllocationRule.UNCONSTRAINED, top, "parity_gap")
     ok = top > bound and abs(median_top - r_a) <= band
     report("5b unconstrained disparity magnitude", ok,
@@ -320,7 +320,7 @@ def test_criterion_6_constraint_cost_ordering(sweep_a):
     # to equalizing group thresholds), so this ordering is decided by
     # margins of ~0.01 percentage points inside replication noise.
     result, _ = sweep_a
-    low = result.grid[0]
+    low = result.spec.grid[0]
     medians = {rule: median_by(result.records, rule, low) for rule in SINGLE_RULES}
     eo = medians[AllocationRule.EQUALITY_OF_OPPORTUNITY]
     ok = eo <= medians[AllocationRule.PARITY_OF_EXPOSURE] and \
@@ -334,7 +334,7 @@ def test_criterion_6_constraint_cost_ordering(sweep_a):
 
 def test_criterion_7_baseline_gamma0(sweep_gamma0):
     result, _ = sweep_gamma0
-    grid = list(result.grid)
+    grid = list(result.spec.grid)
     unc = [median_by(result.records, AllocationRule.UNCONSTRAINED, v, "parity_gap")
            for v in grid]
     # rises with beta_b: monotone within replication noise, with a clear
@@ -360,11 +360,11 @@ def test_criterion_7_gamma_sweep_decline(sweep_gamma):
     # every constraint is slack, so every constrained share is 100% and every
     # gap is zero.
     result, _ = sweep_gamma
-    spec = builtin_scenario(result.scenario, result.uptake_variant)
-    lo, hi = result.grid[0], result.grid[-1]
+    spec = result.spec
+    lo, hi = result.spec.grid[0], result.spec.grid[-1]
     assert lo == 0.0 and hi == 1.0
     saturation = [_saturation_gamma(spec.base_params, g) for g in ("A", "B")]
-    below = max(v for v in result.grid if v < min(saturation))
+    below = max(v for v in result.spec.grid if v < min(saturation))
     deltas = {}
     ok = True
     for rule in CONSTRAINED:

@@ -466,6 +466,16 @@ class TestExportPopulation:
         rc = main(["export-population", "--beta-a", "8,2", "--out", str(tmp_path / "p.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("beta_a, message", [
+        ("0,1", "beta_a[0] must be a positive finite shape"),
+        ("1,nan", "beta_a[1] must be a positive finite shape"),
+    ])
+    def test_invalid_shapes_exit_1(self, tmp_path, capsys, beta_a, message):
+        rc = main(["export-population", "--beta-a", beta_a, "--beta-b", "2,2",
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
     def test_roundtrip_through_allocate(self, tmp_path):
         pop_csv = tmp_path / "pop.csv"
         assert main(["export-population", "--na", "6", "--nb", "6", "--seed", "2",
@@ -474,3 +484,23 @@ class TestExportPopulation:
         assert main(["allocate", str(pop_csv), "--eho", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] in ("optimal", "tolerance_relaxed")
+
+
+@pytest.mark.parametrize("command", ["allocate", "sweep", "stats", "export-population"])
+def test_unwritable_out_exits_1(tmp_path, capsys, command):
+    # allocate and sweep want a directory where a file stands; stats and
+    # export-population write a file into a directory that does not exist
+    taken = write(tmp_path / "taken", "")
+    missing = str(tmp_path / "missing" / "out")
+    pop = tmp_path / "pop.csv"
+    assert main(["export-population", "--na", "5", "--nb", "5", "--out", str(pop)]) == 0
+    argv = {
+        "allocate": ["allocate", str(pop), "--parity", "--out", taken],
+        "sweep": ["sweep", "--scenario", "A", "--reps", "1", "--grid", "0.05",
+                  "--na", "5", "--nb", "5", "--out", taken],
+        "stats": ["stats", "chi2", write(tmp_path / "t.csv", EXPOSURE_TABLE), "--out", missing],
+        "export-population": ["export-population", "--na", "5", "--nb", "5", "--out", missing],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -215,7 +215,7 @@ class TestRunSweep:
         for rec in res.records:
             if rec.rule in (AllocationRule.PARITY_OF_EXPOSURE.value,
                             AllocationRule.ALL_CONSTRAINTS.value):
-                assert abs(rec.parity_gap) <= res.tolerance + 1e-8
+                assert abs(rec.parity_gap) <= res.spec.tolerance + 1e-8
 
     def test_symmetric_groups_have_small_gap(self):
         # scenario-B setup with group B made identical to group A: same
@@ -259,9 +259,8 @@ class TestAggregate:
                         eo_gap=v, eho_gap=v, status="optimal", seed=i)
             for i, v in enumerate(values)
         )
-        return SweepResult(scenario="A", uptake_variant="main", param_name="beta_b",
-                           grid=(param,), replications=len(values), n_a=10, n_b=10,
-                           tolerance=1e-6, base_seed=0, records=records, n_failed=0)
+        return SweepResult(spec=tiny_spec(grid=(param,), reps=len(values)), base_seed=0,
+                           records=records)
 
     def test_single_replication_degenerate_quartiles(self):
         rows = aggregate(self._result_with_values([7.0]))
@@ -292,18 +291,14 @@ class TestAggregate:
                           param_value=0.1, replication=9, objective=math.nan,
                           utility_pct=math.nan, parity_gap=math.nan, eo_gap=math.nan,
                           eho_gap=math.nan, status="failed:SolverNumericalError", seed=9)
-        res = SweepResult(scenario="A", uptake_variant="main", param_name="beta_b",
-                          grid=(0.1,), replications=3, n_a=10, n_b=10, tolerance=1e-6,
-                          base_seed=0, records=good.records + (bad,), n_failed=1)
+        res = SweepResult(spec=good.spec, base_seed=0, records=good.records + (bad,))
         rows = aggregate(res)
         assert rows[0].n_used == 2
         assert rows[0].n_failed == 1
         assert rows[0].utility_pct_median == pytest.approx(2.0)
 
     def test_empty_sweep_rejected(self):
-        empty = SweepResult(scenario="A", uptake_variant="main", param_name="beta_b",
-                            grid=(), replications=0, n_a=1, n_b=1, tolerance=1e-6,
-                            base_seed=0, records=(), n_failed=0)
+        empty = SweepResult(spec=tiny_spec(), base_seed=0, records=())
         with pytest.raises(ValueError):
             aggregate(empty)
 
@@ -340,9 +335,7 @@ class TestWriters:
                           param_value=0.1, replication=0, objective=math.nan,
                           utility_pct=math.nan, parity_gap=math.nan, eo_gap=math.nan,
                           eho_gap=math.nan, status="failed:SolverNumericalError", seed=9)
-        res = SweepResult(scenario="A", uptake_variant="main", param_name="beta_b",
-                          grid=(0.1,), replications=1, n_a=10, n_b=10, tolerance=1e-6,
-                          base_seed=0, records=(bad,), n_failed=1)
+        res = SweepResult(spec=tiny_spec(grid=(0.1,), reps=1), base_seed=0, records=(bad,))
         buf = io.StringIO()
         write_aggregates_json(res, aggregate(res), buf)
 
