@@ -68,4 +68,4 @@ from .stats import (
     wilson_interval,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

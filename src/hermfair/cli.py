@@ -1,8 +1,9 @@
 """Command-line front end: allocate, sweep, stats, export-population.
 
 Exit codes: 0 success, 1 input error (malformed files, invalid parameters,
-oversized enumeration requests), 2 solver-level failure (no feasible binary
-vector, numerical failure).
+oversized enumeration requests) or a standard output closed before the run
+ends (silently), 2 solver-level failure (no feasible binary vector,
+numerical failure).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import reprlib
 import sys
 import time
@@ -483,7 +485,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return rc
+    except BrokenPipeError:
+        # The reader of stdout stopped early (``| head``).  Point stdout at
+        # devnull so the flush at exit raises nothing, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (_InputError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

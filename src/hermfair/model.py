@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +46,14 @@ class Population:
     that objective and gap evaluations vectorize; build one with
     :meth:`from_arrays`.  Both groups must be non-empty; group ratios are
     undefined otherwise.
+
+    A population also keeps, computed on first use, what its solves share:
+    the per-group slices and masses of ``p`` and ``rho``, and the per-user
+    terms of the last :class:`ModelParams` it was scored with.  The cached
+    arrays are read-only and equality ignores them.
     """
 
-    __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b")
+    __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b", "_splits", "_terms")
 
     @classmethod
     def from_arrays(
@@ -88,6 +93,8 @@ class Population:
         self.mask_b = mask_b
         self.n_a = n_a
         self.n_b = n_b
+        self._splits = {}
+        self._terms = None
         return self
 
     @property
@@ -154,13 +161,6 @@ class ModelParams:
             alpha=0.2, beta_a=0.03, beta_b=0.05, theta_a=0.05, theta_b=0.1,
             omega_a=0.01, omega_b=0.01, xi=0.2, gamma=0.01,
         )
-
-    def per_user(self, pop: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expand (beta, theta, omega) into per-user arrays aligned with ``pop``."""
-        beta = np.where(pop.mask_a, self.beta_a, self.beta_b)
-        theta = np.where(pop.mask_a, self.theta_a, self.theta_b)
-        omega = np.where(pop.mask_a, self.omega_a, self.omega_b)
-        return beta, theta, omega
 
 
 @dataclass(frozen=True)
@@ -246,6 +246,64 @@ class ConstraintSet:
         return bool(self.active)
 
 
+class _GroupSplit(NamedTuple):
+    """One per-user weight (``p`` or ``rho``) split by group, with its masses."""
+
+    a: np.ndarray
+    b: np.ndarray
+    mass_a: float
+    mass_b: float
+
+
+def _group_split(pop: Population, name: str) -> _GroupSplit:
+    """The population's ``name`` column (``"p"`` or ``"rho"``) split by group.
+
+    Computed once per population; each mass sums in ascending user order.
+    """
+    split = pop._splits.get(name)
+    if split is None:
+        w = getattr(pop, name)
+        wa = w[pop.mask_a]
+        wb = w[pop.mask_b]
+        wa.flags.writeable = False
+        wb.flags.writeable = False
+        split = _GroupSplit(wa, wb, float(wa.sum()), float(wb.sum()))
+        pop._splits[name] = split
+    return split
+
+
+class _Terms(NamedTuple):
+    """Per-user terms of one (population, parameters) pair, all read-only."""
+
+    params: ModelParams
+    gains: np.ndarray
+    shown: np.ndarray  # alpha * p
+    beta: np.ndarray
+    uptake_cost: np.ndarray  # -theta * rho + omega * (1 - rho)
+
+
+def _terms(pop: Population, params: ModelParams) -> _Terms:
+    """The per-user terms for ``params``; the population keeps the last set.
+
+    The entry is matched by identity, so every solve on one population with
+    one parameter object evaluates these formulas once.
+    """
+    terms = pop._terms
+    if terms is None or terms.params is not params:
+        beta = np.where(pop.mask_a, params.beta_a, params.beta_b)
+        theta = np.where(pop.mask_a, params.theta_a, params.theta_b)
+        omega = np.where(pop.mask_a, params.omega_a, params.omega_b)
+        shown = params.alpha * pop.p
+        uptake_cost = -theta * pop.rho + omega * (1.0 - pop.rho)
+        # xi - uptake_cost is bit for bit theta * rho - omega * (1 - rho) + xi:
+        # rounding is symmetric, so -a + b is exactly -(a - b)
+        gains = shown - beta + params.gamma * (params.xi - uptake_cost)
+        for arr in (gains, shown, beta, uptake_cost):
+            arr.flags.writeable = False
+        terms = pop._terms = _Terms(params, gains, shown, beta, uptake_cost)
+    return terms
+
+
 def _check_aligned(pop: Population, alloc: Allocation) -> np.ndarray:
     if len(alloc) != pop.size:
         raise ValueError(
@@ -257,17 +315,15 @@ def _check_aligned(pop: Population, alloc: Allocation) -> np.ndarray:
 def economic_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user economic utilities, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    beta, _, _ = params.per_user(pop)
-    return float(np.sum(params.alpha * pop.p * d + beta * (1.0 - d)))
+    terms = _terms(pop, params)
+    return float((terms.shown * d + terms.beta * (1.0 - d)).sum())
 
 
 def hermeneutical_cost(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user interpretative costs, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    _, theta, omega = params.per_user(pop)
-    return float(
-        np.sum((-theta * pop.rho + omega * (1.0 - pop.rho)) * d + params.xi * (1.0 - d))
-    )
+    terms = _terms(pop, params)
+    return float((terms.uptake_cost * d + params.xi * (1.0 - d)).sum())
 
 
 def herm_aware_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
@@ -287,12 +343,10 @@ def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
     ``gain_x = alpha * p - beta_g + gamma * (theta_g * rho - omega_g * (1 - rho) + xi)``.
     The combined objective is ``sum(gain * d)`` plus a decision-independent
     constant, so the unconstrained optimum shows exactly the users with
-    non-negative gain.
+    non-negative gain.  The returned array is read-only and shared by every
+    call with the same population and parameter object.
     """
-    beta, theta, omega = params.per_user(pop)
-    return params.alpha * pop.p - beta + params.gamma * (
-        theta * pop.rho - omega * (1.0 - pop.rho) + params.xi
-    )
+    return _terms(pop, params).gains
 
 
 def parity_gap(pop: Population, alloc: Allocation) -> float:
@@ -302,20 +356,17 @@ def parity_gap(pop: Population, alloc: Allocation) -> float:
     group A.
     """
     d = _check_aligned(pop, alloc)
-    share_b = float(np.sum(d[pop.mask_b])) / pop.n_b
-    share_a = float(np.sum(d[pop.mask_a])) / pop.n_a
+    share_b = float(d[pop.mask_b].sum()) / pop.n_b
+    share_a = float(d[pop.mask_a].sum()) / pop.n_a
     return share_b - share_a
 
 
-def _weighted_gap(pop: Population, d: np.ndarray, w: np.ndarray, name: str) -> float:
-    wa = w[pop.mask_a]
-    wb = w[pop.mask_b]
-    mass_a = float(np.sum(wa))
-    mass_b = float(np.sum(wb))
-    if mass_a <= 0.0 or mass_b <= 0.0:
+def _weighted_gap(pop: Population, d: np.ndarray, column: str, name: str) -> float:
+    w = _group_split(pop, column)
+    if w.mass_a <= 0.0 or w.mass_b <= 0.0:
         raise DegenerateGroupError(f"a group has zero total {name}; ratio undefined")
-    share_b = float(np.sum(d[pop.mask_b] * wb)) / mass_b
-    share_a = float(np.sum(d[pop.mask_a] * wa)) / mass_a
+    share_b = float((d[pop.mask_b] * w.b).sum()) / w.mass_b
+    share_a = float((d[pop.mask_a] * w.a).sum()) / w.mass_a
     return share_b - share_a
 
 
@@ -325,7 +376,7 @@ def eo_gap(pop: Population, alloc: Allocation) -> float:
     Each group's share is ``sum(d * p) / sum(p)`` over its members.
     """
     d = _check_aligned(pop, alloc)
-    return _weighted_gap(pop, d, pop.p, "click probability")
+    return _weighted_gap(pop, d, "p", "click probability")
 
 
 def eho_gap(pop: Population, alloc: Allocation) -> float:
@@ -334,5 +385,5 @@ def eho_gap(pop: Population, alloc: Allocation) -> float:
     Same ratio form as :func:`eo_gap` with ``rho`` in place of ``p``.
     """
     d = _check_aligned(pop, alloc)
-    return _weighted_gap(pop, d, pop.rho, "uptake probability")
+    return _weighted_gap(pop, d, "rho", "uptake probability")
 

@@ -51,6 +51,7 @@ from .model import (
     DegenerateGroupError,
     ModelParams,
     Population,
+    _group_split,
     decision_gains,
     eho_gap,
     eo_gap,
@@ -182,17 +183,17 @@ def constraint_rows(
     rows: list[np.ndarray] = []
     names: list[str] = []
 
-    def add(name: str, weights: np.ndarray | None) -> None:
-        if weights is None:  # plain exposure counts
+    def add(name: str, column: str | None) -> None:
+        if column is None:  # plain exposure counts
             row = np.where(pop.mask_a, -1.0 / pop.n_a, 1.0 / pop.n_b)
         else:
-            mass_a = float(np.sum(weights[pop.mask_a]))
-            mass_b = float(np.sum(weights[pop.mask_b]))
-            if mass_a <= 0.0 or mass_b <= 0.0:
+            split = _group_split(pop, column)
+            if split.mass_a <= 0.0 or split.mass_b <= 0.0:
                 raise DegenerateGroupError(
                     f"constraint {name} undefined: a group has zero total weight"
                 )
-            row = np.where(pop.mask_a, -weights / mass_a, weights / mass_b)
+            weights = getattr(pop, column)
+            row = np.where(pop.mask_a, -weights / split.mass_a, weights / split.mass_b)
         for kept in rows:
             if np.max(np.abs(kept - row)) <= _DEDUP_EPS:
                 return
@@ -202,9 +203,9 @@ def constraint_rows(
     if constraints.parity_exposure:
         add("parity_exposure", None)
     if constraints.equality_opportunity:
-        add("equality_opportunity", pop.p)
+        add("equality_opportunity", "p")
     if constraints.equality_herm_opportunity:
-        add("equality_herm_opportunity", pop.rho)
+        add("equality_herm_opportunity", "rho")
     matrix = np.vstack(rows) if rows else np.empty((0, pop.size))
     return names, matrix
 
@@ -541,15 +542,43 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     return _build_result(pop, params, _snap(values), req.constraints)
 
 
-_CHUNK_BITS = 16
+# The oracle scores 2**_BLOCK_BITS decision vectors per block.
+_BLOCK_BITS = 16
+
+
+def _subset_sums(vectors: np.ndarray) -> np.ndarray:
+    """Every subset sum of the columns of ``vectors``, by doubling.
+
+    Column ``j`` of the result sums the columns that the bits of ``j``
+    select, with the last column at bit 0: each doubling step appends the
+    sums that take one more column.
+    """
+    k, h = vectors.shape
+    sums = np.empty((k, 1 << h))
+    sums[:, 0] = 0.0
+    for b in range(h):
+        size = 1 << b
+        np.add(sums[:, :size], vectors[:, h - 1 - b, None], out=sums[:, size:2 * size])
+    return sums
 
 
 def solve_binary_exact(req: SolveRequest) -> SolveResult:
     """Exhaustive search over binary vectors; the verification oracle.
 
-    Feasibility means every active gap is within the request tolerance in
-    absolute value.  Ties on the objective break toward the lexicographically
-    smallest decision vector.
+    Feasibility means every active gap is within the request tolerance plus
+    ``ROUNDOFF_ALLOWANCE`` in absolute value, the rule ``_build_result``
+    reports as optimal, so an exactly fair vector is never lost to the
+    round-off of its sum.  Ties on the objective break toward the
+    lexicographically smallest decision vector.
+
+    Bit ``n - 1 - i`` of a mask is user ``i``, so ascending masks are
+    lexicographic decision vectors.  Masks are scored in ascending blocks
+    of ``2**16`` sharing their high bits (meet in the middle, Horowitz and
+    Sahni, J. ACM 21(2), 1974): the gain and the gap-row sums of every
+    subset of the last ``min(16, n)`` users are built once, and a block adds
+    its fixed high users' sums to them.  Working memory is bounded by
+    ``(1 + m) * 2**16`` floats for ``m`` retained rows, plus the high
+    users' sums, ``(1 + m) * 2**(n - 16)`` floats.
 
     Raises:
         PopulationTooLargeError: population exceeds ``enumeration_cap``.
@@ -564,32 +593,32 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
     c = decision_gains(pop, params)
     _, rows = constraint_rows(pop, req.constraints)
     tol = req.constraints.tolerance
+    limit = tol + ROUNDOFF_ALLOWANCE
 
-    # Bit (n-1-i) encodes user i, so ascending mask order is lexicographic
-    # order on decision vectors.
-    shifts = (n - 1 - np.arange(n)).astype(np.uint64)
+    # row 0 is the gain, rows 1.. the gaps
+    vectors = np.vstack([c, rows])
+    h = min(_BLOCK_BITS, n)
+    low = _subset_sums(vectors[:, n - h:])
+    high = _subset_sums(vectors[:, :n - h])
     best_obj = -np.inf
     best_mask = -1
-    total = 1 << n
-    step = 1 << min(_CHUNK_BITS, n)
-    for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.uint64)
-        d = ((masks[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
-        obj = d @ c
+    for block in range(high.shape[1]):
+        obj = low[0] + high[0, block]
         if rows.shape[0]:
-            feasible = (np.abs(d @ rows.T) <= tol).all(axis=1)
+            gaps = low[1:] + high[1:, block, None]
+            feasible = (np.abs(gaps, out=gaps) <= limit).all(axis=0)
             if not feasible.any():
                 continue
             obj = np.where(feasible, obj, -np.inf)
-        idx = int(np.argmax(obj))  # first maximum: smallest mask in the chunk
+        idx = int(np.argmax(obj))  # first maximum: smallest mask in the block
         if obj[idx] > best_obj:
             best_obj = float(obj[idx])
-            best_mask = start + idx
+            best_mask = (block << h) + idx
     if best_mask < 0:
         raise NoFeasibleBinaryError(
             f"no binary vector satisfies the active constraints at tolerance {tol}"
         )
-    values = ((best_mask >> shifts) & np.uint64(1)).astype(np.float64)
+    values = ((best_mask >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
     return _build_result(pop, params, values, req.constraints)
 
 

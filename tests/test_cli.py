@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -431,6 +432,21 @@ class TestStats:
         out = tmp_path / "res.json"
         assert main(["stats", "chi2", table, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["dof"] == 1
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, monkeypatch):
+        # stdout is a pipe whose reader has gone, as under `| head`
+        table = write(tmp_path / "t.csv", EXPOSURE_TABLE)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stderr = io.StringIO()
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            monkeypatch.setattr(sys, "stderr", stderr)
+            rc = main(["stats", "proportions", table])
+            stdout.write("x" * 4096)  # stdout now leads to devnull
+            stdout.flush()
+        assert rc == 1
+        assert stderr.getvalue() == ""
 
 
 class TestExportPopulation:

@@ -359,3 +359,69 @@ class TestProperties:
                 continue
             g2 = fn(pop2, alloc2)
             assert g2 == pytest.approx(g1, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------- population cache
+
+class TestPopulationCache:
+    @staticmethod
+    def _population(seed=41, n=60):
+        rng = np.random.default_rng(seed)
+        groups = np.where(rng.random(n) < 0.4, "A", "B")
+        groups[:2] = ["A", "B"]
+        return Population.from_arrays(groups, rng.random(n) ** 3, rng.beta(2.0, 3.0, n))
+
+    def test_solves_match_a_fresh_population(self):
+        from hermfair.scenarios import AllocationRule
+        from hermfair.solver import SolveRequest, solve
+
+        pop = self._population()
+        p1, p2 = make_params(), make_params(gamma=0.3, beta_b=0.08, theta_a=0.2)
+        for params in (p1, p2, p1):
+            for rule in AllocationRule:
+                cs = rule.constraint_set(1e-6)
+                got = solve(SolveRequest(pop, params, cs))
+                fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+                want = solve(SolveRequest(fresh, params, cs))
+                assert got.allocation.values.tobytes() == want.allocation.values.tobytes()
+                assert (got.objective, got.gaps, got.status, got.n_fractional) == (
+                    want.objective, want.gaps, want.status, want.n_fractional
+                )
+
+    def test_cached_arrays_are_read_only(self):
+        from hermfair.solver import constraint_rows
+
+        pop = self._population()
+        params = make_params()
+        gains = decision_gains(pop, params)
+        assert decision_gains(pop, params) is gains
+        herm_aware_utility(pop, Allocation(np.ones(pop.size)), params)
+        eo_gap(pop, Allocation(np.ones(pop.size)))
+        constraint_rows(pop, ConstraintSet.all())
+        cached = [*pop._terms[1:], *(a for split in pop._splits.values() for a in split[:2])]
+        assert len(cached) == 8
+        for arr in cached:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_equality_ignores_the_cache(self):
+        pop = self._population()
+        decision_gains(pop, make_params())
+        eho_gap(pop, Allocation(np.zeros(pop.size)))
+        fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+        assert pop == fresh and fresh == pop
+        decision_gains(fresh, make_params(gamma=0.5))
+        assert pop == fresh
+
+    def test_degenerate_group_raises_on_every_call(self):
+        from hermfair.solver import constraint_rows
+
+        pop = pop_from(["A", "A", "B"], [0.0, 0.0, 0.5], [0.5, 0.5, 0.5])
+        alloc = Allocation(np.ones(3))
+        for _ in range(2):
+            with pytest.raises(DegenerateGroupError):
+                eo_gap(pop, alloc)
+            with pytest.raises(DegenerateGroupError):
+                constraint_rows(pop, ConstraintSet.opportunity())
+        assert eho_gap(pop, alloc) == 0.0

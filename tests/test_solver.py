@@ -30,6 +30,7 @@ from hermfair.scenarios import ScenarioId, UptakeVariant, builtin_scenario
 from hermfair.solver import (
     MAX_ENUMERATION_CAP,
     RESIDUAL_BOUND,
+    ROUNDOFF_ALLOWANCE,
     NoFeasibleBinaryError,
     PopulationTooLargeError,
     SolverNumericalError,
@@ -732,6 +733,106 @@ class TestBinaryExact:
             res = solve_binary_exact(SolveRequest(pop, params, cs, mode=SolveMode.BINARY_EXACT))
             best_obj, _ = brute_force_best(pop, params, cs)
             assert res.objective == pytest.approx(best_obj, abs=1e-12)
+
+
+class TestOracleRoundoff:
+    SIZES = ((5, 10), (3, 6), (6, 9), (4, 8), (2, 6))
+
+    def test_exactly_fair_vectors_survive_roundoff(self):
+        # parity at tolerance 0, decided with integer counts: k_b * n_a == k_a * n_b
+        rng = np.random.default_rng(7)
+        for k in range(200):
+            n_a, n_b = self.SIZES[k % len(self.SIZES)]
+            n = n_a + n_b
+            _, params = random_instance(rng)
+            pop = pop_from(["A"] * n_a + ["B"] * n_b, rng.random(n), rng.beta(2.0, 2.0, n))
+            bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+            fair = bits[:, n_a:].sum(axis=1) * n_a == bits[:, :n_a].sum(axis=1) * n_b
+            c = decision_gains(pop, params)
+            best = float(np.max(bits[fair] @ c))
+            res = solve_binary_exact(
+                SolveRequest(pop, params, ConstraintSet.parity(0.0), mode=SolveMode.BINARY_EXACT)
+            )
+            d = res.allocation.values
+            assert d[n_a:].sum() * n_a == d[:n_a].sum() * n_b
+            assert float(c @ d) == pytest.approx(best, rel=1e-12, abs=1e-15)
+
+
+def bit_matrix_oracle(pop, params, constraints):
+    """The enumeration of hermfair 0.6.0, with the round-off allowance.
+
+    Each block of 2**16 masks becomes a bit matrix, and the gains and the
+    gaps of its rows are matrix products.  Returns the first best decision
+    vector in lexicographic order.
+    """
+    n = pop.size
+    c = decision_gains(pop, params)
+    _, rows = constraint_rows(pop, constraints)
+    limit = constraints.tolerance + ROUNDOFF_ALLOWANCE
+    shifts = (n - 1 - np.arange(n)).astype(np.uint64)
+    best_obj, best_mask = -np.inf, -1
+    total = 1 << n
+    step = 1 << min(16, n)
+    for start in range(0, total, step):
+        masks = np.arange(start, min(start + step, total), dtype=np.uint64)
+        d = ((masks[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
+        obj = d @ c
+        if rows.shape[0]:
+            obj = np.where((np.abs(d @ rows.T) <= limit).all(axis=1), obj, -np.inf)
+        idx = int(np.argmax(obj))
+        if obj[idx] > best_obj:
+            best_obj, best_mask = float(obj[idx]), start + idx
+    return ((best_mask >> shifts) & np.uint64(1)).astype(np.float64)
+
+
+class TestOracleReference:
+    ROW_SETS = (
+        ConstraintSet(),
+        ConstraintSet.herm_opportunity(),
+        ConstraintSet(parity_exposure=True, equality_opportunity=True),
+        ConstraintSet.all(),
+    )
+
+    @staticmethod
+    def _case(rng, n, shape):
+        """A population with tied users, duplicate users or a one-user group."""
+        n_a = 1 if shape == "one-user" else int(rng.integers(1, n))
+        p = rng.integers(1, 11, n) / 10.0  # a 1/10 grid ties often
+        rho = rng.integers(1, 11, n) / 10.0
+        if shape == "duplicates":
+            p[n // 2:] = p[: n - n // 2]
+            rho[n // 2:] = rho[: n - n // 2]
+        elif shape == "free":
+            p, rho = rng.random(n), rng.beta(2.0, 2.0, n)
+        pop = pop_from(["A"] * n_a + ["B"] * (n - n_a), p, rho)
+        # beta = alpha * p for a grid value makes gains of exactly zero at gamma = 0
+        params = make_params(gamma=float(rng.choice([0.0, 0.01, 0.2])),
+                             beta_a=float(rng.choice([0.0, 0.06, 0.1])),
+                             beta_b=float(rng.choice([0.04, 0.1, 0.3])))
+        return pop, params
+
+    def _check(self, pop, params, rows, tol):
+        cs = replace(rows, tolerance=tol)
+        res = solve_binary_exact(SolveRequest(pop, params, cs, mode=SolveMode.BINARY_EXACT,
+                                              enumeration_cap=MAX_ENUMERATION_CAP))
+        ref = herm_aware_utility(pop, Allocation.binary(bit_matrix_oracle(pop, params, cs)),
+                                 params)
+        assert res.objective == pytest.approx(ref, rel=1e-12)
+
+    def test_small_instances(self):
+        rng = np.random.default_rng(2027)
+        for k in range(320):
+            shape = ("free", "ties", "duplicates", "one-user")[k % 4]
+            pop, params = self._case(rng, int(rng.integers(2, 13)), shape)
+            self._check(pop, params, self.ROW_SETS[k // 4 % 4], (0.0, 0.05)[k // 16 % 2])
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_several_blocks(self, n):
+        rng = np.random.default_rng(n)
+        for k, rows in enumerate(self.ROW_SETS):
+            pop, params = self._case(rng, n, ("free", "ties", "duplicates", "one-user")[k])
+            for tol in (0.0, 0.05):
+                self._check(pop, params, rows, tol)
 
 
 # ---------------------------------------------------------------- invariants
