@@ -44,7 +44,6 @@ from .scenarios import (
     run_sweep,
 )
 from .solver import (
-    NoFeasibleBinaryError,
     PopulationTooLargeError,
     SolveMode,
     SolveRequest,
@@ -68,4 +67,4 @@ from .stats import (
     wilson_interval,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

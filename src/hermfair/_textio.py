@@ -1,11 +1,13 @@
-"""Opening the text files that the readers and writers accept by path or handle."""
+"""Opening the text files that the readers and writers accept by path or handle,
+and splitting the rows of a large file over the usable CPUs."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import os
-from typing import Iterator
+import pickle
+from typing import Callable, Iterable, Iterator
 
 
 @contextlib.contextmanager
@@ -22,3 +24,84 @@ def open_text(path: str | os.PathLike | io.TextIOBase, mode: str) -> Iterator[io
             yield fh
     else:
         yield path
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def row_ranges(n: int, chunk: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into one contiguous ``(start, stop)`` per usable CPU.
+
+    There are no more ranges than chunks of ``chunk`` rows, so fewer than two
+    chunks, or one usable CPU, give the single range ``(0, n)``.
+    """
+    parts = min(usable_cpus(), -(-n // chunk))
+    if parts < 2:
+        return [(0, n)]
+    bounds = [n * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def forked_map(fn: Callable[[int, int], Iterable], ranges: list[tuple[int, int]]) -> Iterator:
+    """Yield every item of ``fn(start, stop)`` for each range, in range order.
+
+    The first range runs in this process, lazily.  Each other range runs in
+    an ``os.fork()`` child, which collects its items, then pickles them one
+    by one (or the exception ``fn`` raised) to a pipe and leaves by
+    ``os._exit``, so it never returns into the caller's stack.  A child's
+    exception is raised here.  Every child is reaped before this generator
+    ends, also when the caller's own range, or its use of the items, raises.
+
+    ``fn`` must only parse, format and pickle, and never call BLAS: a forked
+    child has none of its parent's threads, and a loaded OpenBLAS keeps a
+    pool of them (Python 3.12 and later warn about such a fork).
+    """
+    children: list[tuple[int, int]] = []  # (read end of the pipe, pid)
+    try:
+        for start, stop in ranges[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                try:
+                    for fd in (read_fd, *(fd for fd, _ in children)):
+                        os.close(fd)
+                    with open(write_fd, "wb") as pipe:
+                        try:
+                            messages = [(True, item) for item in fn(start, stop)]
+                            messages.append((False, None))
+                        except BaseException as exc:
+                            messages = [(False, exc)]
+                        for message in messages:
+                            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((read_fd, pid))
+        yield from fn(*ranges[0])
+        for read_fd, pid in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                while True:
+                    try:
+                        more, value = pickle.load(pipe)
+                    except EOFError:
+                        raise ChildProcessError(f"worker {pid} ended without a result") from None
+                    if not more:
+                        break
+                    yield value
+            if value is not None:  # the exception the child's range raised
+                raise value
+    finally:
+        for read_fd, pid in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)

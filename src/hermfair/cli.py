@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 input error (malformed files, invalid parameters,
 oversized enumeration requests) or a standard output closed before the run
-ends (silently), 2 solver-level failure (no feasible binary vector,
-numerical failure).
+ends (silently), 2 solver-level failure (a numerical failure).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .scenarios import (
 )
 from .solver import (
     MAX_ENUMERATION_CAP,
-    NoFeasibleBinaryError,
     PopulationTooLargeError,
     SolveMode,
     SolveRequest,
@@ -151,7 +149,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         result = solve(req)
     except PopulationTooLargeError as exc:
         raise _InputError(str(exc)) from exc
-    except (NoFeasibleBinaryError, SolverNumericalError) as exc:
+    except SolverNumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

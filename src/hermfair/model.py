@@ -48,12 +48,15 @@ class Population:
     undefined otherwise.
 
     A population also keeps, computed on first use, what its solves share:
-    the per-group slices and masses of ``p`` and ``rho``, and the per-user
-    terms of the last :class:`ModelParams` it was scored with.  The cached
-    arrays are read-only and equality ignores them.
+    the per-group masses and slices of ``p`` and ``rho``, and the gains and
+    the objective's per-user terms for the last :class:`ModelParams` it was
+    scored with.  The cached arrays are read-only and equality ignores them.
     """
 
-    __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b", "_splits", "_terms")
+    __slots__ = (
+        "groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b",
+        "_masses", "_slices", "_gains", "_objective",
+    )
 
     @classmethod
     def from_arrays(
@@ -93,8 +96,10 @@ class Population:
         self.mask_b = mask_b
         self.n_a = n_a
         self.n_b = n_b
-        self._splits = {}
-        self._terms = None
+        self._masses = {}
+        self._slices = {}
+        self._gains = None
+        self._objective = None
         return self
 
     @property
@@ -246,61 +251,60 @@ class ConstraintSet:
         return bool(self.active)
 
 
-class _GroupSplit(NamedTuple):
-    """One per-user weight (``p`` or ``rho``) split by group, with its masses."""
-
-    a: np.ndarray
-    b: np.ndarray
-    mass_a: float
-    mass_b: float
-
-
-def _group_split(pop: Population, name: str) -> _GroupSplit:
-    """The population's ``name`` column (``"p"`` or ``"rho"``) split by group.
-
-    Computed once per population; each mass sums in ascending user order.
-    """
-    split = pop._splits.get(name)
-    if split is None:
+def _group_slices(pop: Population, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The population's ``name`` column (``"p"`` or ``"rho"``) over group A
+    and over group B, read-only; computed once per population."""
+    slices = pop._slices.get(name)
+    if slices is None:
         w = getattr(pop, name)
-        wa = w[pop.mask_a]
-        wb = w[pop.mask_b]
-        wa.flags.writeable = False
-        wb.flags.writeable = False
-        split = _GroupSplit(wa, wb, float(wa.sum()), float(wb.sum()))
-        pop._splits[name] = split
-    return split
+        slices = pop._slices[name] = (w[pop.mask_a], w[pop.mask_b])
+        for arr in slices:
+            arr.flags.writeable = False
+    return slices
 
 
-class _Terms(NamedTuple):
-    """Per-user terms of one (population, parameters) pair, all read-only."""
+def _group_masses(pop: Population, name: str) -> tuple[float, float]:
+    """The totals of the population's ``name`` column over group A and over
+    group B, each summed in ascending user order.
+
+    Computed once per population, without keeping the group slices: a solve
+    needs only the masses, and the gap functions only after it returns.
+    """
+    masses = pop._masses.get(name)
+    if masses is None:
+        w = getattr(pop, name)
+        masses = pop._masses[name] = (float(w[pop.mask_a].sum()), float(w[pop.mask_b].sum()))
+    return masses
+
+
+class _Objective(NamedTuple):
+    """Per-user terms of the objective for one parameter object, read-only."""
 
     params: ModelParams
-    gains: np.ndarray
     shown: np.ndarray  # alpha * p
     beta: np.ndarray
     uptake_cost: np.ndarray  # -theta * rho + omega * (1 - rho)
 
 
-def _terms(pop: Population, params: ModelParams) -> _Terms:
-    """The per-user terms for ``params``; the population keeps the last set.
+def _objective_terms(pop: Population, params: ModelParams, keep: bool = True) -> _Objective:
+    """The per-user objective terms for ``params``.
 
-    The entry is matched by identity, so every solve on one population with
-    one parameter object evaluates these formulas once.
+    The population keeps the last set (unless ``keep`` is false), matched by
+    identity, so every objective on one population with one parameter object
+    evaluates these formulas once.
     """
-    terms = pop._terms
+    terms = pop._objective
     if terms is None or terms.params is not params:
         beta = np.where(pop.mask_a, params.beta_a, params.beta_b)
         theta = np.where(pop.mask_a, params.theta_a, params.theta_b)
         omega = np.where(pop.mask_a, params.omega_a, params.omega_b)
         shown = params.alpha * pop.p
         uptake_cost = -theta * pop.rho + omega * (1.0 - pop.rho)
-        # xi - uptake_cost is bit for bit theta * rho - omega * (1 - rho) + xi:
-        # rounding is symmetric, so -a + b is exactly -(a - b)
-        gains = shown - beta + params.gamma * (params.xi - uptake_cost)
-        for arr in (gains, shown, beta, uptake_cost):
+        for arr in (shown, beta, uptake_cost):
             arr.flags.writeable = False
-        terms = pop._terms = _Terms(params, gains, shown, beta, uptake_cost)
+        terms = _Objective(params, shown, beta, uptake_cost)
+        if keep:
+            pop._objective = terms
     return terms
 
 
@@ -315,14 +319,14 @@ def _check_aligned(pop: Population, alloc: Allocation) -> np.ndarray:
 def economic_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user economic utilities, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    terms = _terms(pop, params)
+    terms = _objective_terms(pop, params)
     return float((terms.shown * d + terms.beta * (1.0 - d)).sum())
 
 
 def hermeneutical_cost(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user interpretative costs, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    terms = _terms(pop, params)
+    terms = _objective_terms(pop, params)
     return float((terms.uptake_cost * d + params.xi * (1.0 - d)).sum())
 
 
@@ -344,9 +348,18 @@ def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
     The combined objective is ``sum(gain * d)`` plus a decision-independent
     constant, so the unconstrained optimum shows exactly the users with
     non-negative gain.  The returned array is read-only and shared by every
-    call with the same population and parameter object.
+    call with the same population and parameter object; the objective's own
+    terms are not kept for it, so a solve does not hold them.
     """
-    return _terms(pop, params).gains
+    cached = pop._gains
+    if cached is None or cached[0] is not params:
+        terms = _objective_terms(pop, params, keep=False)
+        # xi - uptake_cost is bit for bit theta * rho - omega * (1 - rho) + xi:
+        # rounding is symmetric, so -a + b is exactly -(a - b)
+        gains = terms.shown - terms.beta + params.gamma * (params.xi - terms.uptake_cost)
+        gains.flags.writeable = False
+        cached = pop._gains = (params, gains)
+    return cached[1]
 
 
 def parity_gap(pop: Population, alloc: Allocation) -> float:
@@ -362,11 +375,12 @@ def parity_gap(pop: Population, alloc: Allocation) -> float:
 
 
 def _weighted_gap(pop: Population, d: np.ndarray, column: str, name: str) -> float:
-    w = _group_split(pop, column)
-    if w.mass_a <= 0.0 or w.mass_b <= 0.0:
+    mass_a, mass_b = _group_masses(pop, column)
+    if mass_a <= 0.0 or mass_b <= 0.0:
         raise DegenerateGroupError(f"a group has zero total {name}; ratio undefined")
-    share_b = float((d[pop.mask_b] * w.b).sum()) / w.mass_b
-    share_a = float((d[pop.mask_a] * w.a).sum()) / w.mass_a
+    w_a, w_b = _group_slices(pop, column)
+    share_b = float((d[pop.mask_b] * w_b).sum()) / mass_b
+    share_a = float((d[pop.mask_a] * w_a).sum()) / mass_a
     return share_b - share_a
 
 

@@ -14,16 +14,18 @@ archiving results, since distribution algorithms are pinned per release.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
+from . import _textio
 from ._textio import open_text
 from .model import Population
 
@@ -143,7 +145,8 @@ def subseed(base_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# Rows formatted per ``write`` call: the writers' memory does not grow with n.
+# Rows formatted per ``write`` call: the writing process's memory does not
+# grow with n (a forked child holds the text of its range until it is read).
 _WRITE_CHUNK_ROWS = 1 << 16
 
 
@@ -155,20 +158,29 @@ def _write_csv(
 
     Floats carry 17 significant digits and lines end in ``\\r\\n``: the bytes
     ``csv.writer`` gives for the same rows (labels are ``A``/``B``, which it
-    never quotes).  Each chunk of rows is formatted by one ``%`` operation.
+    never quotes).  Each chunk of rows is formatted by one ``%`` operation;
+    the chunks of a file of more than one chunk are formatted on every
+    usable CPU (``_textio.forked_map``) and written in order.
     """
     width = 1 + len(columns)
     row = "%s" + ",%.17g" * len(columns) + "\r\n"
-    with open_text(path, "w") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, groups.size, _WRITE_CHUNK_ROWS):
-            stop = start + _WRITE_CHUNK_ROWS
-            labels = groups[start:stop].tolist()
-            cells = [None] * (width * len(labels))
-            cells[0::width] = labels
+
+    def format_rows(start: int, stop: int) -> Iterator[str]:
+        for lo in range(start, stop, _WRITE_CHUNK_ROWS):
+            hi = min(lo + _WRITE_CHUNK_ROWS, stop)
+            cells = [None] * (width * (hi - lo))
+            cells[0::width] = groups[lo:hi].tolist()
             for k, column in enumerate(columns, start=1):
-                cells[k::width] = column[start:stop].tolist()
-            fh.write((row * len(labels)) % tuple(cells))
+                cells[k::width] = column[lo:hi].tolist()
+            yield (row * (hi - lo)) % tuple(cells)
+
+    ranges = _textio.row_ranges(groups.size, _WRITE_CHUNK_ROWS)
+    with open_text(path, "w") as fh, contextlib.closing(
+        _textio.forked_map(format_rows, ranges)
+    ) as chunks:
+        fh.write(",".join(header) + "\r\n")
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def population_to_csv(pop: Population, path: str | Path | io.TextIOBase) -> None:
@@ -220,20 +232,71 @@ def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
         )
     if not body or body.isspace():
         raise ValueError("population CSV contains no user rows")
-    table = _load_rows(body)
-    if table is not None:
-        labels = table["group"].tolist()
-        names = {label: label.strip() for label in set(labels)}
-        p, rho = table["p"], table["rho"]
-        if set(names.values()) <= {"A", "B"} and (
-            (p >= 0.0) & (p <= 1.0) & (rho >= 0.0) & (rho <= 1.0)
-        ).all():
-            if all(label == name for label, name in names.items()):
-                groups = table["group"].astype("U1")
-            else:
-                groups = np.array([names[label] for label in labels], dtype="U1")
-            return Population.from_arrays(groups, p, rho)
-    _raise_first_bad_line(text)
+    columns = _read_split(body) if '"' not in body else None
+    if columns is None:
+        table = _load_rows(body)
+        columns = _accepted(table) if table is not None else None
+    if columns is None:
+        _raise_first_bad_line(text)
+    return Population.from_arrays(*columns)
+
+
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]  # groups (U1), p, rho
+
+
+def _accepted(table: np.ndarray) -> _Columns | None:
+    """The parsed rows' labels, ``p`` and ``rho``, or ``None`` if a label or
+    a value is out of range.  Labels are checked whole, before the cast."""
+    labels = table["group"].tolist()
+    names = {label: label.strip() for label in set(labels)}
+    p, rho = table["p"], table["rho"]
+    if not set(names.values()) <= {"A", "B"} or not (
+        (p >= 0.0) & (p <= 1.0) & (rho >= 0.0) & (rho <= 1.0)
+    ).all():
+        return None
+    if all(label == name for label, name in names.items()):
+        groups = table["group"].astype("U1")
+    else:
+        groups = np.array([names[label] for label in labels], dtype="U1")
+    return groups, p, rho
+
+
+def _read_split(body: str) -> _Columns | None:
+    """The accepted rows of a file of more than one chunk, parsed on every
+    usable CPU, or ``None`` when it is not split or a range is rejected.
+
+    The body is cut after ``\\n`` characters into one range per CPU; a
+    range's rows are parsed and checked (``_accepted``) where it runs, so
+    only compact arrays are pickled.  The checks hold row by row, so the
+    ranges pass them all exactly when the whole body does.
+    """
+    if _textio.usable_cpus() < 2:  # skip counting the lines
+        return None
+    lines = body.count("\n")
+    spans = _textio.row_ranges(lines, _WRITE_CHUNK_ROWS)
+    if len(spans) < 2:
+        return None
+    cuts = [0]
+    for start, _ in spans[1:]:
+        cut = body.find("\n", len(body) * start // lines) + 1
+        if cuts[-1] < cut < len(body):
+            cuts.append(cut)
+    cuts.append(len(body))
+
+    def parse(start: int, stop: int) -> Iterator[_Columns | None]:
+        rows = body[start:stop]
+        if rows.isspace():  # np.loadtxt warns on a range with no rows
+            yield np.empty(0, "U1"), np.empty(0), np.empty(0)
+            return
+        try:
+            yield _accepted(_loadtxt(rows))
+        except ValueError:
+            yield None
+
+    parts = list(_textio.forked_map(parse, list(zip(cuts, cuts[1:]))))
+    if any(part is None for part in parts):
+        return None
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _load_rows(body: str) -> np.ndarray | None:

@@ -51,7 +51,7 @@ from .model import (
     DegenerateGroupError,
     ModelParams,
     Population,
-    _group_split,
+    _group_masses,
     decision_gains,
     eho_gap,
     eo_gap,
@@ -65,7 +65,6 @@ __all__ = [
     "SolveRequest",
     "SolveResult",
     "PopulationTooLargeError",
-    "NoFeasibleBinaryError",
     "SolverNumericalError",
     "constraint_rows",
     "threshold_rule",
@@ -112,10 +111,6 @@ _DEDUP_EPS = 1e-12
 
 class PopulationTooLargeError(ValueError):
     """The population exceeds the exhaustive-enumeration cap."""
-
-
-class NoFeasibleBinaryError(RuntimeError):
-    """No binary vector satisfies every active constraint at the tolerance."""
 
 
 class SolverNumericalError(RuntimeError):
@@ -187,13 +182,13 @@ def constraint_rows(
         if column is None:  # plain exposure counts
             row = np.where(pop.mask_a, -1.0 / pop.n_a, 1.0 / pop.n_b)
         else:
-            split = _group_split(pop, column)
-            if split.mass_a <= 0.0 or split.mass_b <= 0.0:
+            mass_a, mass_b = _group_masses(pop, column)
+            if mass_a <= 0.0 or mass_b <= 0.0:
                 raise DegenerateGroupError(
                     f"constraint {name} undefined: a group has zero total weight"
                 )
             weights = getattr(pop, column)
-            row = np.where(pop.mask_a, -weights / split.mass_a, weights / split.mass_b)
+            row = np.where(pop.mask_a, -weights / mass_a, weights / mass_b)
         for kept in rows:
             if np.max(np.abs(kept - row)) <= _DEDUP_EPS:
                 return
@@ -580,9 +575,11 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
     ``(1 + m) * 2**16`` floats for ``m`` retained rows, plus the high
     users' sums, ``(1 + m) * 2**(n - 16)`` floats.
 
+    The show-none vector meets every gap exactly (its sums are ``0.0``), so
+    some vector is always feasible.
+
     Raises:
         PopulationTooLargeError: population exceeds ``enumeration_cap``.
-        NoFeasibleBinaryError: the tolerance excludes every binary vector.
     """
     pop, params = req.population, req.params
     n = pop.size
@@ -592,8 +589,7 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
         )
     c = decision_gains(pop, params)
     _, rows = constraint_rows(pop, req.constraints)
-    tol = req.constraints.tolerance
-    limit = tol + ROUNDOFF_ALLOWANCE
+    limit = req.constraints.tolerance + ROUNDOFF_ALLOWANCE
 
     # row 0 is the gain, rows 1.. the gaps
     vectors = np.vstack([c, rows])
@@ -601,7 +597,7 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
     low = _subset_sums(vectors[:, n - h:])
     high = _subset_sums(vectors[:, :n - h])
     best_obj = -np.inf
-    best_mask = -1
+    best_mask = 0
     for block in range(high.shape[1]):
         obj = low[0] + high[0, block]
         if rows.shape[0]:
@@ -614,10 +610,6 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
         if obj[idx] > best_obj:
             best_obj = float(obj[idx])
             best_mask = (block << h) + idx
-    if best_mask < 0:
-        raise NoFeasibleBinaryError(
-            f"no binary vector satisfies the active constraints at tolerance {tol}"
-        )
     values = ((best_mask >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
     return _build_result(pop, params, values, req.constraints)
 

@@ -398,12 +398,22 @@ class TestPopulationCache:
         herm_aware_utility(pop, Allocation(np.ones(pop.size)), params)
         eo_gap(pop, Allocation(np.ones(pop.size)))
         constraint_rows(pop, ConstraintSet.all())
-        cached = [*pop._terms[1:], *(a for split in pop._splits.values() for a in split[:2])]
-        assert len(cached) == 8
+        cached = [pop._gains[1], *pop._objective[1:], *pop._slices["p"]]
+        assert len(cached) == 6
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.5
+
+    def test_a_solve_holds_gains_and_masses_only(self):
+        from hermfair.solver import constraint_rows
+
+        pop = self._population()
+        decision_gains(pop, make_params())
+        constraint_rows(pop, ConstraintSet.all())
+        assert pop._objective is None and not pop._slices
+        assert sorted(pop._masses) == ["p", "rho"]
+        assert all(type(m) is float for masses in pop._masses.values() for m in masses)
 
     def test_equality_ignores_the_cache(self):
         pop = self._population()

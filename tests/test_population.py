@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import io
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import hermfair.population
+from hermfair import _textio
 from hermfair.model import Population
 from hermfair.population import (
     ClickConfig,
@@ -346,3 +350,170 @@ def test_caller_handles_stay_open():
     table_to_csv(table, fh)
     fh.seek(0)
     assert table_from_csv(fh).row_labels == ("r1", "r2") and not fh.closed
+
+
+# ------------------------------------------------------------- split I/O
+
+@contextlib.contextmanager
+def split_io(cpus, chunk_rows=4):
+    """Pin the usable CPUs and the chunk size; yield the range count of each
+    ``forked_map`` call."""
+    calls = []
+    real = _textio.forked_map
+
+    def spy(fn, ranges):
+        calls.append(len(ranges))
+        return real(fn, ranges)
+
+    with mock.patch.object(_textio, "usable_cpus", lambda: cpus), \
+            mock.patch.object(hermfair.population, "_WRITE_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(_textio, "forked_map", spy):
+        yield calls
+
+
+def read_outcome(text, cpus):
+    """What reading ``text`` gives: the arrays, or the error message."""
+    try:
+        with split_io(cpus) as calls:
+            pop = read_text(text)
+    except ValueError as exc:
+        return ("error", str(exc)), calls
+    return ("ok", pop.groups.tolist(), pop.p.tobytes(), pop.rho.tobytes()), calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+GOOD_ROW = "A,0.5,0.5\r\n"
+
+# The bodies of the TestCsvRoundTrip and TestCsvDialect cases
+DIALECT_CASES = [
+    "A,0.5,0.5\nC,0.5,0.5\n",
+    "A,0.5,0.5\nApple,0.5,0.5\nB,0.5,0.5\n",
+    "A,1.5,0.5\nB,0.5,0.5\n",
+    "A,x,0.5\nB,0.5,0.5\n",
+    "\nA,0.5,0.25\n   \n\t\nB,0.125,1\n\n",
+    "A,0.5,0.5\n\nB,2,0.5\n",
+    "A,0.5,0.5\n  \n\t\nB,x,0.5\n",
+    "A,0.5,0.25\r\nB,0.125,1\n",
+    "A,0.5,0.25\r\nC,0.125,1\n",
+    "A,0.5,0.25\r\rB,0.125,1\r",
+    "A,0.5,0.25\r\rB,0.125\r",
+    '"A","0.5",0.25\nB,"0.125"," 1 "\n',
+    'A,0.5,0.5\n"A,B",0.5,0.5\n',
+    'A,0.5,0.5\n""\nB,0.5,0.5\n',
+    " A ,\t0.5 , 0.25\n\tB\t, 1e-3,0 \n",
+    *(f"A,0.5,0.5\n\n{row}\nB,0.5,0.5\n" for row in (
+        "B,nan,0.5", "B,0.5,inf", "B,-inf,0.5", "B,0.5 # c,0.5", "B,0.000_1,0.5",
+        "B,0.5", "B,0.5,0.5,1")),
+    f"A,0.5,0.5\n  {'Anonymous-' * 20}  ,0.5,0.5\n",
+]
+
+
+class TestSplitIO:
+    """Files of several chunks, read and written on 2 or 3 CPUs, give what
+    one CPU gives: the same bytes, arrays, messages and line numbers."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_writer_bytes(self, n, tmp_path):
+        groups = np.array(["A", "B"] * 10)[:n]
+        columns = np.linspace(0.0, 1.0, n) / 3, np.linspace(1.0, 0.0, n) / 7, np.r_[0.0:1.0:20j][:n]
+        header = ("group", "p", "rho", "decision")
+        outputs = []
+        for cpus in (1, 2, 3):
+            with split_io(cpus) as calls:
+                path = tmp_path / f"alloc-{cpus}.csv"
+                hermfair.population._write_csv(path, header, groups, *columns)
+                handle = io.StringIO(newline="")
+                hermfair.population._write_csv(handle, header, groups, *columns)
+            outputs.append((path.read_bytes(), handle.getvalue()))
+            assert calls == [min(cpus, -(-n // 4))] * 2
+        assert outputs[0][0] == reference_csv(header, groups, *columns).encode()
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_round_trip(self, cpus):
+        pop = sample_population(spec(n_a=23, n_b=18, seed=5))
+        with split_io(cpus) as calls:
+            buf = io.StringIO()
+            population_to_csv(pop, buf)
+            buf.seek(0)
+            back = population_from_csv(buf)
+        assert calls == [cpus, cpus]
+        assert back == pop and back.groups.dtype == pop.groups.dtype
+        assert back.p.tobytes() == pop.p.tobytes() and back.rho.tobytes() == pop.rho.tobytes()
+
+    @pytest.mark.parametrize("case", DIALECT_CASES)
+    @pytest.mark.parametrize("where", ["caller", "child"])
+    def test_dialect_cases_agree(self, case, where):
+        pad = GOOD_ROW * 24
+        body = case + pad if where == "caller" else pad + case
+        text = "group,p,rho\n" + body
+        serial, _ = read_outcome(text, 1)
+        for cpus in (2, 3):
+            split, calls = read_outcome(text, cpus)
+            assert split == serial
+            # quoted files are read serially; a long last line can merge two cuts
+            assert (calls == []) if '"' in body else (2 <= calls[0] <= cpus)
+        if where == "child" and serial[0] == "error" and serial[1].startswith("line "):
+            assert int(serial[1].split(":")[0][5:]) > 25  # numbered past the padding
+        assert_no_child_left()
+
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on a range of no rows
+    @pytest.mark.parametrize("gap", ["\n" * 100, "\r\n" * 100, "  \n\t\n" * 50, "\n \n" * 50])
+    def test_blank_lines_at_range_boundaries(self, gap):
+        # on 3 CPUs the middle range holds only blank lines
+        text = "group,p,rho\n" + GOOD_ROW * 2 + gap + "B,0.25,0.75\n" * 2
+        serial, _ = read_outcome(text, 1)
+        assert serial[0] == "ok" and len(serial[1]) == 4
+        for cpus in (2, 3):
+            split, calls = read_outcome(text, cpus)
+            assert split == serial and calls == [cpus]
+
+    def test_reader_rejection_leaves_no_child(self):
+        text = "group,p,rho\n" + GOOD_ROW * 30 + "B,0.5,2\n"
+        with split_io(2) as calls, pytest.raises(ValueError, match="^line 32: rho must"):
+            read_text(text)
+        assert calls == [2]
+        assert_no_child_left()
+
+    def test_failing_handle_leaves_no_child(self):
+        pop = sample_population(spec(n_a=10, n_b=10, seed=2))
+
+        class Failing(io.StringIO):
+            def write(self, text):
+                if self.tell() > 100:
+                    raise OSError("disk full")
+                return super().write(text)
+
+        with split_io(3) as calls, pytest.raises(OSError, match="disk full"):
+            population_to_csv(pop, Failing())
+        assert calls == [3]
+        assert_no_child_left()
+
+    def test_child_exception_reaches_the_caller(self):
+        def fn(start, stop):
+            if start:
+                raise KeyError(f"rows {start}-{stop}")
+            yield start
+
+        with pytest.raises(KeyError, match="rows 2-4"):
+            list(_textio.forked_map(fn, [(0, 2), (2, 4)]))
+        assert_no_child_left()
+        assert list(_textio.forked_map(lambda a, b: range(a, b), [(0, 2), (2, 5), (5, 6)])) == [
+            0, 1, 2, 3, 4, 5]
+        assert_no_child_left()
+
+
+@given(populations())
+def test_csv_round_trip_split(pop):
+    with split_io(3):
+        buf = io.StringIO()
+        population_to_csv(pop, buf)
+        buf.seek(0)
+        back = population_from_csv(buf)
+    assert back == pop
+    assert back.p.tobytes() == pop.p.tobytes() and back.rho.tobytes() == pop.rho.tobytes()

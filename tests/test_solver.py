@@ -31,7 +31,6 @@ from hermfair.solver import (
     MAX_ENUMERATION_CAP,
     RESIDUAL_BOUND,
     ROUNDOFF_ALLOWANCE,
-    NoFeasibleBinaryError,
     PopulationTooLargeError,
     SolverNumericalError,
     SolveMode,
@@ -679,10 +678,7 @@ class TestDifferential:
             for name in req.constraints.active:
                 assert abs(res.gaps[gap_of[name]]) <= req.constraints.tolerance + RESIDUAL_BOUND
         if req.population.size <= 12:
-            try:
-                oracle = solve_binary_exact(replace(req, mode=SolveMode.BINARY_EXACT))
-            except NoFeasibleBinaryError:
-                return
+            oracle = solve_binary_exact(replace(req, mode=SolveMode.BINARY_EXACT))
             assert auto.objective >= oracle.objective - 1e-9
 
 
@@ -716,6 +712,22 @@ class TestBinaryExact:
         d = res.allocation.values
         assert d[:2].sum() == d[2:].sum()  # equal group counts enforced
         assert d.sum() == 4.0  # all positive gains, so everyone is shown
+
+    def test_show_none_is_always_feasible(self):
+        # with 2 and 3 users, equal shares k_a / 2 == k_b / 3 need no user or
+        # every user; showing everyone loses, so only show-none is left
+        pop = pop_from(["A", "A", "B", "B", "B"], [0.5, 0.0, 0.0, 0.0, 0.0], [0.5] * 5)
+        params = make_params()
+        c = decision_gains(pop, params)
+        assert c[0] > 0.0 and c.sum() < 0.0
+        bits = (np.arange(1 << 5)[:, None] >> np.arange(5)) & 1
+        fair = bits[:, 2:].sum(axis=1) * 2 == bits[:, :2].sum(axis=1) * 3
+        assert np.flatnonzero(fair).tolist() == [0, 31]
+        res = solve_binary_exact(
+            SolveRequest(pop, params, ConstraintSet.parity(0.0), mode=SolveMode.BINARY_EXACT)
+        )
+        assert res.allocation.values.tolist() == [0.0] * 5
+        assert res.parity_gap == 0.0 and res.status is SolveStatus.OPTIMAL
 
     def test_lexicographic_tie_break(self):
         # two users with identical zero gain: beta = alpha * p makes both sides tie
