@@ -7,6 +7,7 @@ import contextlib
 import io
 import os
 import pickle
+import warnings
 from typing import Callable, Iterable, Iterator
 
 
@@ -27,12 +28,9 @@ def open_text(path: str | os.PathLike | io.TextIOBase, mode: str) -> Iterator[io
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs this process may run on, where ``os.sched_getaffinity``
+    tells; elsewhere 1, so platforms without it never fork here."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def row_ranges(n: int, chunk: int) -> list[tuple[int, int]]:
@@ -48,6 +46,11 @@ def row_ranges(n: int, chunk: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+# The start of the warning Python 3.12 and later give on os.fork() in a
+# process with other threads
+_FORK_WITH_THREADS = r"This process .*is multi-threaded, use of fork\(\)"
+
+
 def forked_map(fn: Callable[[int, int], Iterable], ranges: list[tuple[int, int]]) -> Iterator:
     """Yield every item of ``fn(start, stop)`` for each range, in range order.
 
@@ -60,15 +63,20 @@ def forked_map(fn: Callable[[int, int], Iterable], ranges: list[tuple[int, int]]
 
     ``fn`` must only parse, format and pickle, and never call BLAS: a forked
     child has none of its parent's threads, and a loaded OpenBLAS keeps a
-    pool of them (Python 3.12 and later warn about such a fork).
+    pool of them.  Python 3.12 and later warn (``DeprecationWarning``) on
+    every fork of a process with other threads; since the children never
+    touch those threads' state, that one warning is silenced here.
     """
     children: list[tuple[int, int]] = []  # (read end of the pipe, pid)
     try:
         for start, stop in ranges[1:]:
             read_fd, write_fd = os.pipe()
             try:
-                pid = os.fork()
-            except OSError:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", _FORK_WITH_THREADS, DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
                 os.close(read_fd)
                 os.close(write_fd)
                 raise

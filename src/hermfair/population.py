@@ -288,6 +288,7 @@ def _read_split(body: str) -> _Columns | None:
         if rows.isspace():  # np.loadtxt warns on a range with no rows
             yield np.empty(0, "U1"), np.empty(0), np.empty(0)
             return
+        rows = rows.encode()  # the slice is freed before the parse
         try:
             yield _accepted(_loadtxt(rows))
         except ValueError:
@@ -317,11 +318,13 @@ def _load_rows(body: str) -> np.ndarray | None:
         return None
 
 
-def _loadtxt(rows: str) -> np.ndarray:
+def _loadtxt(rows: str | bytes) -> np.ndarray:
     # UTF-8 bytes, decoded line by line: io.StringIO would hold four bytes
     # per character
+    if isinstance(rows, str):
+        rows = rows.encode()
     return np.loadtxt(
-        io.BytesIO(rows.encode()), dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
+        io.BytesIO(rows), dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
         comments=None, ndmin=1, encoding="utf-8",
     )
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -505,6 +506,51 @@ class TestSplitIO:
         assert_no_child_left()
         assert list(_textio.forked_map(lambda a, b: range(a, b), [(0, 2), (2, 5), (5, 6)])) == [
             0, 1, 2, 3, 4, 5]
+        assert_no_child_left()
+
+    @pytest.mark.filterwarnings("error")
+    def test_fork_warning_is_silenced(self):
+        # Python 3.12 and later warn in the parent, after the child exists,
+        # when the forking process has other threads (as OpenBLAS's pool)
+        real_fork = os.fork
+
+        def fork_and_warn():
+            pid = real_fork()
+            if pid:
+                warnings.warn(
+                    f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                    "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        with mock.patch.object(_textio.os, "fork", fork_and_warn):
+            items = list(_textio.forked_map(lambda a, b: range(a, b), [(0, 2), (2, 4), (4, 5)]))
+        assert items == [0, 1, 2, 3, 4]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [OSError(11, "Resource temporarily unavailable"),
+                                       KeyboardInterrupt()])
+    def test_failed_fork_closes_its_pipe_and_reaps_the_rest(self, error):
+        real_fork, real_pipe = os.fork, os.pipe
+        forks, fds = [], []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise error
+            return real_fork()
+
+        def pipe():
+            fds.extend(real_pipe())
+            return fds[-2:]
+
+        with mock.patch.object(_textio.os, "fork", fork_once), \
+                mock.patch.object(_textio.os, "pipe", pipe), \
+                pytest.raises(type(error)):
+            list(_textio.forked_map(lambda a, b: range(a, b), [(0, 2), (2, 4), (4, 5)]))
+        assert len(forks) == 2 and len(fds) == 4
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
         assert_no_child_left()
 
 
