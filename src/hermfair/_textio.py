@@ -1,5 +1,5 @@
 """Opening the text files that the readers and writers accept by path or handle,
-and splitting the rows of a large file over the usable CPUs."""
+their number rule, and splitting the rows of a large file over the usable CPUs."""
 
 from __future__ import annotations
 
@@ -25,6 +25,15 @@ def open_text(path: str | os.PathLike | io.TextIOBase, mode: str) -> Iterator[io
             yield fh
     else:
         yield path
+
+
+def ascii_number(field: str, kind: Callable[[str], float]) -> float:
+    """``kind`` of the stripped field, which must be ASCII with no ``_``, as
+    ``np.loadtxt`` reads it: ``int`` and ``float`` also take ``"1_0"`` and ``"٣"``."""
+    field = field.strip()
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return kind(field)
 
 
 def usable_cpus() -> int:

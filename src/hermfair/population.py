@@ -214,6 +214,9 @@ def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
     ASCII decimals (``nan`` and ``inf`` parse, and are rejected as out of
     range).  Line ends may be ``\\n``, ``\\r\\n`` or ``\\r``.
 
+    Each range of rows (``_row_offsets``) is parsed and checked where it
+    runs, so only compact arrays are pickled; the checks hold row by row.
+
     Raises:
         ValueError: malformed header, labels, or out-of-range values, with
             the offending line number in the message.
@@ -223,22 +226,52 @@ def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
     if not text:
         raise ValueError("empty population CSV")
     end = _LINE_END.search(text)
-    header_line, body = (text[: end.start()], text[end.end():]) if end else (text, "")
-    header = next(csv.reader([header_line]), [])
+    begin = end.end() if end else len(text)
+    header = next(csv.reader([text[: end.start() if end else begin]]), [])
     if tuple(h.strip() for h in header) != POPULATION_CSV_HEADER:
         raise ValueError(
             f"line 1: expected header {','.join(POPULATION_CSV_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
-    if not body or body.isspace():
-        raise ValueError("population CSV contains no user rows")
-    columns = _read_split(body) if '"' not in body else None
-    if columns is None:
-        table = _load_rows(body)
-        columns = _accepted(table) if table is not None else None
-    if columns is None:
+
+    def parse(start: int, stop: int) -> list[_Columns | None]:
+        rows = text[start:stop]
+        if not rows or rows.isspace():  # np.loadtxt warns on input with no rows
+            return [(np.empty(0, "U1"), np.empty(0), np.empty(0))]
+        try:
+            rows = rows.encode()  # the slice is freed before the parse
+        except UnicodeEncodeError:  # a lone surrogate, from a text handle
+            return [None]
+        table = _load_rows(rows)
+        return [_accepted(table) if table is not None else None]
+
+    parts = list(_textio.forked_map(parse, _row_offsets(text, begin)))
+    if any(part is None for part in parts):
         _raise_first_bad_line(text)
-    return Population.from_arrays(*columns)
+    groups, p, rho = (np.concatenate(column) for column in zip(*parts))
+    if not p.size:
+        raise ValueError("population CSV contains no user rows")
+    return Population.from_arrays(groups, p, rho)
+
+
+def _row_offsets(text: str, begin: int) -> list[tuple[int, int]]:
+    """The rows from offset ``begin`` on, cut after ``\\n`` characters into
+    ``(start, stop)`` ranges of ``text``: one per usable CPU, and no more
+    than one per chunk of rows.
+
+    Rows holding a ``"`` (a quoted field may span lines) or no ``\\n`` are
+    one range, and so are all rows on one CPU, which skips counting lines.
+    """
+    if _textio.usable_cpus() < 2 or text.find('"', begin) >= 0:
+        return [(begin, len(text))]
+    lines = text.count("\n", begin)
+    cuts = [begin]
+    for start, _ in _textio.row_ranges(lines, _WRITE_CHUNK_ROWS)[1:]:
+        cut = text.find("\n", begin + (len(text) - begin) * start // lines) + 1
+        if cuts[-1] < cut < len(text):
+            cuts.append(cut)
+    cuts.append(len(text))
+    return list(zip(cuts, cuts[1:]))
 
 
 _Columns = tuple[np.ndarray, np.ndarray, np.ndarray]  # groups (U1), p, rho
@@ -261,80 +294,33 @@ def _accepted(table: np.ndarray) -> _Columns | None:
     return groups, p, rho
 
 
-def _read_split(body: str) -> _Columns | None:
-    """The accepted rows of a file of more than one chunk, parsed on every
-    usable CPU, or ``None`` when it is not split or a range is rejected.
-
-    The body is cut after ``\\n`` characters into one range per CPU; a
-    range's rows are parsed and checked (``_accepted``) where it runs, so
-    only compact arrays are pickled.  The checks hold row by row, so the
-    ranges pass them all exactly when the whole body does.
-    """
-    if _textio.usable_cpus() < 2:  # skip counting the lines
-        return None
-    lines = body.count("\n")
-    spans = _textio.row_ranges(lines, _WRITE_CHUNK_ROWS)
-    if len(spans) < 2:
-        return None
-    cuts = [0]
-    for start, _ in spans[1:]:
-        cut = body.find("\n", len(body) * start // lines) + 1
-        if cuts[-1] < cut < len(body):
-            cuts.append(cut)
-    cuts.append(len(body))
-
-    def parse(start: int, stop: int) -> Iterator[_Columns | None]:
-        rows = body[start:stop]
-        if rows.isspace():  # np.loadtxt warns on a range with no rows
-            yield np.empty(0, "U1"), np.empty(0), np.empty(0)
-            return
-        rows = rows.encode()  # the slice is freed before the parse
-        try:
-            yield _accepted(_loadtxt(rows))
-        except ValueError:
-            yield None
-
-    parts = list(_textio.forked_map(parse, list(zip(cuts, cuts[1:]))))
-    if any(part is None for part in parts):
-        return None
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _load_rows(body: str) -> np.ndarray | None:
-    """The user rows parsed in C, or ``None`` if they break the dialect.
+def _load_rows(rows: bytes) -> np.ndarray | None:
+    """The UTF-8 user rows parsed in C, or ``None`` if they break the dialect.
 
     ``np.loadtxt`` takes neither whitespace-only lines nor lone ``\\r`` line
-    ends; a file that has them is normalised and parsed a second time.
+    ends; rows that have them are decoded, normalised (so that Unicode
+    whitespace counts) and parsed a second time.
     """
     try:
-        return _loadtxt(body)
+        return _loadtxt(rows)
     except ValueError:
-        normalised = _WHITESPACE_LINE.sub("", body.replace("\r\n", "\n").replace("\r", "\n"))
-    if normalised == body:
+        text = rows.decode()
+    normalised = _WHITESPACE_LINE.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
+    if normalised == text:
         return None
     try:
-        return _loadtxt(normalised)
+        return _loadtxt(normalised.encode())
     except ValueError:
         return None
 
 
-def _loadtxt(rows: str | bytes) -> np.ndarray:
+def _loadtxt(rows: bytes) -> np.ndarray:
     # UTF-8 bytes, decoded line by line: io.StringIO would hold four bytes
     # per character
-    if isinstance(rows, str):
-        rows = rows.encode()
     return np.loadtxt(
         io.BytesIO(rows), dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
         comments=None, ndmin=1, encoding="utf-8",
     )
-
-
-def _number(field: str) -> float:
-    """``float(field)`` on what ``np.loadtxt`` also parses: ASCII, no ``_``."""
-    field = field.strip()
-    if not field.isascii() or "_" in field:
-        raise ValueError(field)
-    return float(field)
 
 
 def _raise_first_bad_line(text: str) -> NoReturn:
@@ -354,7 +340,7 @@ def _raise_first_bad_line(text: str) -> NoReturn:
         if g not in ("A", "B"):
             raise ValueError(f"line {lineno}: group must be 'A' or 'B', got {g!r}")
         try:
-            pv, rv = _number(row[1]), _number(row[2])
+            pv, rv = (_textio.ascii_number(field, float) for field in row[1:])
         except ValueError:
             raise ValueError(f"line {lineno}: p and rho must be numbers") from None
         for name, v in (("p", pv), ("rho", rv)):

@@ -20,7 +20,6 @@ import enum
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -357,6 +356,8 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> S
     if jobs == 1:
         chunks = [_run_cell(cell) for cell in cells]
     else:
+        # imported here: multiprocessing costs ~20 ms that serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunksize = max(1, len(cells) // (jobs * 8))
             chunks = list(pool.map(_run_cell, cells, chunksize=chunksize))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._textio import open_text
+from ._textio import ascii_number, open_text
 
 __all__ = [
     "ContingencyTable",
@@ -324,10 +324,7 @@ def table_from_csv(path: str | Path | io.TextIOBase) -> ContingencyTable:
             for cell in row[1:]:
                 cell = cell.strip()
                 try:
-                    # int() also reads "1_0" as 10 and non-ASCII digits such as "٣"
-                    if not cell.isascii() or "_" in cell:
-                        raise ValueError(cell)
-                    value = int(cell)
+                    value = ascii_number(cell, int)
                 except ValueError:
                     raise ValueError(
                         f"line {lineno}: counts must be non-negative integers, got {cell!r}"

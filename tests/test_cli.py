@@ -251,7 +251,8 @@ def test_config_sweep_without_jsonschema(tmp_path):
 
 def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
     """A fresh interpreter: the CLI, an export and a one-row allocate load no
-    scipy; survey statistics load ``scipy.special`` alone."""
+    scipy and no ``multiprocessing``; survey statistics load
+    ``scipy.special`` alone."""
     pop, table = tmp_path / "pop.csv", write(tmp_path / "t.csv", EXPOSURE_TABLE)
     runs = {
         "export": ["export-population", "--na", "20", "--nb", "20", "--out", str(pop)],
@@ -263,21 +264,21 @@ def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(hermfair.__file__).parents[1])!r})\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "def loaded(top):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
         "from hermfair.cli import main\n"
-        "seen = {'import': (0, scipy_modules())}\n"
+        "seen = {'import': (0, loaded('scipy'), loaded('multiprocessing'))}\n"
         f"for stage, argv in {runs!r}.items():\n"
-        "    seen[stage] = (main(argv), scipy_modules())\n"
+        "    seen[stage] = (main(argv), loaded('scipy'), loaded('multiprocessing'))\n"
         "print(json.dumps(seen))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert {stage: rc for stage, (rc, _) in seen.items()} == dict.fromkeys(seen, 0)
+    assert {stage: rc for stage, (rc, *_) in seen.items()} == dict.fromkeys(seen, 0)
     for stage in ("import", "export", "allocate"):
-        assert seen[stage][1] == [], stage
+        assert seen[stage][1:] == [[], []], stage
     loaded = seen["chi2"][1]
     assert "scipy.special" in loaded
     assert [m for m in loaded if m.split(".")[1:2] in (["stats"], ["optimize"])] == []

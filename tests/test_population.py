@@ -206,6 +206,11 @@ class TestCsvDialect:
         assert pop.groups.tolist() == ["A", "B"]
         assert pop.p.tolist() == [0.5, 0.125] and pop.rho.tolist() == [0.25, 1.0]
 
+    @pytest.mark.parametrize("blank", ["\u00a0", "\u2003\u2003", " \u00a0\t", "\x1c"])
+    def test_unicode_whitespace_lines_skipped(self, blank):
+        pop = read_text(f"group,p,rho\r\nA,0.5,0.25\r\n{blank}\r\nB,0.125,1\r\n")
+        assert pop.groups.tolist() == ["A", "B"]
+
     def test_bad_value_after_blank_line_numbered(self):
         with pytest.raises(ValueError, match=r"^line 4: p must lie in \[0, 1\], got 2.0$"):
             read_text("group,p,rho\nA,0.5,0.5\n\nB,2,0.5\n")
@@ -410,6 +415,12 @@ DIALECT_CASES = [
         "B,nan,0.5", "B,0.5,inf", "B,-inf,0.5", "B,0.5 # c,0.5", "B,0.000_1,0.5",
         "B,0.5", "B,0.5,0.5,1")),
     f"A,0.5,0.5\n  {'Anonymous-' * 20}  ,0.5,0.5\n",
+    # whitespace-only lines of Unicode spaces are blank lines too
+    "A,0.5,0.25\n\u00a0\nB,0.125,1\n",
+    "A,0.5,0.25\r\n\u2003\u2003\r\n \u00a0\t\r\nB,0.125,1\r\n",
+    "A,0.5,0.25\n\u2003\nB,2,1\n",
+    # a lone surrogate, which only a text handle can hold, is read line by line
+    "A,0.5,0.5\nB,0.5\ud800,0.5\n",
 ]
 
 
@@ -457,8 +468,9 @@ class TestSplitIO:
         for cpus in (2, 3):
             split, calls = read_outcome(text, cpus)
             assert split == serial
-            # quoted files are read serially; a long last line can merge two cuts
-            assert (calls == []) if '"' in body else (2 <= calls[0] <= cpus)
+            # quoted rows are one range; a long last line can merge two cuts
+            assert len(calls) == 1
+            assert (calls[0] == 1) if '"' in body else (2 <= calls[0] <= cpus)
         if where == "child" and serial[0] == "error" and serial[1].startswith("line "):
             assert int(serial[1].split(":")[0][5:]) > 25  # numbered past the padding
         assert_no_child_left()
@@ -473,6 +485,15 @@ class TestSplitIO:
         for cpus in (2, 3):
             split, calls = read_outcome(text, cpus)
             assert split == serial and calls == [cpus]
+
+    def test_one_cpu_never_forks(self):
+        pop = sample_population(spec(n_a=23, n_b=18, seed=5))
+        text = io.StringIO()
+        population_to_csv(pop, text)
+        with split_io(1) as calls, mock.patch.object(
+                _textio.os, "fork", side_effect=AssertionError("forked on one CPU")):
+            back = read_text(text.getvalue())
+        assert calls == [1] and back == pop
 
     def test_reader_rejection_leaves_no_child(self):
         text = "group,p,rho\n" + GOOD_ROW * 30 + "B,0.5,2\n"

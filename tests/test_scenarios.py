@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 
@@ -114,7 +115,7 @@ class TestCeilings:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(hermfair.scenarios, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match=f"exceeds the ceiling of {MAX_JOBS} workers"):
             run_sweep(tiny_spec(), base_seed=1, jobs=MAX_JOBS + 1)
 
