@@ -385,15 +385,7 @@ class AggregateRow:
 # AggregateRow fields, ``<field>_median``, ``<field>_q25`` and ``<field>_q75``.
 _SUMMARIZED_FIELDS = ("utility_pct", "parity_gap")
 _STATISTICS = ("median", "q25", "q75")
-
-
-def _quartiles(values: list[float]) -> tuple[float, float, float]:
-    """Median, 0.25 and 0.75 quantiles in ``_STATISTICS`` order; NaN for no values."""
-    if not values:
-        return math.nan, math.nan, math.nan
-    arr = np.asarray(values, dtype=np.float64)
-    q25, med, q75 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
-    return float(med), float(q25), float(q75)
+_PERCENTILES = (50.0, 25.0, 75.0)  # in _STATISTICS order
 
 
 def aggregate(result: SweepResult) -> list[AggregateRow]:
@@ -402,28 +394,41 @@ def aggregate(result: SweepResult) -> list[AggregateRow]:
     Failed records are excluded; their counts are reported per row, and the
     statistics of a row with no successful record are NaN.  Quantiles use
     linear interpolation between order statistics.  Rows come in the order
-    of each (rule, grid value) pair's first record.
+    of each (rule, grid value) pair's first record.  Rows with the same
+    number of successful records share one ``np.percentile`` call per
+    field, which gives each row the bits of its own call.
     """
     if not result.records:
         raise ValueError("cannot aggregate an empty sweep")
     buckets: dict[tuple[str, float], list[SweepRecord]] = {}
     for rec in result.records:
         buckets.setdefault((rec.rule, rec.param_value), []).append(rec)
+    goods = [
+        [r for r in recs if not r.status.startswith("failed:")] for recs in buckets.values()
+    ]
+    by_count: dict[int, list[int]] = {}
+    for i, good in enumerate(goods):
+        if good:
+            by_count.setdefault(len(good), []).append(i)
+    # quartiles[i, f] holds row i's statistics of field f in _STATISTICS order
+    quartiles = np.full((len(goods), len(_SUMMARIZED_FIELDS), len(_STATISTICS)), math.nan)
+    for idx in by_count.values():
+        for f, name in enumerate(_SUMMARIZED_FIELDS):
+            values = np.array([[getattr(r, name) for r in goods[i]] for i in idx], dtype=np.float64)
+            quartiles[idx, f] = np.percentile(values, _PERCENTILES, axis=1, method="linear").T
     rows: list[AggregateRow] = []
-    for (rule, value), recs in buckets.items():
-        good = [r for r in recs if not r.status.startswith("failed:")]
-        statistics = {
-            f"{name}_{stat}": q
-            for name in _SUMMARIZED_FIELDS
-            for stat, q in zip(_STATISTICS, _quartiles([getattr(r, name) for r in good]))
-        }
+    for ((rule, value), recs), good, stats in zip(buckets.items(), goods, quartiles.tolist()):
         rows.append(AggregateRow(
             rule=rule,
             param_name=result.spec.varying,
             param_value=value,
             n_used=len(good),
             n_failed=len(recs) - len(good),
-            **statistics,
+            **{
+                f"{name}_{stat}": q
+                for name, field_stats in zip(_SUMMARIZED_FIELDS, stats)
+                for stat, q in zip(_STATISTICS, field_stats)
+            },
         ))
     return rows
 

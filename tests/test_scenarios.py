@@ -303,6 +303,50 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(empty)
 
+    def test_rows_match_per_bucket_percentiles(self):
+        # buckets with 3, 2, 3 and 0 successful records: the two with three
+        # share one percentile call, and the all-failed one stays NaN
+        rng = np.random.default_rng(41)
+        buckets = [("unconstrained", 0.1, 3, 1), ("parity", 0.1, 2, 0),
+                   ("parity", 0.2, 3, 0), ("eo", 0.2, 0, 2)]
+        records = []
+        for rule, param, n_good, n_bad in buckets:
+            for i in range(n_good + n_bad):
+                failed = i >= n_good
+                v = math.nan if failed else float(rng.normal() * 10.0 ** rng.integers(-9, 9))
+                records.append(SweepRecord(
+                    scenario="A", rule=rule, param_name="beta_b", param_value=param,
+                    replication=i, objective=v, utility_pct=v, parity_gap=-v / 3.0,
+                    eo_gap=v, eho_gap=v, seed=i,
+                    status="failed:SolverNumericalError: x" if failed else "optimal"))
+        res = SweepResult(spec=tiny_spec(grid=(0.1, 0.2), reps=4), base_seed=0,
+                          records=tuple(records))
+        rows = aggregate(res)
+        assert [(r.rule, r.param_value, r.n_used, r.n_failed) for r in rows] == buckets
+        for row in rows:
+            good = [r for r in records if (r.rule, r.param_value) == (row.rule, row.param_value)
+                    and r.status == "optimal"]
+            for name in ("utility_pct", "parity_gap"):
+                got = [getattr(row, f"{name}_{stat}") for stat in ("q25", "median", "q75")]
+                if not good:
+                    assert all(math.isnan(q) for q in got)
+                    continue
+                want = np.percentile(np.array([getattr(r, name) for r in good]),
+                                     [25.0, 50.0, 75.0], method="linear")
+                assert all(type(q) is float for q in got)
+                assert np.array(got).tobytes() == want.tobytes()
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        write_aggregates_csv(res, rows, csv_buf)
+        write_aggregates_json(res, rows, json_buf)
+        failed_line = csv_buf.getvalue().splitlines()[4]
+        assert failed_line.startswith("A,eo,beta_b,0.20000000000000001,0,2,")
+        assert failed_line.split(",")[6:] == ["nan"] * 6
+        import json
+
+        failed_row = json.loads(json_buf.getvalue())["rows"][3]
+        assert [failed_row[f"{name}_{stat}"] for name in ("utility_pct", "parity_gap")
+                for stat in ("median", "q25", "q75")] == [None] * 6
+
 
 class TestWriters:
     def test_records_csv_schema(self):

@@ -682,6 +682,117 @@ class TestDifferential:
             assert auto.objective >= oracle.objective - 1e-9
 
 
+# ---------------------------------------------------------------------- sorting
+
+def _stable(x):
+    return np.argsort(x, kind="stable")
+
+
+@st.composite
+def sort_inputs(draw):
+    """Up to 5000 floats: distinct values, or a few tied ones that mix in
+    ``-0.0``, ``0.0`` and ``±inf``."""
+    n = draw(st.one_of(st.integers(0, 64), st.integers(900, 1100), st.integers(0, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n) * 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        palette = draw(st.lists(
+            st.one_of(st.sampled_from([-0.0, 0.0, math.inf, -math.inf]),
+                      st.floats(allow_nan=False)),
+            min_size=1, max_size=8,
+        ))
+        tied = rng.random(n) < draw(st.sampled_from([0.001, 0.1, 0.9, 1.0]))
+        x[tied] = rng.choice(palette, size=int(tied.sum()))
+    return x
+
+
+class TestSorting:
+    @given(sort_inputs())
+    def test_stable_order_is_the_stable_argsort(self, x):
+        assert np.array_equal(hermfair.solver._stable_order(x), _stable(x))
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    @pytest.mark.parametrize("tie", [None, (-0.0, 0.0), (math.inf, math.inf),
+                                     (2.5, 2.5), (math.nan, 1.0)])
+    def test_sizes_around_the_stable_cutoff(self, n, tie):
+        rng = np.random.default_rng(n)
+        x = rng.permutation(n).astype(np.float64)
+        if tie is not None:
+            x[[n - 1, 3]] = tie
+        order = hermfair.solver._stable_order(x)
+        assert order.dtype == _stable(x).dtype
+        assert np.array_equal(order, _stable(x))
+
+    @staticmethod
+    def _check_prefix(breaks, weight, need):
+        order, reach = hermfair.solver._ascending(breaks, weight, need)
+        full = _stable(breaks)
+        full_reach = np.cumsum(weight[full])
+        assert np.array_equal(order, full[:order.size])
+        assert np.array_equal(reach, full_reach[:order.size])
+        # the caller's entering position is the one the full order gives
+        assert (np.searchsorted(reach, need, side="left")
+                == np.searchsorted(full_reach, need, side="left"))
+        return order
+
+    def test_head_grows_twice(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        breaks = np.round(rng.random(3000), 2)  # ties across every head boundary
+        weight = rng.random(3000)
+        sizes = []
+        sort = hermfair.solver._stable_order
+        monkeypatch.setattr(hermfair.solver, "_stable_order",
+                            lambda x: sizes.append(x.size) or sort(x))
+        # the first head is 3000 // 16 = 187 smallest, the second 1496
+        need = weight[_stable(breaks)].cumsum()[2000]
+        order = self._check_prefix(breaks, weight, need)
+        assert order.size == 3000
+        assert len(sizes) == 3 and 187 < sizes[0] < sizes[1] < 3000 == sizes[2]
+        sizes.clear()
+        order = self._check_prefix(breaks, weight, weight[_stable(breaks)][:600].sum())
+        assert len(sizes) == 2 and 187 < order.size == sizes[1] < 3000
+
+    def test_need_beyond_the_total_weight(self):
+        rng = np.random.default_rng(6)
+        breaks = rng.random(5000)
+        weight = rng.random(5000)
+        order = self._check_prefix(breaks, weight, weight.sum() * 2.0)
+        assert order.size == 5000
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 64])
+    def test_fewer_candidates_than_the_first_head(self, n):
+        rng = np.random.default_rng(n)
+        breaks = np.round(rng.random(n), 1)
+        order = self._check_prefix(breaks, np.ones(n), 1.0)
+        assert order.size == n
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_solves_match_the_stable_sort(self, monkeypatch, duplicated):
+        """2x1500 users, the one-row sort at full length and the dual
+        simplex's heads: every allocation is bit-identical to one made with
+        the stable sort alone.  Duplicated users tie in ``c / a``."""
+        spec = builtin_scenario(ScenarioId.A, uptake_variant=UptakeVariant.A_ADVANTAGED)
+        pop = sample_population(PopulationSpec(
+            n_a=1500, n_b=1500, uptake=spec.uptake, click=spec.click, seed=subseed(9, 1)))
+        if duplicated:
+            half = np.r_[0:750, 0:750, 1500:2250, 1500:2250]
+            pop = Population.from_arrays(pop.groups[half], pop.p[half], pop.rho[half])
+        params = spec.params_for(0.2)
+        sets = [ConstraintSet(True, False, False, 1e-6), ConstraintSet(False, True, False, 1e-6),
+                ConstraintSet(False, False, True, 1e-6), ConstraintSet(True, True, True, 1e-6)]
+        fast = [solve(SolveRequest(pop, params, cs)).allocation.values for cs in sets]
+        calls = []
+        monkeypatch.setattr(hermfair.solver, "_stable_order",
+                            lambda x: calls.append(x.size) or _stable(x))
+        for cs, values in zip(sets, fast):
+            calls.clear()
+            ref = solve(SolveRequest(pop, params, cs)).allocation.values
+            assert calls, "the threshold allocation was feasible: no engine ran"
+            if len(cs.active) == 1:
+                assert max(calls) >= 1024  # the one-row scan sorts at full length
+            assert values.tobytes() == ref.tobytes()
+
+
 # ------------------------------------------------------------------ enumeration
 
 class TestBinaryExact:
