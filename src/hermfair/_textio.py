@@ -1,10 +1,12 @@
 """Opening the text files that the readers and writers accept by path or handle,
-their number rule, and splitting the rows of a large file over the usable CPUs."""
+writing strict JSON, their number rule, and splitting the rows of a large file
+over the usable CPUs."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import pickle
 import warnings
@@ -15,16 +17,24 @@ from typing import Callable, Iterable, Iterator
 def open_text(path: str | os.PathLike | io.TextIOBase, mode: str) -> Iterator[io.TextIOBase]:
     """Yield a text handle for ``path``.
 
-    A ``str`` or path-like is opened in ``mode`` with ``newline=""`` (so the
-    csv module sees line ends as written) and closed on exit.  Anything else
-    is taken to be a handle the caller opened; it is yielded as is and left
-    open.
+    A ``str`` or path-like is opened in ``mode`` as UTF-8, whatever the
+    locale, with ``newline=""`` (so the csv module sees line ends as written)
+    and closed on exit.  Anything else is taken to be a handle the caller
+    opened; it is yielded as is and left open.
     """
     if isinstance(path, (str, os.PathLike)):
-        with open(path, mode, newline="") as fh:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
             yield fh
     else:
         yield path
+
+
+def write_json(payload, path: str | os.PathLike | io.TextIOBase) -> None:
+    """Write ``payload`` as strict JSON (a ``NaN`` raises ``ValueError``),
+    indented by 2 and ended by ``\n``, to a path or a handle as :func:`open_text` takes."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    with open_text(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def ascii_number(field: str, kind: Callable[[str], float]) -> float:

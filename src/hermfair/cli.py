@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import ConstraintSet, ModelParams
+from ._textio import write_json
+from .model import ConstraintSet, DegenerateGroupError, ModelParams
 from .population import (
     MAX_GROUP_SIZE,
     RNG_STREAM,
@@ -102,15 +103,6 @@ def _parse_shapes(text: str, flag: str) -> tuple[float, float]:
         raise _InputError(f"{flag} shapes must be numbers, got {text!r}") from None
 
 
-def _write_json(payload: dict, out: str | Path | None) -> None:
-    """Strict JSON to ``out``, or to stdout when ``out`` is None or ``-``."""
-    text = json.dumps(payload, indent=2, allow_nan=False)
-    if out is None or out == "-":
-        print(text)
-    else:
-        Path(out).write_text(text + "\n")
-
-
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model parameters")
     for name, default in _PARAM_DEFAULTS.items():
@@ -147,7 +139,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     req = SolveRequest(pop, params, constraints, mode=mode, enumeration_cap=args.cap)
     try:
         result = solve(req)
-    except PopulationTooLargeError as exc:
+    except (PopulationTooLargeError, DegenerateGroupError) as exc:
         raise _InputError(str(exc)) from exc
     except SolverNumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -173,7 +165,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         "n_users": pop.size,
         "version": __version__,
     }
-    _write_json(summary, outdir / "summary.json")
+    write_json(summary, outdir / "summary.json")
     print(f"wrote {alloc_path} (objective {result.objective:.6g}, status {result.status.value})")
     return 0
 
@@ -224,7 +216,7 @@ def _check_config(config: dict) -> None:
 
 def _load_sweep_config(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise _InputError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -301,7 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "n_failed": result.n_failed,
         "wall_time_s": wall,
     }
-    _write_json(metadata, outdir / "metadata.json")
+    write_json(metadata, outdir / "metadata.json")
     print(
         f"wrote {outdir}/records.csv ({len(result.records)} records, "
         f"{result.n_failed} failed) in {wall:.1f}s"
@@ -310,6 +302,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    out = sys.stdout if args.out in (None, "-") else args.out
     if args.test == "wilson":
         if args.successes is None or args.n is None:
             raise _InputError("wilson requires --successes and --n")
@@ -317,7 +310,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             interval = wilson_interval(args.successes, args.n, args.confidence)
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
-        _write_json(
+        write_json(
             {
                 "test": "wilson",
                 "successes": args.successes,
@@ -327,7 +320,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 "lo": interval.lo,
                 "hi": interval.hi,
             },
-            args.out,
+            out,
         )
         return 0
 
@@ -343,7 +336,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.test == "chi2":
         correction = {"auto": "auto", "always": True, "never": False}[args.correction]
         res = chi2_independence(table, correction=correction)
-        _write_json(
+        write_json(
             {
                 "test": "chi2_independence",
                 "row_labels": list(table.row_labels),
@@ -351,13 +344,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 **dataclasses.asdict(res),
                 "expected": res.expected.tolist(),
             },
-            args.out,
+            out,
         )
         return 0
 
     if args.test == "proportions":
         cells = conditional_proportions(table, axis=args.axis)
-        _write_json(
+        write_json(
             {
                 "test": "conditional_proportions",
                 "axis": args.axis,
@@ -365,7 +358,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 "col_labels": list(table.col_labels),
                 "cells": [[dataclasses.asdict(c) for c in row] for row in cells],
             },
-            args.out,
+            out,
         )
         return 0
     raise _InputError(f"unknown stats test {args.test!r}")

@@ -200,6 +200,16 @@ class Allocation:
         return int(self.values.size)
 
 
+# The column that weights a user in the group shares each constraint
+# equalizes (None: every user counts once), by ConstraintSet field, in the
+# order of the solver's rows.
+_SHARE_WEIGHTS: dict[str, str | None] = {
+    "parity_exposure": None,
+    "equality_opportunity": "p",
+    "equality_herm_opportunity": "rho",
+}
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Which group-equality constraints an allocation must satisfy.
@@ -237,14 +247,8 @@ class ConstraintSet:
 
     @property
     def active(self) -> tuple[str, ...]:
-        names = []
-        if self.parity_exposure:
-            names.append("parity_exposure")
-        if self.equality_opportunity:
-            names.append("equality_opportunity")
-        if self.equality_herm_opportunity:
-            names.append("equality_herm_opportunity")
-        return tuple(names)
+        """The switched-on constraint fields, in ``_SHARE_WEIGHTS`` order."""
+        return tuple(name for name in _SHARE_WEIGHTS if getattr(self, name))
 
     @property
     def any_active(self) -> bool:
@@ -263,17 +267,26 @@ def _group_slices(pop: Population, name: str) -> tuple[np.ndarray, np.ndarray]:
     return slices
 
 
-def _group_masses(pop: Population, name: str) -> tuple[float, float]:
+def _group_masses(pop: Population, name: str | None) -> tuple[float, float]:
     """The totals of the population's ``name`` column over group A and over
-    group B, each summed in ascending user order.
+    group B, each summed in ascending user order; the group sizes for None.
 
     Computed once per population, without keeping the group slices: a solve
     needs only the masses, and the gap functions only after it returns.
+
+    Raises:
+        DegenerateGroupError: a total is zero (checked on every call).
     """
+    if name is None:
+        return float(pop.n_a), float(pop.n_b)
     masses = pop._masses.get(name)
     if masses is None:
         w = getattr(pop, name)
         masses = pop._masses[name] = (float(w[pop.mask_a].sum()), float(w[pop.mask_b].sum()))
+    if masses[0] <= 0.0 or masses[1] <= 0.0:
+        raise DegenerateGroupError(
+            f"a group has zero total {name}, so its {name}-weighted shares are undefined"
+        )
     return masses
 
 
@@ -362,26 +375,25 @@ def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
     return cached[1]
 
 
+def _share_gap(pop: Population, alloc: Allocation, column: str | None) -> float:
+    """Group B's share of its ``column``-weighted mass that is shown, minus
+    group A's; with ``column`` None, of its users."""
+    d = _check_aligned(pop, alloc)
+    mass_a, mass_b = _group_masses(pop, column)
+    d_a, d_b = d[pop.mask_a], d[pop.mask_b]
+    if column is not None:
+        w_a, w_b = _group_slices(pop, column)
+        d_a, d_b = d_a * w_a, d_b * w_b
+    return float(d_b.sum()) / mass_b - float(d_a.sum()) / mass_a
+
+
 def parity_gap(pop: Population, alloc: Allocation) -> float:
     """Difference in group-average exposure, group B minus group A.
 
     Positive values mean group B receives the ad at a higher rate than
     group A.
     """
-    d = _check_aligned(pop, alloc)
-    share_b = float(d[pop.mask_b].sum()) / pop.n_b
-    share_a = float(d[pop.mask_a].sum()) / pop.n_a
-    return share_b - share_a
-
-
-def _weighted_gap(pop: Population, d: np.ndarray, column: str, name: str) -> float:
-    mass_a, mass_b = _group_masses(pop, column)
-    if mass_a <= 0.0 or mass_b <= 0.0:
-        raise DegenerateGroupError(f"a group has zero total {name}; ratio undefined")
-    w_a, w_b = _group_slices(pop, column)
-    share_b = float((d[pop.mask_b] * w_b).sum()) / mass_b
-    share_a = float((d[pop.mask_a] * w_a).sum()) / mass_a
-    return share_b - share_a
+    return _share_gap(pop, alloc, _SHARE_WEIGHTS["parity_exposure"])
 
 
 def eo_gap(pop: Population, alloc: Allocation) -> float:
@@ -389,8 +401,7 @@ def eo_gap(pop: Population, alloc: Allocation) -> float:
 
     Each group's share is ``sum(d * p) / sum(p)`` over its members.
     """
-    d = _check_aligned(pop, alloc)
-    return _weighted_gap(pop, d, "p", "click probability")
+    return _share_gap(pop, alloc, _SHARE_WEIGHTS["equality_opportunity"])
 
 
 def eho_gap(pop: Population, alloc: Allocation) -> float:
@@ -398,6 +409,4 @@ def eho_gap(pop: Population, alloc: Allocation) -> float:
 
     Same ratio form as :func:`eo_gap` with ``rho`` in place of ``p``.
     """
-    d = _check_aligned(pop, alloc)
-    return _weighted_gap(pop, d, "rho", "uptake probability")
-
+    return _share_gap(pop, alloc, _SHARE_WEIGHTS["equality_herm_opportunity"])

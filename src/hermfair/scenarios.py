@@ -18,14 +18,13 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._textio import open_text
+from ._textio import open_text, write_json
 from .model import ConstraintSet, ModelParams
 from .population import ClickConfig, PopulationSpec, UptakeConfig, sample_population, subseed
 from .solver import SolveRequest, SolveResult, solve_constrained_lp, solve_unconstrained
@@ -118,15 +117,19 @@ DEFAULT_JOBS = 1
 def build_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive arithmetic grid with drift-free rounding at 10 decimals.
 
+    ``start == stop`` gives the one point ``start``.
+
     Raises:
-        ValueError: ``step`` is not positive, a bound is not finite, or the
-            grid would have more than ``MAX_GRID_POINTS`` points (checked
-            before any point is built).
+        ValueError: ``step`` is not positive, a bound is not finite,
+            ``stop`` is below ``start``, or the grid would have more than
+            ``MAX_GRID_POINTS`` points (checked before any point is built).
     """
     if not step > 0:
         raise ValueError("step must be positive")
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError("grid start, stop and step must be finite")
+    if stop < start:
+        raise ValueError(f"grid stop {stop} is below its start {start}")
     span = (stop - start) / step + 1e-9
     if not span < MAX_GRID_POINTS:  # also catches an overflow to inf
         raise ValueError(
@@ -483,6 +486,4 @@ def write_aggregates_json(
             for row in rows
         ],
     }
-    with open_text(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(payload, path)

@@ -51,6 +51,7 @@ from .model import (
     DegenerateGroupError,
     ModelParams,
     Population,
+    _SHARE_WEIGHTS,
     _group_masses,
     decision_gains,
     eho_gap,
@@ -175,33 +176,21 @@ def constraint_rows(
 
     Returns:
         (names, matrix) where matrix has one row per retained constraint.
+
+    Raises:
+        DegenerateGroupError: an active constraint's weight column sums to
+            zero over a group.
     """
     rows: list[np.ndarray] = []
     names: list[str] = []
-
-    def add(name: str, column: str | None) -> None:
-        if column is None:  # plain exposure counts
-            row = np.where(pop.mask_a, -1.0 / pop.n_a, 1.0 / pop.n_b)
-        else:
-            mass_a, mass_b = _group_masses(pop, column)
-            if mass_a <= 0.0 or mass_b <= 0.0:
-                raise DegenerateGroupError(
-                    f"constraint {name} undefined: a group has zero total weight"
-                )
-            weights = getattr(pop, column)
-            row = np.where(pop.mask_a, -weights / mass_a, weights / mass_b)
-        for kept in rows:
-            if np.max(np.abs(kept - row)) <= _DEDUP_EPS:
-                return
-        rows.append(row)
-        names.append(name)
-
-    if constraints.parity_exposure:
-        add("parity_exposure", None)
-    if constraints.equality_opportunity:
-        add("equality_opportunity", "p")
-    if constraints.equality_herm_opportunity:
-        add("equality_herm_opportunity", "rho")
+    for name in constraints.active:
+        column = _SHARE_WEIGHTS[name]
+        mass_a, mass_b = _group_masses(pop, column)
+        weights = 1.0 if column is None else getattr(pop, column)
+        row = np.where(pop.mask_a, -weights / mass_a, weights / mass_b)
+        if not any(np.max(np.abs(kept - row)) <= _DEDUP_EPS for kept in rows):
+            rows.append(row)
+            names.append(name)
     matrix = np.vstack(rows) if rows else np.empty((0, pop.size))
     return names, matrix
 
@@ -230,14 +219,12 @@ def _build_result(
 ) -> SolveResult:
     n_frac = int(np.sum((values > SNAP_EPS) & (values < 1.0 - SNAP_EPS)))
     alloc = Allocation(values)
-    result_gaps = {
-        "parity_exposure": _gap_or_nan(parity_gap, pop, alloc),
-        "equality_opportunity": _gap_or_nan(eo_gap, pop, alloc),
-        "equality_herm_opportunity": _gap_or_nan(eho_gap, pop, alloc),
-    }
-    worst = 0.0
-    for name in constraints.active:
-        worst = max(worst, abs(result_gaps[name]))
+    # In _SHARE_WEIGHTS order, which is SolveResult's.  The gap functions are
+    # this module's bindings, read per call so that a tracer may replace them.
+    gaps = dict(zip(_SHARE_WEIGHTS, [
+        _gap_or_nan(fn, pop, alloc) for fn in (parity_gap, eo_gap, eho_gap)
+    ]))
+    worst = max([0.0] + [abs(gaps[name]) for name in constraints.active])
     if worst > constraints.tolerance + RESIDUAL_BOUND:
         raise SolverNumericalError(
             f"solution violates active constraints by {worst:.3e} "
@@ -249,11 +236,9 @@ def _build_result(
         else SolveStatus.TOLERANCE_RELAXED
     )
     return SolveResult(
-        allocation=alloc,
-        objective=herm_aware_utility(pop, alloc, params),
-        parity_gap=result_gaps["parity_exposure"],
-        eo_gap=result_gaps["equality_opportunity"],
-        eho_gap=result_gaps["equality_herm_opportunity"],
+        alloc,
+        herm_aware_utility(pop, alloc, params),
+        *gaps.values(),
         status=status,
         n_fractional=n_frac,
     )

@@ -63,6 +63,18 @@ class TestAllocate:
         assert summary["eo_gap"] is None
         assert summary["parity_gap"] is not None
 
+    @pytest.mark.parametrize("mode", ["fractional", "binary-exact"])
+    @pytest.mark.parametrize("flag, rows", [
+        ("--eo", "A,0,0.5\nA,0,0.4\nB,0.3,0.5\nB,0.1,0.2\n"),  # group A's p sums to 0
+        ("--eho", "A,0.5,0\nA,0.4,0\nB,0.3,0.5\nB,0.1,0.2\n"),  # group A's rho sums to 0
+    ], ids=["eo", "eho"])
+    def test_zero_weight_group_exits_1(self, tmp_path, capsys, mode, flag, rows):
+        pop_csv = write(tmp_path / "pop.csv", "group,p,rho\n" + rows)
+        rc = main(["allocate", pop_csv, flag, "--mode", mode, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a group has zero total ") and "Traceback" not in err
+
     def test_empty_population_exits_1(self, tmp_path):
         pop_csv = write(tmp_path / "pop.csv", "")
         assert main(["allocate", pop_csv, "--out", str(tmp_path)]) == 1
@@ -131,6 +143,7 @@ class TestCeilings:
         (["--nb", str(10**12)], "ceiling of 1000000 users per group"),
         (["--reps", "100000"], "14 grid points x 100000 replications is 1400000 cells"),
         (["--grid", "0.05", "--reps", "100001"], "is 100001 cells, more than 100000"),
+        (["--grid", "1:0:0.1"], "--grid: grid stop 0.0 is below its start 1.0"),
     ])
     def test_sweep_flags(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
@@ -144,6 +157,7 @@ class TestCeilings:
         ({"grid": [0.1] * 10001}, "grid has 10001 points, more than 10000"),
         ({"n_a": 1000001}, "ceiling of 1000000 users per group"),
         ({"reps": 10**9}, "cells, more than 100000"),
+        ({"grid": {"start": 1, "stop": 0, "step": 0.1}}, "config grid: grid stop 0 is below"),
     ])
     def test_sweep_config(self, tmp_path, capsys, monkeypatch, config, message):
         monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
@@ -247,6 +261,40 @@ def test_config_sweep_without_jsonschema(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((out / "metadata.json").read_text())["grid"] == [0.01, 0.03, 0.05]
+
+
+def test_files_are_utf8_in_any_locale(tmp_path):
+    """A fresh interpreter in the C locale, with UTF-8 mode off and a warning
+    made an error wherever a file is opened in the locale's encoding: files
+    are read and written as UTF-8 all the same."""
+    # U+00A0 is whitespace, so its line is skipped: the file holds 2 users
+    pop = tmp_path / "pop.csv"
+    pop.write_bytes("group,p,rho\nA,0.5,0.5\n\u00a0\nB,0.3,0.6\n".encode())
+    cfg = write(tmp_path / "cfg.json", json.dumps(
+        {"scenario": "A", "reps": 1, "n_a": 10, "n_b": 10, "grid": [0.05]}))
+    runs = [
+        ["allocate", str(pop), "--eho", "--out", str(tmp_path / "alloc")],
+        ["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")],
+        ["stats", "chi2", write(tmp_path / "t.csv", EXPOSURE_TABLE),
+         "--out", str(tmp_path / "c.json")],
+    ]
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(hermfair.__file__).parents[1])!r})\n"
+        "from hermfair.cli import main\n"
+        "from hermfair.population import population_from_csv, population_to_csv\n"
+        f"pop = population_from_csv({str(pop)!r})\n"
+        f"population_to_csv(pop, {str(tmp_path / 'copy.csv')!r})\n"
+        f"same = population_from_csv({str(tmp_path / 'copy.csv')!r}) == pop\n"
+        f"print(json.dumps([pop.size, same, [main(argv) for argv in {runs!r}]]))\n"
+    )
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONWARNDEFAULTENCODING="1", PYTHONWARNINGS="error::EncodingWarning")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [2, True, [0, 0, 0]]
+    assert json.loads((tmp_path / "c.json").read_text(encoding="utf-8"))["dof"] == 1
 
 
 def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):

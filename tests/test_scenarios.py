@@ -98,6 +98,9 @@ class TestCeilings:
             build_grid(0.0, MAX_GRID_POINTS, 1.0)
         with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
             build_grid(-1e308, 1e308, 1e-300)  # the count overflows to inf
+        with pytest.raises(ValueError, match="grid stop 0.0 is below its start 1.0"):
+            build_grid(1.0, 0.0, 0.1)
+        assert build_grid(0.5, 0.5, 0.1) == (0.5,)
 
     def test_grid_bounds_must_be_finite(self):
         for start, stop, step in ((0.0, math.inf, 1.0), (math.nan, 1.0, 0.1)):
