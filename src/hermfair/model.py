@@ -50,12 +50,17 @@ class Population:
     A population also keeps, computed on first use, what its solves share:
     the per-group masses and slices of ``p`` and ``rho``, and the gains and
     the objective's per-user terms for the last :class:`ModelParams` it was
-    scored with.  The cached arrays are read-only and equality ignores them.
+    scored with.  Once a solve returns the threshold allocation, it also
+    keeps that allocation with its objective and gaps for the last
+    parameter object it was solved with (``hermfair.solver`` fills it; a
+    solve whose threshold allocation is infeasible keeps nothing).  Each
+    parameter object is matched by identity.  The cached arrays are
+    read-only and equality ignores them.
     """
 
     __slots__ = (
         "groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b",
-        "_masses", "_slices", "_gains", "_objective",
+        "_masses", "_slices", "_gains", "_objective", "_threshold",
     )
 
     @classmethod
@@ -100,6 +105,7 @@ class Population:
         self._slices = {}
         self._gains = None
         self._objective = None
+        self._threshold = None
         return self
 
     @property

@@ -203,6 +203,7 @@ def allocation_to_csv(
 _ROW_DTYPE = np.dtype([("group", object), ("p", np.float64), ("rho", np.float64)])
 _LINE_END = re.compile(r"\r\n|\r|\n")
 _WHITESPACE_LINE = re.compile(r"^[^\S\r\n]+$", re.MULTILINE)
+_BLANK = re.compile(r"\s*\Z")  # \s is what str.isspace() counts
 
 
 def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
@@ -212,10 +213,14 @@ def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
     may be quoted with ``"`` and surrounded by whitespace; blank and
     whitespace-only lines are skipped; ``#`` starts no comment; numbers are
     ASCII decimals (``nan`` and ``inf`` parse, and are rejected as out of
-    range).  Line ends may be ``\\n``, ``\\r\\n`` or ``\\r``.
+    range).  Line ends may be ``\\n``, ``\\r\\n`` or ``\\r``.  One leading
+    byte-order mark (U+FEFF) is dropped, whether the file is given by path
+    or by handle; one anywhere else is part of its field.
 
     Each range of rows (``_row_offsets``) is parsed and checked where it
     runs, so only compact arrays are pickled; the checks hold row by row.
+    A file of one range is parsed from its UTF-8 bytes while the decoded
+    text is let go, and decoded again only to name a rejected line.
 
     Raises:
         ValueError: malformed header, labels, or out-of-range values, with
@@ -227,7 +232,8 @@ def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
         raise ValueError("empty population CSV")
     end = _LINE_END.search(text)
     begin = end.end() if end else len(text)
-    header = next(csv.reader([text[: end.start() if end else begin]]), [])
+    header = next(csv.reader([text[text.startswith("\ufeff"): end.start() if end else begin]]), [])
+    end = None  # a match holds its string
     if tuple(h.strip() for h in header) != POPULATION_CSV_HEADER:
         raise ValueError(
             f"line 1: expected header {','.join(POPULATION_CSV_HEADER)!r}, "
@@ -235,15 +241,27 @@ def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
         )
 
     def parse(start: int, stop: int) -> list[_Columns | None]:
-        rows = text[start:stop]
-        if not rows or rows.isspace():  # np.loadtxt warns on input with no rows
+        nonlocal text
+        if _BLANK.match(text, start, stop):  # np.loadtxt warns on input with no rows
             return [(np.empty(0, "U1"), np.empty(0), np.empty(0))]
+        # The one range of a file is encoded whole, header and all, and the
+        # text is let go while it is parsed: beside the text and a str copy
+        # of its rows, the bytes would make three copies of the file.
+        whole = stop - start == len(text) - begin
         try:
-            rows = rows.encode()  # the slice is freed before the parse
+            if whole:
+                rows, skip = text.encode(), len(text[:begin].encode())
+            else:
+                rows, skip = text[start:stop].encode(), 0
         except UnicodeEncodeError:  # a lone surrogate, from a text handle
             return [None]
-        table = _load_rows(rows)
-        return [_accepted(table) if table is not None else None]
+        if whole:
+            text = None
+        table = _load_rows(rows, skip)
+        part = _accepted(table) if table is not None else None
+        if whole and part is None:
+            text = rows.decode()  # to name the rejected line
+        return [part]
 
     parts = list(_textio.forked_map(parse, _row_offsets(text, begin)))
     if any(part is None for part in parts):
@@ -294,17 +312,18 @@ def _accepted(table: np.ndarray) -> _Columns | None:
     return groups, p, rho
 
 
-def _load_rows(rows: bytes) -> np.ndarray | None:
-    """The UTF-8 user rows parsed in C, or ``None`` if they break the dialect.
+def _load_rows(rows: bytes, skip: int) -> np.ndarray | None:
+    """The UTF-8 user rows from byte ``skip`` on parsed in C, or ``None`` if
+    they break the dialect.
 
     ``np.loadtxt`` takes neither whitespace-only lines nor lone ``\\r`` line
     ends; rows that have them are decoded, normalised (so that Unicode
     whitespace counts) and parsed a second time.
     """
     try:
-        return _loadtxt(rows)
+        return _loadtxt(rows, skip)
     except ValueError:
-        text = rows.decode()
+        text = rows[skip:].decode()
     normalised = _WHITESPACE_LINE.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
     if normalised == text:
         return None
@@ -314,11 +333,13 @@ def _load_rows(rows: bytes) -> np.ndarray | None:
         return None
 
 
-def _loadtxt(rows: bytes) -> np.ndarray:
+def _loadtxt(rows: bytes, skip: int = 0) -> np.ndarray:
     # UTF-8 bytes, decoded line by line: io.StringIO would hold four bytes
-    # per character
+    # per character.  io.BytesIO shares the bytes object it is given.
+    data = io.BytesIO(rows)
+    data.seek(skip)
     return np.loadtxt(
-        io.BytesIO(rows), dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
+        data, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
         comments=None, ndmin=1, encoding="utf-8",
     )
 

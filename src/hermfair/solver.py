@@ -7,7 +7,8 @@ subject to each active group-gap being zero up to the request tolerance
 ``eps`` (``|gap| <= eps``).  Every constrained solve first tries the
 threshold allocation (``d_i = 1`` iff the gain ``c_i >= 0``): if it already
 meets every retained row it is optimal and is returned with no further
-work.  Otherwise:
+work.  Its objective and gaps are measured once per population and
+parameter object, and shared with ``solve_unconstrained``.  Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
@@ -22,7 +23,7 @@ work.  Otherwise:
   ``_DUALITY_GAP * sum(|gain|)`` of the weak-duality bound
   ``sum((c - lam . R)^+) + eps * |lam|_1``.  It certifies every probed
   cell, those with an indifferent group included: all 18 benchmark
-  populations at 2x10^5 users, in a median of ~0.14 s each on 2 CPUs;
+  populations at 2x10^5 users (README gives the probe and its times);
 * HiGHS, scipy's dual simplex on the same equality form (each row scaled
   to unit maximum coefficient and its slack bounded by ``eps * scale_k``,
   fixed at zero when ``eps = 0``), takes only a cell the dual simplex does
@@ -42,6 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,19 +213,39 @@ def _gap_or_nan(fn, pop: Population, alloc: Allocation) -> float:
         return math.nan
 
 
-def _build_result(
-    pop: Population,
-    params: ModelParams,
-    values: np.ndarray,
-    constraints: ConstraintSet,
-) -> SolveResult:
-    n_frac = int(np.sum((values > SNAP_EPS) & (values < 1.0 - SNAP_EPS)))
-    alloc = Allocation(values)
-    # In _SHARE_WEIGHTS order, which is SolveResult's.  The gap functions are
-    # this module's bindings, read per call so that a tracer may replace them.
-    gaps = dict(zip(_SHARE_WEIGHTS, [
-        _gap_or_nan(fn, pop, alloc) for fn in (parity_gap, eo_gap, eho_gap)
-    ]))
+class _Scored(NamedTuple):
+    """An allocation with its objective and its three gaps, in
+    ``_SHARE_WEIGHTS`` order: what a result holds apart from its request."""
+
+    allocation: Allocation
+    objective: float
+    gaps: tuple[float, float, float]
+
+
+def _score(pop: Population, params: ModelParams, alloc: Allocation) -> _Scored:
+    # The gap and objective functions are this module's bindings, read per
+    # call so that a tracer may replace them.
+    gaps = tuple(_gap_or_nan(fn, pop, alloc) for fn in (parity_gap, eo_gap, eho_gap))
+    return _Scored(alloc, herm_aware_utility(pop, alloc, params), gaps)
+
+
+def _threshold_scored(pop: Population, params: ModelParams) -> _Scored:
+    """The scored threshold allocation for ``params``.
+
+    The population keeps the last one, matched by identity like its gains,
+    so every solve on one population and parameter object that ends at the
+    threshold shares one scoring.
+    """
+    cached = pop._threshold
+    if cached is None or cached[0] is not params:
+        cached = pop._threshold = (params, _score(pop, params, threshold_rule(pop, params)))
+    return cached[1]
+
+
+def _result(scored: _Scored, constraints: ConstraintSet, n_fractional: int) -> SolveResult:
+    """The result of ``scored`` for a request: its status is measured on the
+    active gaps against the request's tolerance."""
+    gaps = dict(zip(_SHARE_WEIGHTS, scored.gaps))
     worst = max([0.0] + [abs(gaps[name]) for name in constraints.active])
     if worst > constraints.tolerance + RESIDUAL_BOUND:
         raise SolverNumericalError(
@@ -236,20 +258,26 @@ def _build_result(
         else SolveStatus.TOLERANCE_RELAXED
     )
     return SolveResult(
-        alloc,
-        herm_aware_utility(pop, alloc, params),
-        *gaps.values(),
-        status=status,
-        n_fractional=n_frac,
+        scored.allocation, scored.objective, *scored.gaps,
+        status=status, n_fractional=n_fractional,
     )
+
+
+def _build_result(
+    pop: Population,
+    params: ModelParams,
+    values: np.ndarray,
+    constraints: ConstraintSet,
+) -> SolveResult:
+    n_frac = int(np.sum((values > SNAP_EPS) & (values < 1.0 - SNAP_EPS)))
+    return _result(_score(pop, params, Allocation(values)), constraints, n_frac)
 
 
 def solve_unconstrained(req: SolveRequest) -> SolveResult:
     """Closed-form optimum via the threshold rule; no constraints allowed."""
     if req.constraints.any_active:
         raise ValueError("solve_unconstrained requires an empty constraint set")
-    alloc = threshold_rule(req.population, req.params)
-    return _build_result(req.population, req.params, alloc.values, req.constraints)
+    return _result(_threshold_scored(req.population, req.params), req.constraints, 0)
 
 
 def _snap(values: np.ndarray) -> np.ndarray:
@@ -538,10 +566,12 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
         raise ValueError("parametric method handles exactly one retained constraint row")
 
     threshold = np.where(c >= 0.0, 1.0, 0.0)  # ties show the ad, matching the threshold rule
-    values = None
     if np.all(np.abs(rows @ threshold) <= eps):
-        values = threshold  # the unconstrained optimum is feasible, hence optimal
-    elif method != "highs" and rows.shape[0] == 1:
+        # the unconstrained optimum is feasible, hence optimal; its values
+        # are exactly 0 or 1, so nothing is snapped
+        return _result(_threshold_scored(pop, params), req.constraints, 0)
+    values = None
+    if method != "highs" and rows.shape[0] == 1:
         values = _solve_slab_single(c, rows[0], eps, threshold)
     elif method != "highs":
         values = _dual_simplex(c, rows, eps)  # only an allocation it has certified

@@ -75,6 +75,12 @@ class TestAllocate:
         err = capsys.readouterr().err
         assert err.startswith("error: a group has zero total ") and "Traceback" not in err
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # as spreadsheet "CSV UTF-8" exports write it
+        pop_csv = tmp_path / "bom.csv"
+        pop_csv.write_bytes(b"\xef\xbb\xbfgroup,p,rho\r\nA,0.5,0.5\r\nB,0.25,0.75\r\n")
+        assert main(["allocate", str(pop_csv), "--parity", "--out", str(tmp_path / "o")]) == 0
+
     def test_empty_population_exits_1(self, tmp_path):
         pop_csv = write(tmp_path / "pop.csv", "")
         assert main(["allocate", pop_csv, "--out", str(tmp_path)]) == 1

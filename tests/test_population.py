@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import os
+import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -266,6 +268,42 @@ class TestCsvDialect:
             with pytest.raises(ValueError, match="^population CSV contains no user rows$"):
                 read_text(text)
 
+    @pytest.mark.parametrize("eol", ["\r\n", "\n"])
+    def test_leading_byte_order_mark_dropped(self, eol, tmp_path):
+        text = eol.join(["group,p,rho", "A,0.5,0.5", "B,0.25,0.75", ""])
+        plain = read_text(text)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for got in (population_from_csv(path), read_text("\ufeff" + text)):
+            assert got == plain
+            assert got.p.tobytes() == plain.p.tobytes() and got.rho.tobytes() == plain.rho.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("\ufeff\ufeffgroup,p,rho\nA,0.5,0.5\n",
+         r"line 1: expected header 'group,p,rho', got '\ufeffgroup,p,rho'"),
+        (" \ufeffgroup,p,rho\nA,0.5,0.5\n",
+         r"line 1: expected header 'group,p,rho', got ' \ufeffgroup,p,rho'"),
+        ("\ufeffgroup,p,rho\nA,0.5,0.5\n\ufeffB,0.5,0.5\n",
+         r"line 3: group must be 'A' or 'B', got '\ufeffB'"),
+        ("group,p,rho\nA,\ufeff0.5,0.5\nB,0.5,0.5\n", "line 2: p and rho must be numbers"),
+    ])
+    def test_byte_order_mark_elsewhere_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_text(text)
+
+    def test_one_cpu_read_holds_the_file_at_most_two_and_a_half_times(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        population_to_csv(sample_population(spec(n_a=70_000, n_b=70_000, seed=5)), path)
+        with split_io(1, chunk_rows=1 << 16):
+            tracemalloc.start()
+            try:
+                pop = population_from_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert pop.size == 140_000
+        assert peak <= 2.5 * path.stat().st_size
+
     def test_long_label_named_in_full(self):
         label = "Anonymous-" * 20
         with pytest.raises(ValueError, match=f"^line 3: group must be 'A' or 'B', got '{label}'$"):
@@ -419,6 +457,8 @@ DIALECT_CASES = [
     "A,0.5,0.25\n\u00a0\nB,0.125,1\n",
     "A,0.5,0.25\r\n\u2003\u2003\r\n \u00a0\t\r\nB,0.125,1\r\n",
     "A,0.5,0.25\n\u2003\nB,2,1\n",
+    # a byte-order mark after the first character is part of its field
+    "A,0.5,0.5\n\ufeffB,0.5,0.5\n",
     # a lone surrogate, which only a text handle can hold, is read line by line
     "A,0.5,0.5\nB,0.5\ud800,0.5\n",
 ]

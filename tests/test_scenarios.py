@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hermfair.model import ModelParams
-from hermfair.population import UptakeConfig
+from hermfair.model import ModelParams, Population
+from hermfair.population import PopulationSpec, UptakeConfig, sample_population
 import hermfair.population
 import hermfair.scenarios
+import hermfair.solver
 from hermfair.scenarios import (
     MAX_GRID_POINTS,
     MAX_JOBS,
@@ -27,6 +28,7 @@ from hermfair.scenarios import (
     write_aggregates_json,
     write_records_csv,
 )
+from hermfair.solver import SolveRequest, solve_constrained_lp, solve_unconstrained
 
 RULES = {r.value for r in AllocationRule}
 
@@ -253,6 +255,49 @@ class TestRunSweep:
         res = run_sweep(tiny_spec(grid=(0.05, 0.2), reps=2), base_seed=5)
         cells = {(r.param_value, r.replication): r.seed for r in res.records}
         assert len(set(cells.values())) == 4  # one sub-seed per cell
+
+
+class TestSharedThresholdScore:
+    """Rules solved on one population share its scored threshold allocation."""
+
+    @staticmethod
+    def _solve(rule, pop, params, tolerance):
+        solver = solve_unconstrained if rule is AllocationRule.UNCONSTRAINED else solve_constrained_lp
+        return solver(SolveRequest(pop, params, rule.constraint_set(tolerance)))
+
+    def test_shared_population_matches_fresh_copies(self):
+        shared = 0
+        for scenario in ScenarioId:
+            spec = builtin_scenario(scenario, n_a=200, n_b=200)
+            for value in (spec.grid[0], spec.grid[-1]):
+                pop = sample_population(PopulationSpec(
+                    n_a=200, n_b=200, uptake=spec.uptake, click=spec.click, seed=5,
+                ))
+                params = spec.params_for(value)
+                results = {}
+                for rule in AllocationRule:  # in the order a sweep cell solves them
+                    got = results[rule] = self._solve(rule, pop, params, spec.tolerance)
+                    fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+                    want = self._solve(rule, fresh, params, spec.tolerance)
+                    assert got.allocation.values.tobytes() == want.allocation.values.tobytes()
+                    assert np.array([got.objective, *got.gaps]).tobytes() == np.array(
+                        [want.objective, *want.gaps]).tobytes()
+                    assert (got.status, got.n_fractional) == (want.status, want.n_fractional)
+                unc = results[AllocationRule.UNCONSTRAINED].allocation
+                shared += sum(res.allocation is unc for res in results.values()) - 1
+        assert shared >= 4  # gamma = 1.0 ends every constrained rule at the threshold
+
+    def test_a_threshold_cell_scores_its_allocation_once(self, monkeypatch):
+        calls = []
+        real = hermfair.solver.parity_gap
+        monkeypatch.setattr(
+            hermfair.solver, "parity_gap", lambda pop, alloc: calls.append(alloc) or real(pop, alloc)
+        )
+        spec = builtin_scenario("gamma", grid=(1.0,), replications=1, n_a=200, n_b=200)
+        records = hermfair.scenarios._run_cell((spec, 5, 0, 0))
+        assert [rec.utility_pct for rec in records] == [100.0] * 5
+        assert {rec.status for rec in records} == {"optimal"}
+        assert len(calls) == 1
 
 
 class TestAggregate:

@@ -346,6 +346,85 @@ class TestConstrainedLP:
                 assert np.array_equal(res.allocation.values, expected)
                 assert res.n_fractional == 0
 
+    @staticmethod
+    def _count_parity_gap_calls(monkeypatch):
+        calls = []
+        real = hermfair.solver.parity_gap
+
+        def counted(pop, alloc):
+            calls.append(alloc)
+            return real(pop, alloc)
+
+        monkeypatch.setattr(hermfair.solver, "parity_gap", counted)
+        return calls
+
+    def test_threshold_status_follows_each_request(self, monkeypatch):
+        # the mirrored population's threshold allocation has every gap
+        # exactly zero, so each tolerance ends at the threshold; a parity gap
+        # measured 5e-9 high is optimal at 1e-6 and 0.5, but relaxed at 0
+        real = hermfair.solver.parity_gap
+        calls = []
+        monkeypatch.setattr(
+            hermfair.solver, "parity_gap",
+            lambda pop, alloc: calls.append(alloc) or real(pop, alloc) + 5e-9,
+        )
+        p = [0.9, 0.3, 0.05, 0.6]
+        rho = [0.7, 0.4, 0.2, 0.9]
+        pop = pop_from(["A"] * 4 + ["B"] * 4, p + p, rho + rho)
+        params = make_params(beta_b=0.03, theta_b=0.05)
+        statuses = [
+            solve_constrained_lp(SolveRequest(pop, params, ConstraintSet.parity(tol))).status
+            for tol in (1e-6, 0.5, 0.0, 0.5, 1e-6)
+        ]
+        assert statuses == [SolveStatus.OPTIMAL] * 2 + [SolveStatus.TOLERANCE_RELAXED] + [
+            SolveStatus.OPTIMAL] * 2
+        assert solve_unconstrained(SolveRequest(pop, params)).status is SolveStatus.OPTIMAL
+        assert len(calls) == 1
+
+    def test_threshold_statuses_at_two_tolerances_match_fresh_solves(self):
+        # at 1e-6 the engines run, at 0.5 the threshold allocation is
+        # returned; either order gives each request its own result
+        pop = sample_population(PopulationSpec(n_a=200, n_b=200, uptake=UptakeConfig((4, 6), (7, 3)), seed=5))
+        params = make_params()
+        for tol in (1e-6, 0.5, 1e-6, 0.5):
+            cs = ConstraintSet.all(tol)
+            got = solve_constrained_lp(SolveRequest(pop, params, cs))
+            fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+            want = solve_constrained_lp(SolveRequest(fresh, params, cs))
+            assert got.allocation.values.tobytes() == want.allocation.values.tobytes()
+            assert (got.objective, got.gaps, got.status, got.n_fractional) == (
+                want.objective, want.gaps, want.status, want.n_fractional
+            )
+        assert pop._threshold is not None  # the 0.5 solves ended at the threshold
+
+    def test_threshold_score_is_keyed_by_params_identity(self, monkeypatch):
+        calls = self._count_parity_gap_calls(monkeypatch)
+        pop = sample_population(PopulationSpec(n_a=50, n_b=50, uptake=UptakeConfig((4, 6), (7, 3)), seed=5))
+        first = make_params(gamma=1.0)
+        equal = replace(first)
+        assert equal == first and equal is not first
+        results = [solve_unconstrained(SolveRequest(pop, params))
+                   for params in (first, first, equal, replace(first, gamma=0.5))]
+        assert len(calls) == 3  # the repeated object is scored once
+        assert results[1].allocation is results[0].allocation
+        assert results[2].allocation is not results[0].allocation
+        for res, params in zip(results, (first, first, equal)):
+            want = threshold_rule(pop, params)
+            assert np.array_equal(res.allocation.values, want.values)
+            assert res.objective == herm_aware_utility(pop, want, params)
+        fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+        last = solve_unconstrained(SolveRequest(fresh, replace(first, gamma=0.5)))
+        assert results[3].allocation.values.tobytes() == last.allocation.values.tobytes()
+        assert (results[3].objective, results[3].gaps) == (last.objective, last.gaps)
+
+    def test_infeasible_threshold_keeps_nothing(self, monkeypatch):
+        calls = self._count_parity_gap_calls(monkeypatch)
+        pop = sample_population(PopulationSpec(n_a=200, n_b=200, uptake=UptakeConfig((4, 6), (7, 3)), seed=5))
+        res = solve_constrained_lp(SolveRequest(pop, make_params(), ConstraintSet.all()))
+        assert res.allocation.values.tobytes() != threshold_rule(pop, make_params()).values.tobytes()
+        assert pop._threshold is None
+        assert len(calls) == 1  # the engine's allocation, scored once
+
     def test_equality_slack_form_matches_stacked_inequalities(self):
         # reference: the slab as stacked inequality rows over the scaled rows,
         # [R; -R] d <= eps * [scale; scale], on a reduced sweep of every
