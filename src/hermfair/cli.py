@@ -349,7 +349,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return 0
 
     if args.test == "proportions":
-        cells = conditional_proportions(table, axis=args.axis)
+        try:
+            cells = conditional_proportions(table, axis=args.axis, confidence=args.confidence)
+        except ValueError as exc:
+            raise _InputError(str(exc)) from exc
         write_json(
             {
                 "test": "conditional_proportions",
@@ -444,11 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("table", nargs="?", help="labelled contingency table CSV")
     p_stats.add_argument("--successes", type=int, default=None)
     p_stats.add_argument("--n", type=int, default=None)
-    p_stats.add_argument("--confidence", type=float, default=0.95)
+    p_stats.add_argument("--confidence", type=float, default=0.95,
+                         help="interval coverage for wilson and proportions (default %(default)s)")
     p_stats.add_argument("--correction", choices=("auto", "always", "never"), default="auto",
                          help="continuity correction (auto: 2x2 tables only)")
     p_stats.add_argument("--axis", choices=("rows", "cols"), default="rows")
-    p_stats.add_argument("--out", default=None, help="output JSON path (default stdout)")
+    p_stats.add_argument("--out", default=None,
+                         help="output JSON path (default stdout); its parent directory "
+                              "must already exist")
     p_stats.set_defaults(func=cmd_stats)
 
     p_export = sub.add_parser("export-population", help="sample a population to CSV")
@@ -466,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="group B click coefficient (default %(default)s)")
     p_export.add_argument("--seed", type=int, default=PopulationSpec.seed,
                           help="sampling seed (default %(default)s)")
-    p_export.add_argument("--out", required=True, help="output CSV path")
+    p_export.add_argument("--out", required=True,
+                          help="output CSV path; its parent directory must already exist")
     p_export.set_defaults(func=cmd_export_population)
 
     return parser

@@ -183,6 +183,32 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
+
+
+def _z(confidence: float) -> float:
+    """Two-sided normal quantile for ``confidence``, as ``scipy.stats.norm.ppf`` gives it."""
+    from scipy.special import ndtri
+
+    return float(ndtri(0.5 + confidence / 2.0))
+
+
+def _wilson(successes: int, n: int, z: float, confidence: float) -> WilsonInterval:
+    """Wilson score interval from checked counts and the quantile ``z``."""
+    phat = successes / n
+    z2 = z * z
+    denom = 1.0 + z2 / n
+    center = (phat + z2 / (2.0 * n)) / denom
+    half = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
+    # the score interval contains phat; the min/max guard is against rounding
+    # at the 0 and 1 boundaries where center and half cancel exactly
+    lo = min(max(0.0, center - half), phat)
+    hi = max(min(1.0, center + half), phat)
+    return WilsonInterval(point=phat, lo=lo, hi=hi, confidence=confidence)
+
+
 def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> WilsonInterval:
     """Wilson score interval for a binomial proportion.
 
@@ -204,21 +230,8 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> WilsonI
         raise ValueError("n must be at least 1")
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    from scipy.special import ndtri
-
-    z = float(ndtri(0.5 + confidence / 2.0))
-    phat = successes / n
-    z2 = z * z
-    denom = 1.0 + z2 / n
-    center = (phat + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
-    # the score interval contains phat; the min/max guard is against rounding
-    # at the 0 and 1 boundaries where center and half cancel exactly
-    lo = min(max(0.0, center - half), phat)
-    hi = max(min(1.0, center + half), phat)
-    return WilsonInterval(point=phat, lo=lo, hi=hi, confidence=confidence)
+    _check_confidence(confidence)
+    return _wilson(successes, n, _z(confidence), confidence)
 
 
 def chi2_independence(
@@ -267,29 +280,37 @@ def chi2_independence(
 
 
 def conditional_proportions(
-    table: ContingencyTable, axis: str = "rows"
+    table: ContingencyTable, axis: str = "rows", confidence: float = 0.95
 ) -> list[list[WilsonInterval]]:
     """Per-cell conditional proportions with Wilson intervals.
 
     With ``axis="rows"`` each cell is divided by its row total and the
     interval treats that row total as the number of trials; ``axis="cols"``
-    conditions on columns instead.
+    conditions on columns instead.  Each cell equals ``wilson_interval`` of
+    its count, its total and ``confidence``; the totals and the normal
+    quantile are computed once per table, not once per cell.
 
     Returns:
         A matrix (list of rows) of WilsonInterval objects, shaped like the
         input table.
+
+    Raises:
+        ValueError: ``axis`` is not ``"rows"`` or ``"cols"``, or a confidence
+            outside (0, 1).
     """
     if axis not in ("rows", "cols"):
         raise ValueError("axis must be 'rows' or 'cols'")
+    _check_confidence(confidence)
+    z = _z(confidence)
     counts = table.counts
-    out: list[list[WilsonInterval]] = []
-    for i in range(counts.shape[0]):
-        row: list[WilsonInterval] = []
-        for j in range(counts.shape[1]):
-            nn = int(counts[i].sum()) if axis == "rows" else int(counts[:, j].sum())
-            row.append(wilson_interval(int(counts[i, j]), nn))
-        out.append(row)
-    return out
+    # a table's counts are checked integers, its totals at most 2**53 and
+    # non-zero, so Python ints go straight to the arithmetic
+    totals = counts.sum(axis=1 if axis == "rows" else 0).tolist()
+    if axis == "rows":
+        return [[_wilson(c, nn, z, confidence) for c in row]
+                for row, nn in zip(counts.tolist(), totals)]
+    return [[_wilson(c, nn, z, confidence) for c, nn in zip(row, totals)]
+            for row in counts.tolist()]
 
 
 def table_from_csv(path: str | Path | io.TextIOBase) -> ContingencyTable:

@@ -15,6 +15,7 @@ from hermfair.cli import main
 from hermfair.model import ConstraintSet, ModelParams
 from hermfair.population import population_from_csv, population_to_csv
 from hermfair.solver import SolveRequest, solve
+from hermfair.stats import wilson_interval
 
 EXPOSURE_TABLE = ",not_exposed,exposed\nany_same_sex,883,219\nopposite_sex_only,1975,122\n"
 
@@ -466,6 +467,23 @@ class TestStats:
         assert main(["stats", "proportions", table, "--axis", "rows"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert round(payload["cells"][0][1]["point"], 3) == 0.199
+
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    def test_proportions_confidence(self, tmp_path, capsys, axis):
+        table = write(tmp_path / "t.csv", ",yes,no\nA,12,30\nB,25,18\n")
+        assert main(["stats", "proportions", table, "--axis", axis, "--confidence", "0.5"]) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0][0]
+        assert cell["confidence"] == 0.5
+        ref = wilson_interval(12, 42 if axis == "rows" else 37, 0.5)
+        assert (cell["lo"], cell["hi"]) == (ref.lo, ref.hi)
+        if axis == "rows":
+            assert (round(cell["lo"], 4), round(cell["hi"], 4)) == (0.2412, 0.3348)
+
+    @pytest.mark.parametrize("confidence", ["0", "1", "1.5", "nan"])
+    def test_proportions_bad_confidence_exits_1(self, tmp_path, capsys, confidence):
+        table = write(tmp_path / "t.csv", EXPOSURE_TABLE)
+        assert main(["stats", "proportions", table, "--confidence", confidence]) == 1
+        assert "confidence must lie in (0, 1)" in capsys.readouterr().err
 
     def test_too_small_table_exits_1(self, tmp_path):
         table = write(tmp_path / "t.csv", ",a,b\nonly_row,1,2\n")

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -167,6 +167,37 @@ class TestConditionalProportions:
         cells = conditional_proportions(table, axis="cols")
         assert cells[0][0].point == 0.25
         assert cells[0][1].point == 0.5
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, float("nan")])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            conditional_proportions(ContingencyTable([[1, 2], [3, 4]]), confidence=confidence)
+
+    @given(st.integers(2, 6), st.integers(2, 6),
+           st.lists(st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 10**14)),
+                    min_size=36, max_size=36),
+           st.sampled_from(["rows", "cols"]),
+           st.sampled_from([1e-9, 0.5, 0.9, 0.95, 0.999999]))
+    def test_each_cell_is_its_wilson_interval(self, nr, nc, cells, axis, confidence):
+        # one totals reduction and one quantile per table give every cell
+        # the bits of a wilson_interval call on its own count and total
+        counts = np.array(cells[: nr * nc]).reshape(nr, nc)
+        assume(counts.sum(axis=0).all() and counts.sum(axis=1).all())
+        table = ContingencyTable(counts)
+        totals = counts.sum(axis=1 if axis == "rows" else 0).tolist()
+        expected = [
+            [wilson_interval(int(counts[i, j]), totals[i if axis == "rows" else j], confidence)
+             for j in range(nc)]
+            for i in range(nr)
+        ]
+        got = conditional_proportions(table, axis=axis, confidence=confidence)
+
+        def bits(matrix):
+            return [[(c.point.hex(), c.lo.hex(), c.hi.hex(), c.confidence) for c in row]
+                    for row in matrix]
+
+        assert got == expected
+        assert bits(got) == bits(expected)
 
 
 class TestTableValidation:
