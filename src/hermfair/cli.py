@@ -301,70 +301,75 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    out = sys.stdout if args.out in (None, "-") else args.out
-    if args.test == "wilson":
-        if args.successes is None or args.n is None:
-            raise _InputError("wilson requires --successes and --n")
-        try:
-            interval = wilson_interval(args.successes, args.n, args.confidence)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-        write_json(
-            {
-                "test": "wilson",
-                "successes": args.successes,
-                "n": args.n,
-                "confidence": args.confidence,
-                "point": interval.point,
-                "lo": interval.lo,
-                "hi": interval.hi,
-            },
-            out,
-        )
-        return 0
+def _stats_out(args: argparse.Namespace):
+    return sys.stdout if args.out in (None, "-") else args.out
 
-    if not args.table:
-        raise _InputError(f"{args.test} requires a contingency table CSV")
+
+def _read_table(args: argparse.Namespace):
     try:
-        table = table_from_csv(args.table)
+        return table_from_csv(args.table)
     except OSError as exc:
         raise _InputError(f"cannot read table: {exc}") from exc
     except ValueError as exc:
         raise _InputError(f"{args.table}: {exc}") from exc
 
-    if args.test == "chi2":
-        correction = {"auto": "auto", "always": True, "never": False}[args.correction]
-        res = chi2_independence(table, correction=correction)
-        write_json(
-            {
-                "test": "chi2_independence",
-                "row_labels": list(table.row_labels),
-                "col_labels": list(table.col_labels),
-                **dataclasses.asdict(res),
-                "expected": res.expected.tolist(),
-            },
-            out,
-        )
-        return 0
 
-    if args.test == "proportions":
-        try:
-            cells = conditional_proportions(table, axis=args.axis, confidence=args.confidence)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-        write_json(
-            {
-                "test": "conditional_proportions",
-                "axis": args.axis,
-                "row_labels": list(table.row_labels),
-                "col_labels": list(table.col_labels),
-                "cells": [[dataclasses.asdict(c) for c in row] for row in cells],
-            },
-            out,
-        )
-        return 0
-    raise _InputError(f"unknown stats test {args.test!r}")
+def cmd_stats_wilson(args: argparse.Namespace) -> int:
+    if args.successes is None or args.n is None:
+        raise _InputError("wilson requires --successes and --n")
+    try:
+        interval = wilson_interval(args.successes, args.n, args.confidence)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    write_json(
+        {
+            "test": "wilson",
+            "successes": args.successes,
+            "n": args.n,
+            "confidence": args.confidence,
+            "point": interval.point,
+            "lo": interval.lo,
+            "hi": interval.hi,
+        },
+        _stats_out(args),
+    )
+    return 0
+
+
+def cmd_stats_chi2(args: argparse.Namespace) -> int:
+    table = _read_table(args)
+    correction = {"auto": "auto", "always": True, "never": False}[args.correction]
+    res = chi2_independence(table, correction=correction)
+    write_json(
+        {
+            "test": "chi2_independence",
+            "row_labels": list(table.row_labels),
+            "col_labels": list(table.col_labels),
+            **dataclasses.asdict(res),
+            "expected": res.expected.tolist(),
+        },
+        _stats_out(args),
+    )
+    return 0
+
+
+def cmd_stats_proportions(args: argparse.Namespace) -> int:
+    table = _read_table(args)
+    try:
+        cells = conditional_proportions(table, axis=args.axis, confidence=args.confidence)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    write_json(
+        {
+            "test": "conditional_proportions",
+            "axis": args.axis,
+            "row_labels": list(table.row_labels),
+            "col_labels": list(table.col_labels),
+            "cells": [[dataclasses.asdict(c) for c in row] for row in cells],
+        },
+        _stats_out(args),
+    )
+    return 0
 
 
 def cmd_export_population(args: argparse.Namespace) -> int:
@@ -443,19 +448,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_stats = sub.add_parser("stats", help="contingency-table statistics")
-    p_stats.add_argument("test", choices=("chi2", "wilson", "proportions"))
-    p_stats.add_argument("table", nargs="?", help="labelled contingency table CSV")
-    p_stats.add_argument("--successes", type=int, default=None)
-    p_stats.add_argument("--n", type=int, default=None)
-    p_stats.add_argument("--confidence", type=float, default=0.95,
-                         help="interval coverage for wilson and proportions (default %(default)s)")
-    p_stats.add_argument("--correction", choices=("auto", "always", "never"), default="auto",
-                         help="continuity correction (auto: 2x2 tables only)")
-    p_stats.add_argument("--axis", choices=("rows", "cols"), default="rows")
-    p_stats.add_argument("--out", default=None,
-                         help="output JSON path (default stdout); its parent directory "
-                              "must already exist")
-    p_stats.set_defaults(func=cmd_stats)
+    tests = p_stats.add_subparsers(dest="test", required=True)
+    # each test takes only the arguments it reads
+    table_arg = argparse.ArgumentParser(add_help=False)
+    table_arg.add_argument("table", help="labelled contingency table CSV")
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", default=None,
+                          help="output JSON path (default stdout); its parent directory "
+                               "must already exist")
+    confidence_flag = argparse.ArgumentParser(add_help=False)
+    confidence_flag.add_argument("--confidence", type=float, default=0.95,
+                                 help="interval coverage (default %(default)s)")
+
+    p_chi2 = tests.add_parser("chi2", parents=[table_arg, out_flag],
+                              help="Pearson chi-squared test of independence with Cramer's V")
+    p_chi2.add_argument("--correction", choices=("auto", "always", "never"), default="auto",
+                        help="continuity correction (auto: 2x2 tables only)")
+    p_chi2.set_defaults(func=cmd_stats_chi2)
+    p_props = tests.add_parser("proportions", parents=[table_arg, out_flag, confidence_flag],
+                               help="each cell over its row or column total, with a Wilson "
+                                    "interval")
+    p_props.add_argument("--axis", choices=("rows", "cols"), default="rows")
+    p_props.set_defaults(func=cmd_stats_proportions)
+    p_wilson = tests.add_parser("wilson", parents=[out_flag, confidence_flag],
+                                help="Wilson score interval for one proportion")
+    p_wilson.add_argument("--successes", type=int, default=None)
+    p_wilson.add_argument("--n", type=int, default=None)
+    p_wilson.set_defaults(func=cmd_stats_wilson)
 
     p_export = sub.add_parser("export-population", help="sample a population to CSV")
     p_export.add_argument("--na", type=int, default=ScenarioSpec.n_a,

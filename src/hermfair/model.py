@@ -14,7 +14,7 @@ All aggregate functions sum in ascending user-index order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,13 +54,18 @@ class Population:
     keeps that allocation with its objective and gaps for the last
     parameter object it was solved with (``hermfair.solver`` fills it; a
     solve whose threshold allocation is infeasible keeps nothing).  Each
-    parameter object is matched by identity.  The cached arrays are
-    read-only and equality ignores them.
+    parameter object is matched by identity.  ``hermfair.solver`` also
+    keeps each gap constraint row the first time it builds it, and the
+    names of the rows it retains for each set of active constraints; a row
+    of a group with zero mass is never built, so it is never kept.  Those
+    rows are at most three arrays of the population's length, 4.8 MB at
+    2x10^5 users.  The cached arrays are read-only and equality ignores
+    them.
     """
 
     __slots__ = (
         "groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b",
-        "_masses", "_slices", "_gains", "_objective", "_threshold",
+        "_masses", "_slices", "_gains", "_objective", "_threshold", "_rows", "_retained",
     )
 
     @classmethod
@@ -106,6 +111,8 @@ class Population:
         self._gains = None
         self._objective = None
         self._threshold = None
+        self._rows = {}
+        self._retained = {}
         return self
 
     @property
@@ -221,18 +228,24 @@ class ConstraintSet:
     """Which group-equality constraints an allocation must satisfy.
 
     ``tolerance`` is the maximum absolute gap accepted as "equal".
+    ``active`` holds the switched-on constraint fields, in ``_SHARE_WEIGHTS``
+    order; it is computed once, and equality ignores it.
     """
 
     parity_exposure: bool = False
     equality_opportunity: bool = False
     equality_herm_opportunity: bool = False
     tolerance: float = 1e-6
+    active: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tol = float(self.tolerance)
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
         object.__setattr__(self, "tolerance", tol)
+        object.__setattr__(
+            self, "active", tuple(name for name in _SHARE_WEIGHTS if getattr(self, name))
+        )
 
     # The constructors' ``tolerance`` default is the field default above.
     @classmethod
@@ -250,11 +263,6 @@ class ConstraintSet:
     @classmethod
     def all(cls, tolerance: float = tolerance) -> "ConstraintSet":
         return cls(True, True, True, tolerance)
-
-    @property
-    def active(self) -> tuple[str, ...]:
-        """The switched-on constraint fields, in ``_SHARE_WEIGHTS`` order."""
-        return tuple(name for name in _SHARE_WEIGHTS if getattr(self, name))
 
     @property
     def any_active(self) -> bool:
@@ -335,18 +343,28 @@ def _check_aligned(pop: Population, alloc: Allocation) -> np.ndarray:
     return alloc.values
 
 
+def _economic(terms: _Objective, d: np.ndarray, withheld: np.ndarray) -> float:
+    return float((terms.shown * d + terms.beta * withheld).sum())
+
+
+def _cost(terms: _Objective, d: np.ndarray, withheld: np.ndarray) -> float:
+    return float((terms.uptake_cost * d + terms.params.xi * withheld).sum())
+
+
+def _utility(terms: _Objective, d: np.ndarray, withheld: np.ndarray) -> float:
+    return _economic(terms, d, withheld) - terms.params.gamma * _cost(terms, d, withheld)
+
+
 def economic_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user economic utilities, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    terms = _objective_terms(pop, params)
-    return float((terms.shown * d + terms.beta * (1.0 - d)).sum())
+    return _economic(_objective_terms(pop, params), d, 1.0 - d)
 
 
 def hermeneutical_cost(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user interpretative costs, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    terms = _objective_terms(pop, params)
-    return float((terms.uptake_cost * d + params.xi * (1.0 - d)).sum())
+    return _cost(_objective_terms(pop, params), d, 1.0 - d)
 
 
 def herm_aware_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
@@ -355,9 +373,8 @@ def herm_aware_utility(pop: Population, alloc: Allocation, params: ModelParams) 
     With ``gamma == 0`` this equals :func:`economic_utility` bit for bit (same
     summation order, and subtracting ``0.0 * cost`` is exact).
     """
-    return economic_utility(pop, alloc, params) - params.gamma * hermeneutical_cost(
-        pop, alloc, params
-    )
+    d = _check_aligned(pop, alloc)
+    return _utility(_objective_terms(pop, params), d, 1.0 - d)
 
 
 def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
@@ -381,16 +398,52 @@ def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
     return cached[1]
 
 
-def _share_gap(pop: Population, alloc: Allocation, column: str | None) -> float:
+def _share_gap(pop: Population, d_a: np.ndarray, d_b: np.ndarray, column: str | None) -> float:
     """Group B's share of its ``column``-weighted mass that is shown, minus
-    group A's; with ``column`` None, of its users."""
-    d = _check_aligned(pop, alloc)
+    group A's; with ``column`` None, of its users.  ``d_a`` and ``d_b`` are
+    the decisions of group A and of group B.
+
+    Raises:
+        DegenerateGroupError: a group's ``column`` total is zero.
+    """
     mass_a, mass_b = _group_masses(pop, column)
-    d_a, d_b = d[pop.mask_a], d[pop.mask_b]
     if column is not None:
         w_a, w_b = _group_slices(pop, column)
         d_a, d_b = d_a * w_a, d_b * w_b
     return float(d_b.sum()) / mass_b - float(d_a.sum()) / mass_a
+
+
+def _column_gap(pop: Population, alloc: Allocation, column: str | None) -> float:
+    d = _check_aligned(pop, alloc)
+    return _share_gap(pop, d[pop.mask_a], d[pop.mask_b], column)
+
+
+class _Scores(NamedTuple):
+    """The objective of a decision vector and its three gaps, in
+    ``_SHARE_WEIGHTS`` order."""
+
+    objective: float
+    gaps: tuple[float, float, float]
+
+
+def _scores(pop: Population, d: np.ndarray, params: ModelParams) -> _Scores:
+    """:func:`herm_aware_utility` and the three gap functions of the
+    decision vector ``d``, aligned with ``pop``, in one pass.
+
+    Each group's decisions and ``1 - d`` are gathered once; every value is
+    bit for bit what the public function returns.  A gap whose weight
+    column sums to zero over a group is NaN.
+    """
+    terms = _objective_terms(pop, params)
+    objective = _utility(terms, d, 1.0 - d)
+    d_a, d_b = d[pop.mask_a], d[pop.mask_b]
+    gaps = []
+    for column in _SHARE_WEIGHTS.values():
+        try:
+            gaps.append(_share_gap(pop, d_a, d_b, column))
+        except DegenerateGroupError:
+            gaps.append(math.nan)
+    return _Scores(objective, tuple(gaps))
 
 
 def parity_gap(pop: Population, alloc: Allocation) -> float:
@@ -399,7 +452,7 @@ def parity_gap(pop: Population, alloc: Allocation) -> float:
     Positive values mean group B receives the ad at a higher rate than
     group A.
     """
-    return _share_gap(pop, alloc, _SHARE_WEIGHTS["parity_exposure"])
+    return _column_gap(pop, alloc, _SHARE_WEIGHTS["parity_exposure"])
 
 
 def eo_gap(pop: Population, alloc: Allocation) -> float:
@@ -407,7 +460,7 @@ def eo_gap(pop: Population, alloc: Allocation) -> float:
 
     Each group's share is ``sum(d * p) / sum(p)`` over its members.
     """
-    return _share_gap(pop, alloc, _SHARE_WEIGHTS["equality_opportunity"])
+    return _column_gap(pop, alloc, _SHARE_WEIGHTS["equality_opportunity"])
 
 
 def eho_gap(pop: Population, alloc: Allocation) -> float:
@@ -415,4 +468,4 @@ def eho_gap(pop: Population, alloc: Allocation) -> float:
 
     Same ratio form as :func:`eo_gap` with ``rho`` in place of ``p``.
     """
-    return _share_gap(pop, alloc, _SHARE_WEIGHTS["equality_herm_opportunity"])
+    return _column_gap(pop, alloc, _SHARE_WEIGHTS["equality_herm_opportunity"])

@@ -8,7 +8,8 @@ subject to each active group-gap being zero up to the request tolerance
 threshold allocation (``d_i = 1`` iff the gain ``c_i >= 0``): if it already
 meets every retained row it is optimal and is returned with no further
 work.  Its objective and gaps are measured once per population and
-parameter object, and shared with ``solve_unconstrained``.  Otherwise:
+parameter object, and shared with ``solve_unconstrained`` and with every
+oracle solve whose optimum it is.  Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
@@ -50,17 +51,16 @@ import numpy as np
 from .model import (
     Allocation,
     ConstraintSet,
-    DegenerateGroupError,
     ModelParams,
     Population,
     _SHARE_WEIGHTS,
     _group_masses,
+    _scores,
     decision_gains,
-    eho_gap,
-    eo_gap,
-    herm_aware_utility,
-    parity_gap,
 )
+# Bound here, though scoring goes through ``_scores``, for code that wraps
+# this module's names (perfbench's tracer).
+from .model import eho_gap, eo_gap, herm_aware_utility, parity_gap  # noqa: F401
 
 __all__ = [
     "SolveMode",
@@ -166,6 +166,21 @@ class SolveResult:
         return (self.parity_gap, self.eo_gap, self.eho_gap)
 
 
+def _gap_row(pop: Population, name: str) -> np.ndarray:
+    """The row of the ``name`` constraint, read-only: group A users carry
+    ``-w / mass_a``, group B users ``w / mass_b``.
+
+    Raises:
+        DegenerateGroupError: the row's weight column sums to zero over a group.
+    """
+    column = _SHARE_WEIGHTS[name]
+    mass_a, mass_b = _group_masses(pop, column)
+    weights = 1.0 if column is None else getattr(pop, column)
+    row = np.where(pop.mask_a, -weights / mass_a, weights / mass_b)
+    row.flags.writeable = False
+    return row
+
+
 def constraint_rows(
     pop: Population, constraints: ConstraintSet
 ) -> tuple[list[str], np.ndarray]:
@@ -176,6 +191,10 @@ def constraint_rows(
     uptake-weighted row when every user shares one uptake value, which then
     collapses onto the exposure row) are dropped.
 
+    The population keeps each row once every row of the request is built,
+    and the retained names for each set of active constraints; neither
+    depends on the tolerance.
+
     Returns:
         (names, matrix) where matrix has one row per retained constraint.
 
@@ -183,18 +202,20 @@ def constraint_rows(
         DegenerateGroupError: an active constraint's weight column sums to
             zero over a group.
     """
-    rows: list[np.ndarray] = []
-    names: list[str] = []
-    for name in constraints.active:
-        column = _SHARE_WEIGHTS[name]
-        mass_a, mass_b = _group_masses(pop, column)
-        weights = 1.0 if column is None else getattr(pop, column)
-        row = np.where(pop.mask_a, -weights / mass_a, weights / mass_b)
-        if not any(np.max(np.abs(kept - row)) <= _DEDUP_EPS for kept in rows):
-            rows.append(row)
-            names.append(name)
-    matrix = np.vstack(rows) if rows else np.empty((0, pop.size))
-    return names, matrix
+    active = constraints.active
+    names = pop._retained.get(active)
+    if names is None:
+        rows = {name: pop._rows[name] if name in pop._rows else _gap_row(pop, name)
+                for name in active}
+        kept: list[str] = []
+        for name in active:
+            if not any(np.max(np.abs(rows[k] - rows[name])) <= _DEDUP_EPS for k in kept):
+                kept.append(name)
+        pop._rows.update(rows)
+        names = pop._retained[active] = tuple(kept)
+    if not names:
+        return [], np.empty((0, pop.size))
+    return list(names), np.array([pop._rows[name] for name in names])
 
 
 def threshold_rule(pop: Population, params: ModelParams) -> Allocation:
@@ -204,13 +225,6 @@ def threshold_rule(pop: Population, params: ModelParams) -> Allocation:
     the ad.
     """
     return Allocation.binary((decision_gains(pop, params) >= 0.0).astype(np.float64))
-
-
-def _gap_or_nan(fn, pop: Population, alloc: Allocation) -> float:
-    try:
-        return fn(pop, alloc)
-    except DegenerateGroupError:
-        return math.nan
 
 
 class _Scored(NamedTuple):
@@ -223,10 +237,7 @@ class _Scored(NamedTuple):
 
 
 def _score(pop: Population, params: ModelParams, alloc: Allocation) -> _Scored:
-    # The gap and objective functions are this module's bindings, read per
-    # call so that a tracer may replace them.
-    gaps = tuple(_gap_or_nan(fn, pop, alloc) for fn in (parity_gap, eo_gap, eho_gap))
-    return _Scored(alloc, herm_aware_utility(pop, alloc, params), gaps)
+    return _Scored(alloc, *_scores(pop, alloc.values, params))
 
 
 def _threshold_scored(pop: Population, params: ModelParams) -> _Scored:
@@ -269,7 +280,7 @@ def _build_result(
     values: np.ndarray,
     constraints: ConstraintSet,
 ) -> SolveResult:
-    n_frac = int(np.sum((values > SNAP_EPS) & (values < 1.0 - SNAP_EPS)))
+    n_frac = int(np.count_nonzero((values > SNAP_EPS) & (values < 1.0 - SNAP_EPS)))
     return _result(_score(pop, params, Allocation(values)), constraints, n_frac)
 
 
@@ -620,7 +631,9 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
     users' sums, ``(1 + m) * 2**(n - 16)`` floats.
 
     The show-none vector meets every gap exactly (its sums are ``0.0``), so
-    some vector is always feasible.
+    some vector is always feasible.  An optimum equal to the threshold
+    allocation takes the population's threshold score, as
+    ``solve_constrained_lp`` does.
 
     Raises:
         PopulationTooLargeError: population exceeds ``enumeration_cap``.
@@ -655,6 +668,10 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
             best_obj = float(obj[idx])
             best_mask = (block << h) + idx
     values = ((best_mask >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
+    if np.array_equal(values, c >= 0.0):
+        # the threshold allocation, scored once per population and parameter
+        # object as in solve_constrained_lp
+        return _result(_threshold_scored(pop, params), req.constraints, 0)
     return _build_result(pop, params, values, req.constraints)
 
 

@@ -15,7 +15,7 @@ from hermfair.cli import main
 from hermfair.model import ConstraintSet, ModelParams
 from hermfair.population import population_from_csv, population_to_csv
 from hermfair.solver import SolveRequest, solve
-from hermfair.stats import wilson_interval
+from hermfair.stats import chi2_independence, table_from_csv, wilson_interval
 
 EXPOSURE_TABLE = ",not_exposed,exposed\nany_same_sex,883,219\nopposite_sex_only,1975,122\n"
 
@@ -491,6 +491,44 @@ class TestStats:
 
     def test_wilson_requires_counts(self):
         assert main(["stats", "wilson"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["proportions", "--axis", "cols", "--confidence", "0.5", "TABLE"],
+        ["proportions", "TABLE", "--axis", "cols", "--confidence", "0.5"],
+        ["proportions", "--confidence", "0.5", "TABLE", "--axis", "cols"],
+        ["chi2", "--correction", "never", "TABLE"],
+        ["chi2", "TABLE", "--correction", "never"],
+    ])
+    def test_flags_before_or_after_the_table(self, tmp_path, capsys, argv):
+        table = write(tmp_path / "t.csv", ",yes,no\nA,12,30\nB,25,18\n")
+        assert main(["stats", *(table if a == "TABLE" else a for a in argv)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if argv[0] == "proportions":
+            assert payload["axis"] == "cols"
+            assert payload["cells"][0][0]["confidence"] == 0.5
+        else:
+            uncorrected = chi2_independence(table_from_csv(table), correction=False)
+            assert payload["statistic"] == uncorrected.statistic
+
+    @pytest.mark.parametrize("argv", [
+        ["chi2", "TABLE", "--confidence", "0.5"],
+        ["chi2", "TABLE", "--axis", "cols"],
+        ["chi2", "--confidence", "0.5", "--axis", "cols", "TABLE"],
+        ["proportions", "TABLE", "--correction", "never"],
+        ["proportions", "TABLE", "--successes", "3"],
+        ["wilson", "--successes", "3", "--n", "10", "--axis", "rows"],
+        ["wilson", "--successes", "3", "--n", "10", "--correction", "never"],
+        ["wilson", "TABLE", "--successes", "3", "--n", "10"],
+        ["chi2"],
+        [],
+    ])
+    def test_a_flag_the_test_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv):
+        table = write(tmp_path / "t.csv", EXPOSURE_TABLE)
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", *(table if a == "TABLE" else a for a in argv)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: hermfair" in captured.err
 
     @pytest.mark.parametrize("count", [2**63 - 1, 4 * 10**18, 10**29, 2**53])
     def test_grand_total_above_2_53_exits_1(self, tmp_path, capsys, count):

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +12,7 @@ from hermfair.model import (
     DegenerateGroupError,
     ModelParams,
     Population,
+    _scores,
     decision_gains,
     economic_utility,
     eho_gap,
@@ -93,6 +97,17 @@ class TestValidation:
             ConstraintSet(tolerance=-1e-9)
         assert ConstraintSet.all().active == (
             "parity_exposure", "equality_opportunity", "equality_herm_opportunity")
+
+    def test_constraint_set_active_is_kept_and_ignored_by_equality(self):
+        cs = ConstraintSet(equality_herm_opportunity=True, parity_exposure=True)
+        assert cs.active == ("parity_exposure", "equality_herm_opportunity")
+        assert cs.active is cs.active
+        assert replace(cs, parity_exposure=False).active == ("equality_herm_opportunity",)
+        assert replace(cs, tolerance=0.5).active == cs.active
+        assert "active" not in repr(cs)
+        assert ConstraintSet.all() == ConstraintSet(True, True, True)
+        assert hash(ConstraintSet.all()) == hash(ConstraintSet(True, True, True))
+        assert ConstraintSet().active == () and not ConstraintSet().any_active
 
     def test_misaligned_allocation(self):
         pop = pop_from(["A", "B"], [0.1, 0.2], [0.3, 0.4])
@@ -359,6 +374,53 @@ class TestProperties:
                 continue
             g2 = fn(pop2, alloc2)
             assert g2 == pytest.approx(g1, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A population with interleaved group labels, one group's ``p`` or
+    ``rho`` possibly all zero, and a fractional decision vector."""
+    pop = draw(_populations())
+    zeroed = draw(st.sampled_from([None, ("p", "A"), ("p", "B"), ("rho", "A"), ("rho", "B")]))
+    if zeroed is not None:
+        column, group = zeroed
+        columns = {"p": pop.p.copy(), "rho": pop.rho.copy()}
+        columns[column][pop.groups == group] = 0.0
+        pop = Population.from_arrays(pop.groups, columns["p"], columns["rho"])
+    probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    return pop, _fractional_for(pop, draw, probs), zeroed
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScorer:
+    @given(_scoring_cases(), _params_strategy())
+    def test_one_pass_scorer_matches_the_public_functions_bitwise(self, case, params):
+        pop, alloc, zeroed = case
+        objective, gaps = _scores(pop, alloc.values, params)
+        # the public functions on a population that has cached nothing
+        fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+        assert _bits(objective) == _bits(herm_aware_utility(fresh, alloc, params))
+        for gap, fn in zip(gaps, (parity_gap, eo_gap, eho_gap)):
+            try:
+                want = fn(fresh, alloc)
+            except DegenerateGroupError:
+                assert math.isnan(gap)
+            else:
+                assert _bits(gap) == _bits(want)
+        if zeroed is not None:
+            assert math.isnan(gaps[1 if zeroed[0] == "p" else 2])
+
+    def test_zero_mass_gap_is_nan_on_every_call(self):
+        pop = pop_from(["B", "A", "B", "A"], [0.4, 0.0, 0.2, 0.0], [0.5, 0.3, 0.9, 0.1])
+        d = np.array([0.25, 1.0, 0.0, 0.5])
+        for _ in range(2):
+            objective, (parity, eo, eho) = _scores(pop, d, make_params())
+            assert math.isnan(eo) and not math.isnan(parity) and not math.isnan(eho)
+            assert parity == parity_gap(pop, Allocation(d)) == 0.125 - 0.75
+            assert objective == herm_aware_utility(pop, Allocation(d), make_params())
 
 
 # ---------------------------------------------------------- population cache

@@ -289,9 +289,9 @@ class TestSharedThresholdScore:
 
     def test_a_threshold_cell_scores_its_allocation_once(self, monkeypatch):
         calls = []
-        real = hermfair.solver.parity_gap
+        real = hermfair.solver._scores
         monkeypatch.setattr(
-            hermfair.solver, "parity_gap", lambda pop, alloc: calls.append(alloc) or real(pop, alloc)
+            hermfair.solver, "_scores", lambda pop, d, params: calls.append(d) or real(pop, d, params)
         )
         spec = builtin_scenario("gamma", grid=(1.0,), replications=1, n_a=200, n_b=200)
         records = hermfair.scenarios._run_cell((spec, 5, 0, 0))

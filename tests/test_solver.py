@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import hermfair.model
 import hermfair.solver
 from hermfair.model import (
     Allocation,
@@ -93,6 +94,105 @@ def brute_force_best(pop, params, constraints):
         if obj > best_obj:
             best_obj, best_vec = obj, d
     return best_obj, best_vec
+
+
+# -------------------------------------------------------------- row cache
+
+class TestConstraintRowCache:
+    """A population keeps each gap row the first time every row of a
+    request is built, and the retained names for each active set."""
+
+    @staticmethod
+    def _population(seed=13, n=40):
+        rng = np.random.default_rng(seed)
+        groups = np.where(rng.random(n) < 0.5, "A", "B")
+        groups[:2] = ["B", "A"]  # interleaved, as a CSV may hold them
+        return pop_from(groups, rng.random(n) ** 2, rng.beta(2.0, 2.0, n))
+
+    @staticmethod
+    def _count_row_builds(monkeypatch):
+        built = []
+        real = hermfair.solver._gap_row
+
+        def counted(pop, name):
+            built.append(name)
+            return real(pop, name)
+
+        monkeypatch.setattr(hermfair.solver, "_gap_row", counted)
+        return built
+
+    def test_rows_are_read_only_and_match_a_fresh_population(self):
+        pop = self._population()
+        names, rows = constraint_rows(pop, ConstraintSet.all())
+        assert names == list(ConstraintSet.all().active)
+        assert sorted(pop._rows) == sorted(names)
+        for name, kept in pop._rows.items():
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0.5
+            # each row by the expression a row was built with before it was kept
+            column = {"parity_exposure": None, "equality_opportunity": "p",
+                      "equality_herm_opportunity": "rho"}[name]
+            w = 1.0 if column is None else getattr(pop, column)
+            mass_a, mass_b = (float(pop.n_a), float(pop.n_b)) if column is None else (
+                float(w[pop.mask_a].sum()), float(w[pop.mask_b].sum()))
+            reference = np.where(pop.mask_a, -w / mass_a, w / mass_b)
+            assert kept.tobytes() == reference.tobytes()
+        fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+        fresh_names, fresh_rows = constraint_rows(fresh, ConstraintSet.all())
+        assert (names, rows.tobytes()) == (fresh_names, fresh_rows.tobytes())
+        again_names, again = constraint_rows(pop, ConstraintSet.all())
+        assert (again_names, again.tobytes()) == (names, rows.tobytes())
+        assert again.flags.writeable and again is not rows
+
+    def test_rows_do_not_depend_on_the_tolerance(self, monkeypatch):
+        built = self._count_row_builds(monkeypatch)
+        pop = self._population()
+        first = constraint_rows(pop, ConstraintSet.all(1e-6))[1]
+        kept = dict(pop._rows)
+        for tol in (0.0, 0.5, 1e-6):
+            assert constraint_rows(pop, ConstraintSet.all(tol))[1].tobytes() == first.tobytes()
+        assert len(built) == 3
+        assert all(pop._rows[name] is row for name, row in kept.items())
+        assert list(pop._retained) == [ConstraintSet.all().active]
+
+    def test_three_row_request_after_one_row_requests_builds_no_row(self, monkeypatch):
+        built = self._count_row_builds(monkeypatch)
+        pop = self._population()
+        singles = [constraint_rows(pop, factory(0.01))[1]
+                   for factory in (ConstraintSet.parity, ConstraintSet.opportunity,
+                                   ConstraintSet.herm_opportunity)]
+        assert built == list(ConstraintSet.all().active)
+        names, rows = constraint_rows(pop, ConstraintSet.all())
+        assert len(built) == 3
+        assert rows.tobytes() == np.vstack(singles).tobytes()
+        assert len(pop._retained) == 4
+
+    def test_duplicate_row_is_kept_but_not_retained(self, monkeypatch):
+        built = self._count_row_builds(monkeypatch)
+        pop = pop_from(["A", "B", "A", "B"], [0.9, 0.6, 0.1, 0.4], [0.5] * 4)
+        cs = ConstraintSet(parity_exposure=True, equality_herm_opportunity=True)
+        for _ in range(2):
+            assert constraint_rows(pop, cs)[0] == ["parity_exposure"]
+        assert constraint_rows(pop, ConstraintSet.herm_opportunity())[0] == [
+            "equality_herm_opportunity"]
+        assert built == ["parity_exposure", "equality_herm_opportunity"]
+
+    def test_nothing_is_kept_after_a_degenerate_group(self, monkeypatch):
+        built = self._count_row_builds(monkeypatch)
+        # group A has zero total p: its click-weighted row is undefined
+        pop = pop_from(["A", "B", "A", "B"], [0.0, 0.6, 0.0, 0.4], [0.3, 0.5, 0.7, 0.2])
+        for _ in range(2):
+            with pytest.raises(DegenerateGroupError):
+                constraint_rows(pop, ConstraintSet.all())
+            assert pop._rows == {} and pop._retained == {}
+        assert constraint_rows(pop, ConstraintSet.parity())[0] == ["parity_exposure"]
+        with pytest.raises(DegenerateGroupError):
+            constraint_rows(pop, ConstraintSet.opportunity())
+        assert sorted(pop._rows) == ["parity_exposure"]
+        assert list(pop._retained) == [("parity_exposure",)]
+        # the failed requests kept nothing, so the parity request built its row again
+        assert built == ["parity_exposure", "equality_opportunity"] * 3
 
 
 # ------------------------------------------------------------- threshold rule
@@ -347,27 +447,25 @@ class TestConstrainedLP:
                 assert res.n_fractional == 0
 
     @staticmethod
-    def _count_parity_gap_calls(monkeypatch):
+    def _count_scorings(monkeypatch, parity_offset=0.0):
+        """Wrap the solver's scorer; record each decision vector it scores,
+        and add ``parity_offset`` to every parity gap it returns."""
         calls = []
-        real = hermfair.solver.parity_gap
+        real = hermfair.solver._scores
 
-        def counted(pop, alloc):
-            calls.append(alloc)
-            return real(pop, alloc)
+        def counted(pop, d, params):
+            calls.append(d)
+            objective, (parity, eo, eho) = real(pop, d, params)
+            return objective, (parity + parity_offset, eo, eho)
 
-        monkeypatch.setattr(hermfair.solver, "parity_gap", counted)
+        monkeypatch.setattr(hermfair.solver, "_scores", counted)
         return calls
 
     def test_threshold_status_follows_each_request(self, monkeypatch):
         # the mirrored population's threshold allocation has every gap
         # exactly zero, so each tolerance ends at the threshold; a parity gap
         # measured 5e-9 high is optimal at 1e-6 and 0.5, but relaxed at 0
-        real = hermfair.solver.parity_gap
-        calls = []
-        monkeypatch.setattr(
-            hermfair.solver, "parity_gap",
-            lambda pop, alloc: calls.append(alloc) or real(pop, alloc) + 5e-9,
-        )
+        calls = self._count_scorings(monkeypatch, parity_offset=5e-9)
         p = [0.9, 0.3, 0.05, 0.6]
         rho = [0.7, 0.4, 0.2, 0.9]
         pop = pop_from(["A"] * 4 + ["B"] * 4, p + p, rho + rho)
@@ -398,7 +496,7 @@ class TestConstrainedLP:
         assert pop._threshold is not None  # the 0.5 solves ended at the threshold
 
     def test_threshold_score_is_keyed_by_params_identity(self, monkeypatch):
-        calls = self._count_parity_gap_calls(monkeypatch)
+        calls = self._count_scorings(monkeypatch)
         pop = sample_population(PopulationSpec(n_a=50, n_b=50, uptake=UptakeConfig((4, 6), (7, 3)), seed=5))
         first = make_params(gamma=1.0)
         equal = replace(first)
@@ -418,7 +516,7 @@ class TestConstrainedLP:
         assert (results[3].objective, results[3].gaps) == (last.objective, last.gaps)
 
     def test_infeasible_threshold_keeps_nothing(self, monkeypatch):
-        calls = self._count_parity_gap_calls(monkeypatch)
+        calls = self._count_scorings(monkeypatch)
         pop = sample_population(PopulationSpec(n_a=200, n_b=200, uptake=UptakeConfig((4, 6), (7, 3)), seed=5))
         res = solve_constrained_lp(SolveRequest(pop, make_params(), ConstraintSet.all()))
         assert res.allocation.values.tobytes() != threshold_rule(pop, make_params()).values.tobytes()
@@ -880,6 +978,28 @@ class TestBinaryExact:
         params = make_params()
         res = solve_binary_exact(SolveRequest(pop, params, mode=SolveMode.BINARY_EXACT))
         assert np.array_equal(res.allocation.values, threshold_rule(pop, params).values)
+
+    def test_oracle_at_the_threshold_shares_its_score(self, monkeypatch):
+        calls = TestConstrainedLP._count_scorings(monkeypatch)
+        pop, params = random_instance(np.random.default_rng(29), n_min=10)
+        exact = SolveMode.BINARY_EXACT
+        unc = solve_unconstrained(SolveRequest(pop, params))
+        oracle = solve_binary_exact(SolveRequest(pop, params, mode=exact))
+        assert oracle.allocation is unc.allocation and len(calls) == 1
+        # a constrained oracle away from the threshold is scored by itself and
+        # leaves the population's threshold score as it was
+        fair = solve_binary_exact(SolveRequest(pop, params, ConstraintSet.parity(0.0), mode=exact))
+        assert not np.array_equal(fair.allocation.values, unc.allocation.values)
+        assert len(calls) == 2 and pop._threshold[1].allocation is unc.allocation
+        fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+        solve_binary_exact(SolveRequest(fresh, params, ConstraintSet.parity(0.0), mode=exact))
+        assert fresh._threshold is None
+        fresh_oracle = solve_binary_exact(SolveRequest(fresh, params, mode=exact))
+        assert fresh._threshold is not None and len(calls) == 4
+        objective, gaps = hermfair.model._scores(fresh, oracle.allocation.values, params)
+        assert (oracle.objective, oracle.gaps) == (fresh_oracle.objective, fresh_oracle.gaps)
+        assert np.array([oracle.objective, *oracle.gaps]).tobytes() == np.array(
+            [objective, *gaps]).tobytes()
 
     def test_cap_enforced(self):
         pop = pop_from(["A"] * 15 + ["B"] * 15, [0.5] * 30, [0.5] * 30)
