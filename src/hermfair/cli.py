@@ -59,7 +59,13 @@ from .solver import (
     SolverNumericalError,
     solve,
 )
-from .stats import chi2_independence, conditional_proportions, table_from_csv, wilson_interval
+from .stats import (
+    WilsonInterval,
+    chi2_independence,
+    conditional_proportions,
+    table_from_csv,
+    wilson_interval,
+)
 
 _PARAM_DEFAULTS = dataclasses.asdict(ModelParams.default())
 
@@ -457,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output JSON path (default stdout); its parent directory "
                                "must already exist")
     confidence_flag = argparse.ArgumentParser(add_help=False)
-    confidence_flag.add_argument("--confidence", type=float, default=0.95,
+    confidence_flag.add_argument("--confidence", type=float, default=WilsonInterval.confidence,
                                  help="interval coverage (default %(default)s)")
 
     p_chi2 = tests.add_parser("chi2", parents=[table_arg, out_flag],

@@ -201,9 +201,11 @@ def allocation_to_csv(
 # One user row as the columnar reader parses it; labels stay whole (a sized
 # string field would truncate them) and are stripped afterwards.
 _ROW_DTYPE = np.dtype([("group", object), ("p", np.float64), ("rho", np.float64)])
-_LINE_END = re.compile(r"\r\n|\r|\n")
+_LINE_END = re.compile(rb"\r\n|\r|\n")
 _WHITESPACE_LINE = re.compile(r"^[^\S\r\n]+$", re.MULTILINE)
-_BLANK = re.compile(r"\s*\Z")  # \s is what str.isspace() counts
+_BLANK = re.compile(rb"\s*\Z")
+# a lone surrogate (only a text handle holds one) is kept, to be rejected
+_UTF8 = ("utf-8", "surrogatepass")
 
 
 def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
@@ -217,23 +219,23 @@ def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
     byte-order mark (U+FEFF) is dropped, whether the file is given by path
     or by handle; one anywhere else is part of its field.
 
-    Each range of rows (``_row_offsets``) is parsed and checked where it
-    runs, so only compact arrays are pickled; the checks hold row by row.
-    A file of one range is parsed from its UTF-8 bytes while the decoded
-    text is let go, and decoded again only to name a rejected line.
+    The text is encoded once, and each range of rows (``_row_offsets``) is
+    parsed from the bytes and checked where it runs, so only compact arrays
+    are pickled.  The bytes are let go before the columns are joined, and
+    decoded again only to name a rejected line.
 
     Raises:
         ValueError: malformed header, labels, or out-of-range values, with
             the offending line number in the message.
     """
     with open_text(path, "r") as fh:
-        text = fh.read()
-    if not text:
+        data = fh.read().encode(*_UTF8)
+    if not data:
         raise ValueError("empty population CSV")
-    end = _LINE_END.search(text)
-    begin = end.end() if end else len(text)
-    header = next(csv.reader([text[text.startswith("\ufeff"): end.start() if end else begin]]), [])
-    end = None  # a match holds its string
+    header_end = _LINE_END.search(data)
+    end, begin = header_end.span() if header_end else (len(data), len(data))
+    header_end = None  # a match holds its string
+    header = next(csv.reader([data[:end].decode(*_UTF8).removeprefix("\ufeff")]), [])
     if tuple(h.strip() for h in header) != POPULATION_CSV_HEADER:
         raise ValueError(
             f"line 1: expected header {','.join(POPULATION_CSV_HEADER)!r}, "
@@ -241,54 +243,38 @@ def population_from_csv(path: str | Path | io.TextIOBase) -> Population:
         )
 
     def parse(start: int, stop: int) -> list[_Columns | None]:
-        nonlocal text
-        if _BLANK.match(text, start, stop):  # np.loadtxt warns on input with no rows
-            return [(np.empty(0, "U1"), np.empty(0), np.empty(0))]
-        # The one range of a file is encoded whole, header and all, and the
-        # text is let go while it is parsed: beside the text and a str copy
-        # of its rows, the bytes would make three copies of the file.
-        whole = stop - start == len(text) - begin
-        try:
-            if whole:
-                rows, skip = text.encode(), len(text[:begin].encode())
-            else:
-                rows, skip = text[start:stop].encode(), 0
-        except UnicodeEncodeError:  # a lone surrogate, from a text handle
-            return [None]
-        if whole:
-            text = None
+        # the last range, the only one on one CPU, is read in place
+        rows, skip = (data, start) if stop == len(data) else (data[start:stop], 0)
         table = _load_rows(rows, skip)
-        part = _accepted(table) if table is not None else None
-        if whole and part is None:
-            text = rows.decode()  # to name the rejected line
-        return [part]
+        return [_accepted(table) if table is not None else None]
 
-    parts = list(_textio.forked_map(parse, _row_offsets(text, begin)))
+    parts = list(_textio.forked_map(parse, _row_offsets(data, begin)))
     if any(part is None for part in parts):
-        _raise_first_bad_line(text)
+        _raise_first_bad_line(data.decode(*_UTF8))
+    del data
     groups, p, rho = (np.concatenate(column) for column in zip(*parts))
     if not p.size:
         raise ValueError("population CSV contains no user rows")
     return Population.from_arrays(groups, p, rho)
 
 
-def _row_offsets(text: str, begin: int) -> list[tuple[int, int]]:
-    """The rows from offset ``begin`` on, cut after ``\\n`` characters into
-    ``(start, stop)`` ranges of ``text``: one per usable CPU, and no more
+def _row_offsets(data: bytes, begin: int) -> list[tuple[int, int]]:
+    """The rows from byte ``begin`` on, cut after ``\\n`` bytes into
+    ``(start, stop)`` ranges of ``data``: one per usable CPU, and no more
     than one per chunk of rows.
 
     Rows holding a ``"`` (a quoted field may span lines) or no ``\\n`` are
     one range, and so are all rows on one CPU, which skips counting lines.
     """
-    if _textio.usable_cpus() < 2 or text.find('"', begin) >= 0:
-        return [(begin, len(text))]
-    lines = text.count("\n", begin)
+    if _textio.usable_cpus() < 2 or data.find(b'"', begin) >= 0:
+        return [(begin, len(data))]
+    lines = data.count(b"\n", begin)
     cuts = [begin]
     for start, _ in _textio.row_ranges(lines, _WRITE_CHUNK_ROWS)[1:]:
-        cut = text.find("\n", begin + (len(text) - begin) * start // lines) + 1
-        if cuts[-1] < cut < len(text):
+        cut = data.find(b"\n", begin + (len(data) - begin) * start // lines) + 1
+        if cuts[-1] < cut < len(data):
             cuts.append(cut)
-    cuts.append(len(text))
+    cuts.append(len(data))
     return list(zip(cuts, cuts[1:]))
 
 
@@ -323,17 +309,17 @@ def _load_rows(rows: bytes, skip: int) -> np.ndarray | None:
     try:
         return _loadtxt(rows, skip)
     except ValueError:
-        text = rows[skip:].decode()
+        text = rows[skip:].decode(*_UTF8)
     normalised = _WHITESPACE_LINE.sub("", text.replace("\r\n", "\n").replace("\r", "\n"))
-    if normalised == text:
-        return None
     try:
-        return _loadtxt(normalised.encode())
+        return _loadtxt(normalised.encode()) if normalised != text else None
     except ValueError:
         return None
 
 
 def _loadtxt(rows: bytes, skip: int = 0) -> np.ndarray:
+    if _BLANK.match(rows, skip):  # np.loadtxt warns on input with no rows
+        return np.empty(0, _ROW_DTYPE)
     # UTF-8 bytes, decoded line by line: io.StringIO would hold four bytes
     # per character.  io.BytesIO shares the bytes object it is given.
     data = io.BytesIO(rows)

@@ -19,6 +19,7 @@ import csv
 import enum
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -178,6 +179,9 @@ class ScenarioSpec:
             raise ValueError(
                 f"grid has {len(self.grid)} points, more than {MAX_GRID_POINTS}"
             )
+        repeated = [value for value, count in Counter(self.grid).items() if count > 1]
+        if repeated:  # aggregate would pool their cells
+            raise ValueError(f"grid value {repeated[0]} appears more than once")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         cells = len(self.grid) * self.replications

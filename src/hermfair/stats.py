@@ -102,8 +102,8 @@ class ContingencyTable:
             raise ValueError("counts must form a matrix with at least 2 rows and 2 columns")
         # Python numbers, so the checks below cannot wrap as int64 sums do
         cells = arr.ravel().tolist()
-        if not all(isinstance(c, int) or (isinstance(c, float) and c.is_integer())
-                   for c in cells):
+        if not all((isinstance(c, int) and not isinstance(c, bool))
+                   or (isinstance(c, float) and c.is_integer()) for c in cells):
             raise ValueError("counts must be integers")
         if min(cells) < 0:
             raise ValueError("counts must be non-negative")
@@ -209,7 +209,9 @@ def _wilson(successes: int, n: int, z: float, confidence: float) -> WilsonInterv
     return WilsonInterval(point=phat, lo=lo, hi=hi, confidence=confidence)
 
 
-def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> WilsonInterval:
+def wilson_interval(
+    successes: int, n: int, confidence: float = WilsonInterval.confidence
+) -> WilsonInterval:
     """Wilson score interval for a binomial proportion.
 
     Args:
@@ -280,7 +282,7 @@ def chi2_independence(
 
 
 def conditional_proportions(
-    table: ContingencyTable, axis: str = "rows", confidence: float = 0.95
+    table: ContingencyTable, axis: str = "rows", confidence: float = WilsonInterval.confidence
 ) -> list[list[WilsonInterval]]:
     """Per-cell conditional proportions with Wilson intervals.
 

@@ -151,6 +151,7 @@ class TestCeilings:
         (["--reps", "100000"], "14 grid points x 100000 replications is 1400000 cells"),
         (["--grid", "0.05", "--reps", "100001"], "is 100001 cells, more than 100000"),
         (["--grid", "1:0:0.1"], "--grid: grid stop 0.0 is below its start 1.0"),
+        (["--grid", "0:1e-10:1e-11"], "grid value 0.0 appears more than once"),
     ])
     def test_sweep_flags(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
@@ -165,6 +166,7 @@ class TestCeilings:
         ({"n_a": 1000001}, "ceiling of 1000000 users per group"),
         ({"reps": 10**9}, "cells, more than 100000"),
         ({"grid": {"start": 1, "stop": 0, "step": 0.1}}, "config grid: grid stop 0 is below"),
+        ({"grid": [0.1, 0.2, 0.1]}, "grid value 0.1 appears more than once"),
     ])
     def test_sweep_config(self, tmp_path, capsys, monkeypatch, config, message):
         monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)

@@ -294,15 +294,16 @@ class TestCsvDialect:
     def test_one_cpu_read_holds_the_file_at_most_two_and_a_half_times(self, tmp_path):
         path = tmp_path / "pop.csv"
         population_to_csv(sample_population(spec(n_a=70_000, n_b=70_000, seed=5)), path)
-        with split_io(1, chunk_rows=1 << 16):
-            tracemalloc.start()
-            try:
-                pop = population_from_csv(path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        pop, peak = traced_read(path, cpus=1)
         assert pop.size == 140_000
         assert peak <= 2.5 * path.stat().st_size
+
+    def test_split_read_holds_the_file_at_most_two_and_a_quarter_times(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        population_to_csv(sample_population(spec(n_a=70_000, n_b=70_000, seed=5)), path)
+        pop, peak = traced_read(path, cpus=2)
+        assert pop.size == 140_000
+        assert peak <= 2.25 * path.stat().st_size
 
     def test_long_label_named_in_full(self):
         label = "Anonymous-" * 20
@@ -415,6 +416,20 @@ def split_io(cpus, chunk_rows=4):
         yield calls
 
 
+def traced_read(path, cpus):
+    """The population read from ``path`` on ``cpus`` usable CPUs, in chunks
+    of 2^16 rows, and the tracemalloc peak of this process while reading."""
+    with split_io(cpus, chunk_rows=1 << 16) as calls:
+        tracemalloc.start()
+        try:
+            pop = population_from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert calls == [cpus]
+    return pop, peak
+
+
 def read_outcome(text, cpus):
     """What reading ``text`` gives: the arrays, or the error message."""
     try:
@@ -516,7 +531,8 @@ class TestSplitIO:
         assert_no_child_left()
 
     @pytest.mark.filterwarnings("error")  # np.loadtxt warns on a range of no rows
-    @pytest.mark.parametrize("gap", ["\n" * 100, "\r\n" * 100, "  \n\t\n" * 50, "\n \n" * 50])
+    @pytest.mark.parametrize("gap", ["\n" * 100, "\r\n" * 100, "  \n\t\n" * 50, "\n \n" * 50,
+                                     "\u2003\n" * 100])
     def test_blank_lines_at_range_boundaries(self, gap):
         # on 3 CPUs the middle range holds only blank lines
         text = "group,p,rho\n" + GOOD_ROW * 2 + gap + "B,0.25,0.75\n" * 2

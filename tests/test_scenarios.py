@@ -116,6 +116,16 @@ class TestCeilings:
         with pytest.raises(ValueError, match=f"{MAX_GRID_POINTS + 1} points, more than"):
             builtin_scenario("A", grid=grid)
 
+    def test_repeated_grid_value_rejected(self):
+        # aggregate would pool the replications of both points into one row
+        with pytest.raises(ValueError, match="^grid value 0.1 appears more than once$"):
+            builtin_scenario("gamma", grid=(0.1, 0.2, 0.1))
+        # 10-decimal rounding makes a 1e-11 step repeat its values
+        with pytest.raises(ValueError, match="^grid value 0.0 appears more than once$"):
+            builtin_scenario("gamma", grid=build_grid(0.0, 1e-10, 1e-11))
+        with pytest.raises(ValueError, match=f"{MAX_GRID_POINTS + 1} points, more than"):
+            builtin_scenario("gamma", grid=(0.1,) * (MAX_GRID_POINTS + 1))
+
     def test_jobs_ceiling_before_any_worker(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")

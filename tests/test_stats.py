@@ -213,6 +213,15 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             ContingencyTable([[1.5, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("counts", [
+        [[True, False], [False, True]],
+        np.eye(2, dtype=bool),
+    ])
+    def test_boolean_counts_rejected(self, counts):
+        # as wilson_interval rejects a bool count
+        with pytest.raises(ValueError, match="^counts must be integers$"):
+            ContingencyTable(counts)
+
     def test_zero_row(self):
         with pytest.raises(ValueError, match="all-zero row"):
             ContingencyTable([[0, 0], [3, 4]])
