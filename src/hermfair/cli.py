@@ -119,6 +119,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
+    if args.cap < 0:
+        raise _InputError(f"--cap {args.cap} must be non-negative")
     if args.cap > MAX_ENUMERATION_CAP:
         raise _InputError(f"--cap {args.cap} exceeds the ceiling {MAX_ENUMERATION_CAP}")
     try:

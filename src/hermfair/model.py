@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,26 +48,13 @@ class Population:
     :meth:`from_arrays`.  Both groups must be non-empty; group ratios are
     undefined otherwise.
 
-    A population also keeps, computed on first use, what its solves share:
-    the per-group masses and slices of ``p`` and ``rho``, and the gains and
-    the objective's per-user terms for the last :class:`ModelParams` it was
-    scored with.  Once a solve returns the threshold allocation, it also
-    keeps that allocation with its objective and gaps for the last
-    parameter object it was solved with (``hermfair.solver`` fills it; a
-    solve whose threshold allocation is infeasible keeps nothing).  Each
-    parameter object is matched by identity.  ``hermfair.solver`` also
-    keeps each gap constraint row the first time it builds it, and the
-    names of the rows it retains for each set of active constraints; a row
-    of a group with zero mass is never built, so it is never kept.  Those
-    rows are at most three arrays of the population's length, 4.8 MB at
-    2x10^5 users.  The cached arrays are read-only and equality ignores
-    them.
+    Apart from its data a population has one private slot: the solve
+    context (``_Context``) of the last :class:`ModelParams` object it was
+    solved with, which holds what that object's solves share.  Equality
+    ignores it.
     """
 
-    __slots__ = (
-        "groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b",
-        "_masses", "_slices", "_gains", "_objective", "_threshold", "_rows", "_retained",
-    )
+    __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b", "_context")
 
     @classmethod
     def from_arrays(
@@ -106,13 +94,7 @@ class Population:
         self.mask_b = mask_b
         self.n_a = n_a
         self.n_b = n_b
-        self._masses = {}
-        self._slices = {}
-        self._gains = None
-        self._objective = None
-        self._threshold = None
-        self._rows = {}
-        self._retained = {}
+        self._context = None
         return self
 
     @property
@@ -269,41 +251,6 @@ class ConstraintSet:
         return bool(self.active)
 
 
-def _group_slices(pop: Population, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The population's ``name`` column (``"p"`` or ``"rho"``) over group A
-    and over group B, read-only; computed once per population."""
-    slices = pop._slices.get(name)
-    if slices is None:
-        w = getattr(pop, name)
-        slices = pop._slices[name] = (w[pop.mask_a], w[pop.mask_b])
-        for arr in slices:
-            arr.flags.writeable = False
-    return slices
-
-
-def _group_masses(pop: Population, name: str | None) -> tuple[float, float]:
-    """The totals of the population's ``name`` column over group A and over
-    group B, each summed in ascending user order; the group sizes for None.
-
-    Computed once per population, without keeping the group slices: a solve
-    needs only the masses, and the gap functions only after it returns.
-
-    Raises:
-        DegenerateGroupError: a total is zero (checked on every call).
-    """
-    if name is None:
-        return float(pop.n_a), float(pop.n_b)
-    masses = pop._masses.get(name)
-    if masses is None:
-        w = getattr(pop, name)
-        masses = pop._masses[name] = (float(w[pop.mask_a].sum()), float(w[pop.mask_b].sum()))
-    if masses[0] <= 0.0 or masses[1] <= 0.0:
-        raise DegenerateGroupError(
-            f"a group has zero total {name}, so its {name}-weighted shares are undefined"
-        )
-    return masses
-
-
 class _Objective(NamedTuple):
     """Per-user terms of the objective for one parameter object, read-only."""
 
@@ -313,26 +260,128 @@ class _Objective(NamedTuple):
     uptake_cost: np.ndarray  # -theta * rho + omega * (1 - rho)
 
 
-def _objective_terms(pop: Population, params: ModelParams, keep: bool = True) -> _Objective:
-    """The per-user objective terms for ``params``.
+# A gap row within this distance of an earlier retained row is dropped.
+_DEDUP_EPS = 1e-12
 
-    The population keeps the last set (unless ``keep`` is false), matched by
-    identity, so every objective on one population with one parameter object
-    evaluates these formulas once.
+_T = TypeVar("_T")
+
+
+class _Context:
+    """What the solves of one population under one parameter object share,
+    each part computed on first use and read-only: the objective's per-user
+    terms, the gains, the group masses, the gap rows by constraint name with
+    the names retained for each ``ConstraintSet.active``, and the scored
+    threshold allocation.  The masses, rows and gaps do not read ``params``.
+
+    A population holds only its last context (:func:`_context`), so it holds
+    one parameter set's arrays at most: the gains, three terms, three rows
+    and the threshold allocation, 12.8 MB at 2x10^5 users.  The public
+    model functions build a context no population holds.  A context refers
+    to the population's arrays, not to the population, so the two form no
+    reference cycle.
     """
-    terms = pop._objective
-    if terms is None or terms.params is not params:
-        beta = np.where(pop.mask_a, params.beta_a, params.beta_b)
-        theta = np.where(pop.mask_a, params.theta_a, params.theta_b)
-        omega = np.where(pop.mask_a, params.omega_a, params.omega_b)
-        shown = params.alpha * pop.p
-        uptake_cost = -theta * pop.rho + omega * (1.0 - pop.rho)
+
+    def __init__(self, pop: Population, params: ModelParams | None) -> None:
+        self.params = params
+        self.p, self.rho, self.mask_a, self.mask_b = pop.p, pop.rho, pop.mask_a, pop.mask_b
+        self._masses = {None: (float(pop.n_a), float(pop.n_b))}
+        self._rows: dict[str, np.ndarray] = {}
+        self._retained: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._threshold = None
+
+    def _objective(self) -> _Objective:
+        params = self.params
+        beta = np.where(self.mask_a, params.beta_a, params.beta_b)
+        theta = np.where(self.mask_a, params.theta_a, params.theta_b)
+        omega = np.where(self.mask_a, params.omega_a, params.omega_b)
+        shown = params.alpha * self.p
+        uptake_cost = -theta * self.rho + omega * (1.0 - self.rho)
         for arr in (shown, beta, uptake_cost):
             arr.flags.writeable = False
-        terms = _Objective(params, shown, beta, uptake_cost)
-        if keep:
-            pop._objective = terms
-    return terms
+        return _Objective(params, shown, beta, uptake_cost)
+
+    @cached_property
+    def terms(self) -> _Objective:
+        return self._objective()
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        """:func:`decision_gains`, from terms that are not kept: a solve
+        holds the terms only once it scores a result."""
+        terms, params = self._objective(), self.params
+        # xi - uptake_cost is bit for bit theta * rho - omega * (1 - rho) + xi:
+        # rounding is symmetric, so -a + b is exactly -(a - b)
+        gains = terms.shown - terms.beta + params.gamma * (params.xi - terms.uptake_cost)
+        gains.flags.writeable = False
+        return gains
+
+    def masses(self, column: str | None) -> tuple[float, float]:
+        """The totals of ``column`` (``"p"`` or ``"rho"``) over group A and
+        over group B, summed in user order; the group sizes for None.  A
+        zero total raises DegenerateGroupError on every call."""
+        masses = self._masses.get(column)
+        if masses is None:
+            w = getattr(self, column)
+            masses = self._masses[column] = (
+                float(w[self.mask_a].sum()), float(w[self.mask_b].sum()))
+        if masses[0] <= 0.0 or masses[1] <= 0.0:
+            raise DegenerateGroupError(
+                f"a group has zero total {column}, so its {column}-weighted shares are undefined"
+            )
+        return masses
+
+    def share_gap(self, d_a: np.ndarray, d_b: np.ndarray, column: str | None) -> float:
+        """Group B's share of its ``column``-weighted mass that is shown, minus
+        group A's (of its users for None), from each group's decisions."""
+        mass_a, mass_b = self.masses(column)
+        if column is not None:
+            w = getattr(self, column)
+            d_a, d_b = d_a * w[self.mask_a], d_b * w[self.mask_b]
+        return float(d_b.sum()) / mass_b - float(d_a.sum()) / mass_a
+
+    def _gap_row(self, name: str) -> np.ndarray:
+        """Group A users carry ``-w / mass_a``, group B users ``w / mass_b``."""
+        column = _SHARE_WEIGHTS[name]
+        mass_a, mass_b = self.masses(column)
+        weights = 1.0 if column is None else getattr(self, column)
+        row = np.where(self.mask_a, -weights / mass_a, weights / mass_b)
+        row.flags.writeable = False
+        return row
+
+    def rows(self, active: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+        """The retained names of the ``active`` gap rows and their matrix, a
+        new array; a row equal to an earlier one is not retained.  Rows are
+        kept only once all of ``active`` is built, so a degenerate group
+        (which raises) keeps none."""
+        names = self._retained.get(active)
+        if names is None:
+            rows = {name: self._rows[name] if name in self._rows else self._gap_row(name)
+                    for name in active}
+            kept: list[str] = []
+            for name in active:
+                if not any(np.max(np.abs(rows[k] - rows[name])) <= _DEDUP_EPS for k in kept):
+                    kept.append(name)
+            self._rows.update(rows)
+            names = self._retained[active] = tuple(kept)
+        if not names:
+            return names, np.empty((0, self.p.size))
+        return names, np.array([self._rows[name] for name in names])
+
+    def threshold(self, score: Callable[[Allocation], _T]) -> _T:
+        """The threshold allocation (show iff the gain is ``>= 0``) as
+        ``score`` returns it; ``score`` runs on the first call only."""
+        if self._threshold is None:
+            self._threshold = score(Allocation.binary((self.gains >= 0.0).astype(np.float64)))
+        return self._threshold
+
+
+def _context(pop: Population, params: ModelParams) -> _Context:
+    """The population's context for ``params``, matched by identity; a new
+    one replaces the last."""
+    ctx = pop._context
+    if ctx is None or ctx.params is not params:
+        ctx = pop._context = _Context(pop, params)
+    return ctx
 
 
 def _check_aligned(pop: Population, alloc: Allocation) -> np.ndarray:
@@ -358,13 +407,13 @@ def _utility(terms: _Objective, d: np.ndarray, withheld: np.ndarray) -> float:
 def economic_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user economic utilities, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    return _economic(_objective_terms(pop, params), d, 1.0 - d)
+    return _economic(_Context(pop, params).terms, d, 1.0 - d)
 
 
 def hermeneutical_cost(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user interpretative costs, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    return _cost(_objective_terms(pop, params), d, 1.0 - d)
+    return _cost(_Context(pop, params).terms, d, 1.0 - d)
 
 
 def herm_aware_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
@@ -374,7 +423,7 @@ def herm_aware_utility(pop: Population, alloc: Allocation, params: ModelParams) 
     summation order, and subtracting ``0.0 * cost`` is exact).
     """
     d = _check_aligned(pop, alloc)
-    return _utility(_objective_terms(pop, params), d, 1.0 - d)
+    return _utility(_Context(pop, params).terms, d, 1.0 - d)
 
 
 def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
@@ -383,39 +432,15 @@ def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
     ``gain_x = alpha * p - beta_g + gamma * (theta_g * rho - omega_g * (1 - rho) + xi)``.
     The combined objective is ``sum(gain * d)`` plus a decision-independent
     constant, so the unconstrained optimum shows exactly the users with
-    non-negative gain.  The returned array is read-only and shared by every
-    call with the same population and parameter object; the objective's own
-    terms are not kept for it, so a solve does not hold them.
+    non-negative gain.  The returned array is read-only and computed on
+    every call; a solve reads its gains from the population's context.
     """
-    cached = pop._gains
-    if cached is None or cached[0] is not params:
-        terms = _objective_terms(pop, params, keep=False)
-        # xi - uptake_cost is bit for bit theta * rho - omega * (1 - rho) + xi:
-        # rounding is symmetric, so -a + b is exactly -(a - b)
-        gains = terms.shown - terms.beta + params.gamma * (params.xi - terms.uptake_cost)
-        gains.flags.writeable = False
-        cached = pop._gains = (params, gains)
-    return cached[1]
-
-
-def _share_gap(pop: Population, d_a: np.ndarray, d_b: np.ndarray, column: str | None) -> float:
-    """Group B's share of its ``column``-weighted mass that is shown, minus
-    group A's; with ``column`` None, of its users.  ``d_a`` and ``d_b`` are
-    the decisions of group A and of group B.
-
-    Raises:
-        DegenerateGroupError: a group's ``column`` total is zero.
-    """
-    mass_a, mass_b = _group_masses(pop, column)
-    if column is not None:
-        w_a, w_b = _group_slices(pop, column)
-        d_a, d_b = d_a * w_a, d_b * w_b
-    return float(d_b.sum()) / mass_b - float(d_a.sum()) / mass_a
+    return _Context(pop, params).gains
 
 
 def _column_gap(pop: Population, alloc: Allocation, column: str | None) -> float:
     d = _check_aligned(pop, alloc)
-    return _share_gap(pop, d[pop.mask_a], d[pop.mask_b], column)
+    return _Context(pop, None).share_gap(d[pop.mask_a], d[pop.mask_b], column)
 
 
 class _Scores(NamedTuple):
@@ -428,19 +453,20 @@ class _Scores(NamedTuple):
 
 def _scores(pop: Population, d: np.ndarray, params: ModelParams) -> _Scores:
     """:func:`herm_aware_utility` and the three gap functions of the
-    decision vector ``d``, aligned with ``pop``, in one pass.
+    decision vector ``d``, aligned with ``pop``, in one pass, from the
+    population's context for ``params``.
 
     Each group's decisions and ``1 - d`` are gathered once; every value is
     bit for bit what the public function returns.  A gap whose weight
     column sums to zero over a group is NaN.
     """
-    terms = _objective_terms(pop, params)
-    objective = _utility(terms, d, 1.0 - d)
+    ctx = _context(pop, params)
+    objective = _utility(ctx.terms, d, 1.0 - d)
     d_a, d_b = d[pop.mask_a], d[pop.mask_b]
     gaps = []
     for column in _SHARE_WEIGHTS.values():
         try:
-            gaps.append(_share_gap(pop, d_a, d_b, column))
+            gaps.append(ctx.share_gap(d_a, d_b, column))
         except DegenerateGroupError:
             gaps.append(math.nan)
     return _Scores(objective, tuple(gaps))

@@ -7,9 +7,10 @@ subject to each active group-gap being zero up to the request tolerance
 ``eps`` (``|gap| <= eps``).  Every constrained solve first tries the
 threshold allocation (``d_i = 1`` iff the gain ``c_i >= 0``): if it already
 meets every retained row it is optimal and is returned with no further
-work.  Its objective and gaps are measured once per population and
-parameter object, and shared with ``solve_unconstrained`` and with every
-oracle solve whose optimum it is.  Otherwise:
+work.  Its gains, rows and threshold score come from the population's
+solve context (``hermfair.model._Context``), so the threshold score is
+shared with ``solve_unconstrained`` and every oracle solve ending there.
+Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
@@ -54,7 +55,8 @@ from .model import (
     ModelParams,
     Population,
     _SHARE_WEIGHTS,
-    _group_masses,
+    _context,
+    _Context,
     _scores,
     decision_gains,
 )
@@ -110,8 +112,6 @@ _SORTED_HEAD = 1024
 # remainder count as strictly fractional.
 SNAP_EPS = 1e-9
 
-_DEDUP_EPS = 1e-12
-
 
 class PopulationTooLargeError(ValueError):
     """The population exceeds the exhaustive-enumeration cap."""
@@ -144,11 +144,11 @@ class SolveRequest:
     enumeration_cap: int = 22
 
     def __post_init__(self) -> None:
-        if self.enumeration_cap > MAX_ENUMERATION_CAP:
-            raise ValueError(
-                f"enumeration cap {self.enumeration_cap} exceeds the ceiling "
-                f"{MAX_ENUMERATION_CAP}"
-            )
+        cap = self.enumeration_cap
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+            raise ValueError(f"enumeration cap must be a non-negative int, got {cap!r}")
+        if cap > MAX_ENUMERATION_CAP:
+            raise ValueError(f"enumeration cap {cap} exceeds the ceiling {MAX_ENUMERATION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -166,21 +166,6 @@ class SolveResult:
         return (self.parity_gap, self.eo_gap, self.eho_gap)
 
 
-def _gap_row(pop: Population, name: str) -> np.ndarray:
-    """The row of the ``name`` constraint, read-only: group A users carry
-    ``-w / mass_a``, group B users ``w / mass_b``.
-
-    Raises:
-        DegenerateGroupError: the row's weight column sums to zero over a group.
-    """
-    column = _SHARE_WEIGHTS[name]
-    mass_a, mass_b = _group_masses(pop, column)
-    weights = 1.0 if column is None else getattr(pop, column)
-    row = np.where(pop.mask_a, -weights / mass_a, weights / mass_b)
-    row.flags.writeable = False
-    return row
-
-
 def constraint_rows(
     pop: Population, constraints: ConstraintSet
 ) -> tuple[list[str], np.ndarray]:
@@ -189,11 +174,9 @@ def constraint_rows(
     Rows are oriented group B minus group A, matching the gap functions.
     Rows numerically identical to an earlier row (for example the
     uptake-weighted row when every user shares one uptake value, which then
-    collapses onto the exposure row) are dropped.
-
-    The population keeps each row once every row of the request is built,
-    and the retained names for each set of active constraints; neither
-    depends on the tolerance.
+    collapses onto the exposure row) are dropped.  Each call builds the rows
+    from the population and keeps nothing; a solve reads them from the
+    population's context.
 
     Returns:
         (names, matrix) where matrix has one row per retained constraint.
@@ -202,20 +185,8 @@ def constraint_rows(
         DegenerateGroupError: an active constraint's weight column sums to
             zero over a group.
     """
-    active = constraints.active
-    names = pop._retained.get(active)
-    if names is None:
-        rows = {name: pop._rows[name] if name in pop._rows else _gap_row(pop, name)
-                for name in active}
-        kept: list[str] = []
-        for name in active:
-            if not any(np.max(np.abs(rows[k] - rows[name])) <= _DEDUP_EPS for k in kept):
-                kept.append(name)
-        pop._rows.update(rows)
-        names = pop._retained[active] = tuple(kept)
-    if not names:
-        return [], np.empty((0, pop.size))
-    return list(names), np.array([pop._rows[name] for name in names])
+    names, rows = _Context(pop, None).rows(constraints.active)
+    return list(names), rows
 
 
 def threshold_rule(pop: Population, params: ModelParams) -> Allocation:
@@ -241,16 +212,8 @@ def _score(pop: Population, params: ModelParams, alloc: Allocation) -> _Scored:
 
 
 def _threshold_scored(pop: Population, params: ModelParams) -> _Scored:
-    """The scored threshold allocation for ``params``.
-
-    The population keeps the last one, matched by identity like its gains,
-    so every solve on one population and parameter object that ends at the
-    threshold shares one scoring.
-    """
-    cached = pop._threshold
-    if cached is None or cached[0] is not params:
-        cached = pop._threshold = (params, _score(pop, params, threshold_rule(pop, params)))
-    return cached[1]
+    """The threshold allocation, scored once in the population's context."""
+    return _context(pop, params).threshold(lambda alloc: _score(pop, params, alloc))
 
 
 def _result(scored: _Scored, constraints: ConstraintSet, n_fractional: int) -> SolveResult:
@@ -569,8 +532,9 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     if method not in ("auto", "parametric", "highs"):
         raise ValueError(f"unknown method {method!r}")
     pop, params = req.population, req.params
-    _, rows = constraint_rows(pop, req.constraints)
-    c = decision_gains(pop, params)
+    ctx = _context(pop, params)
+    _, rows = ctx.rows(req.constraints.active)
+    c = ctx.gains
     eps = req.constraints.tolerance
 
     if method == "parametric" and rows.shape[0] != 1:
@@ -644,8 +608,9 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
         raise PopulationTooLargeError(
             f"population size {n} exceeds the enumeration cap {req.enumeration_cap}"
         )
-    c = decision_gains(pop, params)
-    _, rows = constraint_rows(pop, req.constraints)
+    ctx = _context(pop, params)
+    c = ctx.gains
+    _, rows = ctx.rows(req.constraints.active)
     limit = req.constraints.tolerance + ROUNDOFF_ALLOWANCE
 
     # row 0 is the gain, rows 1.. the gaps

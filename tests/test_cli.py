@@ -141,6 +141,15 @@ class TestCeilings:
         assert rc == 1
         assert "--cap 31 exceeds the ceiling 30" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["fractional", "binary-exact"])
+    def test_negative_cap(self, tmp_path, capsys, monkeypatch, mode):
+        monkeypatch.setattr(hermfair.cli, "population_from_csv", fail_if_called)
+        pop_csv = write(tmp_path / "pop.csv", "group,p,rho\nA,0.5,0.5\nB,0.5,0.5\n")
+        rc = main(["allocate", pop_csv, "--mode", mode, "--cap", "-1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "--cap -1 must be non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (["--jobs", "65"], "65 is greater than the maximum of 64"),
         (["--grid", "0:1:1e-5"], "--grid: grid 0.0:1.0:1e-05 has more than 10000 points"),

@@ -12,6 +12,7 @@ from hermfair.model import (
     DegenerateGroupError,
     ModelParams,
     Population,
+    _context,
     _scores,
     decision_gains,
     economic_utility,
@@ -451,31 +452,76 @@ class TestPopulationCache:
                 )
 
     def test_cached_arrays_are_read_only(self):
-        from hermfair.solver import constraint_rows
-
         pop = self._population()
         params = make_params()
-        gains = decision_gains(pop, params)
-        assert decision_gains(pop, params) is gains
-        herm_aware_utility(pop, Allocation(np.ones(pop.size)), params)
-        eo_gap(pop, Allocation(np.ones(pop.size)))
-        constraint_rows(pop, ConstraintSet.all())
-        cached = [pop._gains[1], *pop._objective[1:], *pop._slices["p"]]
-        assert len(cached) == 6
+        ctx = _context(pop, params)
+        gains = ctx.gains
+        assert _context(pop, params) is ctx and ctx.gains is gains
+        _scores(pop, np.ones(pop.size), params)
+        ctx.rows(ConstraintSet.all().active)
+        cached = [gains, *ctx.terms[1:], *ctx._rows.values()]
+        assert len(cached) == 7
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.5
+        # the public function builds its own read-only copy, bit for bit
+        public = decision_gains(pop, params)
+        assert public is not gains and public.tobytes() == gains.tobytes()
+        assert not public.flags.writeable
 
-    def test_a_solve_holds_gains_and_masses_only(self):
-        from hermfair.solver import constraint_rows
+    def test_a_solve_holds_gains_and_masses_only(self, monkeypatch):
+        import hermfair.solver
+        from hermfair.solver import SolveRequest, solve_constrained_lp
 
         pop = self._population()
-        decision_gains(pop, make_params())
-        constraint_rows(pop, ConstraintSet.all())
-        assert pop._objective is None and not pop._slices
-        assert sorted(pop._masses) == ["p", "rho"]
-        assert all(type(m) is float for masses in pop._masses.values() for m in masses)
+        held = []
+        real = hermfair.solver._dual_simplex
+
+        def spy(c, rows, eps):
+            held.append((sorted(vars(pop._context)), dict(pop._context._masses)))
+            return real(c, rows, eps)
+
+        monkeypatch.setattr(hermfair.solver, "_dual_simplex", spy)
+        solve_constrained_lp(SolveRequest(pop, make_params(), ConstraintSet.all()))
+        (names, masses), = held
+        # while the engine runs: the gains and masses, not the objective's terms
+        assert "gains" in names and "terms" not in names
+        assert masses.keys() == {None, "p", "rho"}
+        assert all(type(m) is float for pair in masses.values() for m in pair)
+
+    def test_a_population_holds_one_parameter_sets_arrays(self):
+        import weakref
+
+        from hermfair.solver import SolveRequest, constraint_rows, solve, threshold_rule
+
+        pop = self._population()
+        p1, p2 = make_params(), make_params(gamma=0.3)
+        results = [solve(SolveRequest(pop, p1, cs)) for cs in (ConstraintSet(), ConstraintSet.all())]
+        ctx = pop._context
+        built = [ctx.gains, *ctx.terms[1:], *ctx._rows.values()]
+        threshold = weakref.ref(ctx._threshold.allocation.values)
+        assert results[0].allocation.values is threshold()
+        refs = [weakref.ref(arr) for arr in built]
+        del ctx, built
+        solve(SolveRequest(pop, p2, ConstraintSet.all()))
+        assert pop._context.params is p2
+        # no reference cycle: the old context is freed with no collection
+        assert all(ref() is None for ref in refs)
+        assert threshold() is not None  # a result still holds its allocation
+        del results
+        assert threshold() is None
+        # the public functions build nothing on the population
+        fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
+        alloc = Allocation(np.ones(fresh.size))
+        for gap in (parity_gap, eo_gap, eho_gap):
+            gap(fresh, alloc)
+        for objective in (economic_utility, hermeneutical_cost, herm_aware_utility):
+            objective(fresh, alloc, p1)
+        decision_gains(fresh, p1)
+        threshold_rule(fresh, p1)
+        constraint_rows(fresh, ConstraintSet.all())
+        assert fresh._context is None
 
     def test_equality_ignores_the_cache(self):
         pop = self._population()

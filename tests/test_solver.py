@@ -17,6 +17,7 @@ from hermfair.model import (
     DegenerateGroupError,
     ModelParams,
     Population,
+    _context,
     decision_gains,
     herm_aware_utility,
 )
@@ -99,8 +100,8 @@ def brute_force_best(pop, params, constraints):
 # -------------------------------------------------------------- row cache
 
 class TestConstraintRowCache:
-    """A population keeps each gap row the first time every row of a
-    request is built, and the retained names for each active set."""
+    """A population's context keeps each gap row the first time every row
+    of a request is built, and the retained names for each active set."""
 
     @staticmethod
     def _population(seed=13, n=40):
@@ -112,21 +113,22 @@ class TestConstraintRowCache:
     @staticmethod
     def _count_row_builds(monkeypatch):
         built = []
-        real = hermfair.solver._gap_row
+        real = hermfair.model._Context._gap_row
 
-        def counted(pop, name):
+        def counted(ctx, name):
             built.append(name)
-            return real(pop, name)
+            return real(ctx, name)
 
-        monkeypatch.setattr(hermfair.solver, "_gap_row", counted)
+        monkeypatch.setattr(hermfair.model._Context, "_gap_row", counted)
         return built
 
     def test_rows_are_read_only_and_match_a_fresh_population(self):
         pop = self._population()
-        names, rows = constraint_rows(pop, ConstraintSet.all())
-        assert names == list(ConstraintSet.all().active)
-        assert sorted(pop._rows) == sorted(names)
-        for name, kept in pop._rows.items():
+        ctx = _context(pop, make_params())
+        names, rows = ctx.rows(ConstraintSet.all().active)
+        assert names == ConstraintSet.all().active
+        assert sorted(ctx._rows) == sorted(names)
+        for name, kept in ctx._rows.items():
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 0.5
@@ -140,57 +142,67 @@ class TestConstraintRowCache:
             assert kept.tobytes() == reference.tobytes()
         fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
         fresh_names, fresh_rows = constraint_rows(fresh, ConstraintSet.all())
-        assert (names, rows.tobytes()) == (fresh_names, fresh_rows.tobytes())
-        again_names, again = constraint_rows(pop, ConstraintSet.all())
+        assert (list(names), rows.tobytes()) == (fresh_names, fresh_rows.tobytes())
+        again_names, again = ctx.rows(ConstraintSet.all().active)
         assert (again_names, again.tobytes()) == (names, rows.tobytes())
         assert again.flags.writeable and again is not rows
 
     def test_rows_do_not_depend_on_the_tolerance(self, monkeypatch):
         built = self._count_row_builds(monkeypatch)
         pop = self._population()
-        first = constraint_rows(pop, ConstraintSet.all(1e-6))[1]
-        kept = dict(pop._rows)
+        params = make_params()
+        first = solve_constrained_lp(SolveRequest(pop, params, ConstraintSet.all(1e-6)))
+        ctx = pop._context
+        kept = dict(ctx._rows)
         for tol in (0.0, 0.5, 1e-6):
-            assert constraint_rows(pop, ConstraintSet.all(tol))[1].tobytes() == first.tobytes()
+            res = solve_constrained_lp(SolveRequest(pop, params, ConstraintSet.all(tol)))
+            assert pop._context is ctx
+            assert ctx.rows(ConstraintSet.all(tol).active)[1].tobytes() == np.vstack(
+                list(kept.values())).tobytes()
+        assert res.allocation.values.tobytes() == first.allocation.values.tobytes()
         assert len(built) == 3
-        assert all(pop._rows[name] is row for name, row in kept.items())
-        assert list(pop._retained) == [ConstraintSet.all().active]
+        assert all(ctx._rows[name] is row for name, row in kept.items())
+        assert list(ctx._retained) == [ConstraintSet.all().active]
 
     def test_three_row_request_after_one_row_requests_builds_no_row(self, monkeypatch):
         built = self._count_row_builds(monkeypatch)
         pop = self._population()
-        singles = [constraint_rows(pop, factory(0.01))[1]
+        ctx = _context(pop, make_params())
+        singles = [ctx.rows(factory(0.01).active)[1]
                    for factory in (ConstraintSet.parity, ConstraintSet.opportunity,
                                    ConstraintSet.herm_opportunity)]
         assert built == list(ConstraintSet.all().active)
-        names, rows = constraint_rows(pop, ConstraintSet.all())
+        names, rows = ctx.rows(ConstraintSet.all().active)
         assert len(built) == 3
         assert rows.tobytes() == np.vstack(singles).tobytes()
-        assert len(pop._retained) == 4
+        assert len(ctx._retained) == 4
 
     def test_duplicate_row_is_kept_but_not_retained(self, monkeypatch):
         built = self._count_row_builds(monkeypatch)
         pop = pop_from(["A", "B", "A", "B"], [0.9, 0.6, 0.1, 0.4], [0.5] * 4)
+        ctx = _context(pop, make_params())
         cs = ConstraintSet(parity_exposure=True, equality_herm_opportunity=True)
         for _ in range(2):
-            assert constraint_rows(pop, cs)[0] == ["parity_exposure"]
-        assert constraint_rows(pop, ConstraintSet.herm_opportunity())[0] == [
-            "equality_herm_opportunity"]
+            assert ctx.rows(cs.active)[0] == ("parity_exposure",)
+        assert ctx.rows(ConstraintSet.herm_opportunity().active)[0] == (
+            "equality_herm_opportunity",)
         assert built == ["parity_exposure", "equality_herm_opportunity"]
 
     def test_nothing_is_kept_after_a_degenerate_group(self, monkeypatch):
         built = self._count_row_builds(monkeypatch)
         # group A has zero total p: its click-weighted row is undefined
         pop = pop_from(["A", "B", "A", "B"], [0.0, 0.6, 0.0, 0.4], [0.3, 0.5, 0.7, 0.2])
+        params = make_params()
         for _ in range(2):
             with pytest.raises(DegenerateGroupError):
-                constraint_rows(pop, ConstraintSet.all())
-            assert pop._rows == {} and pop._retained == {}
-        assert constraint_rows(pop, ConstraintSet.parity())[0] == ["parity_exposure"]
+                solve_constrained_lp(SolveRequest(pop, params, ConstraintSet.all()))
+            ctx = pop._context
+            assert ctx._rows == {} and ctx._retained == {}
+        assert ctx.rows(ConstraintSet.parity().active)[0] == ("parity_exposure",)
         with pytest.raises(DegenerateGroupError):
-            constraint_rows(pop, ConstraintSet.opportunity())
-        assert sorted(pop._rows) == ["parity_exposure"]
-        assert list(pop._retained) == [("parity_exposure",)]
+            ctx.rows(ConstraintSet.opportunity().active)
+        assert sorted(ctx._rows) == ["parity_exposure"]
+        assert list(ctx._retained) == [("parity_exposure",)]
         # the failed requests kept nothing, so the parity request built its row again
         assert built == ["parity_exposure", "equality_opportunity"] * 3
 
@@ -493,7 +505,7 @@ class TestConstrainedLP:
             assert (got.objective, got.gaps, got.status, got.n_fractional) == (
                 want.objective, want.gaps, want.status, want.n_fractional
             )
-        assert pop._threshold is not None  # the 0.5 solves ended at the threshold
+        assert pop._context._threshold is not None  # the 0.5 solves ended at the threshold
 
     def test_threshold_score_is_keyed_by_params_identity(self, monkeypatch):
         calls = self._count_scorings(monkeypatch)
@@ -520,7 +532,7 @@ class TestConstrainedLP:
         pop = sample_population(PopulationSpec(n_a=200, n_b=200, uptake=UptakeConfig((4, 6), (7, 3)), seed=5))
         res = solve_constrained_lp(SolveRequest(pop, make_params(), ConstraintSet.all()))
         assert res.allocation.values.tobytes() != threshold_rule(pop, make_params()).values.tobytes()
-        assert pop._threshold is None
+        assert pop._context._threshold is None
         assert len(calls) == 1  # the engine's allocation, scored once
 
     def test_equality_slack_form_matches_stacked_inequalities(self):
@@ -990,12 +1002,12 @@ class TestBinaryExact:
         # leaves the population's threshold score as it was
         fair = solve_binary_exact(SolveRequest(pop, params, ConstraintSet.parity(0.0), mode=exact))
         assert not np.array_equal(fair.allocation.values, unc.allocation.values)
-        assert len(calls) == 2 and pop._threshold[1].allocation is unc.allocation
+        assert len(calls) == 2 and pop._context._threshold.allocation is unc.allocation
         fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
         solve_binary_exact(SolveRequest(fresh, params, ConstraintSet.parity(0.0), mode=exact))
-        assert fresh._threshold is None
+        assert fresh._context._threshold is None
         fresh_oracle = solve_binary_exact(SolveRequest(fresh, params, mode=exact))
-        assert fresh._threshold is not None and len(calls) == 4
+        assert fresh._context._threshold is not None and len(calls) == 4
         objective, gaps = hermfair.model._scores(fresh, oracle.allocation.values, params)
         assert (oracle.objective, oracle.gaps) == (fresh_oracle.objective, fresh_oracle.gaps)
         assert np.array([oracle.objective, *oracle.gaps]).tobytes() == np.array(
@@ -1013,6 +1025,13 @@ class TestBinaryExact:
         SolveRequest(pop, make_params(), enumeration_cap=MAX_ENUMERATION_CAP)
         with pytest.raises(ValueError, match="enumeration cap 31 exceeds the ceiling 30"):
             SolveRequest(pop, make_params(), enumeration_cap=MAX_ENUMERATION_CAP + 1)
+
+    @pytest.mark.parametrize("cap", [True, False, 2.5, 22.0, -1, "22", None])
+    def test_cap_must_be_a_non_negative_int(self, cap):
+        pop = pop_from(["A", "B"], [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="enumeration cap must be a non-negative int"):
+            SolveRequest(pop, make_params(), enumeration_cap=cap)
+        SolveRequest(pop, make_params(), enumeration_cap=0)
 
     def test_parity_zero_tolerance_equal_counts(self):
         pop = pop_from(["A", "A", "B", "B"], [0.9, 0.8, 0.7, 0.6], [0.5] * 4)
