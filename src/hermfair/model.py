@@ -14,9 +14,10 @@ All aggregate functions sum in ascending user-index order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +39,13 @@ __all__ = [
 
 class DegenerateGroupError(ValueError):
     """A group is empty or carries zero weight, so a group ratio is undefined."""
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool or a string is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class Population:
@@ -140,7 +148,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta_a", "beta_b", "theta_a", "theta_b",
                      "omega_a", "omega_b", "xi", "gamma"):
-            value = float(getattr(self, name))
+            value = _real(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -221,7 +229,7 @@ class ConstraintSet:
     active: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        tol = float(self.tolerance)
+        tol = _real("tolerance", self.tolerance)
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
         object.__setattr__(self, "tolerance", tol)
@@ -263,22 +271,34 @@ class _Objective(NamedTuple):
 # A gap row within this distance of an earlier retained row is dropped.
 _DEDUP_EPS = 1e-12
 
-_T = TypeVar("_T")
+
+class _Scored(NamedTuple):
+    """An allocation, its objective and its three gaps in ``_SHARE_WEIGHTS``
+    order: what a solve result holds apart from its request."""
+
+    allocation: Allocation
+    objective: float
+    gaps: tuple[float, float, float]
 
 
 class _Context:
     """What the solves of one population under one parameter object share,
     each part computed on first use and read-only: the objective's per-user
     terms, the gains, the group masses, the gap rows by constraint name with
-    the names retained for each ``ConstraintSet.active``, and the scored
-    threshold allocation.  The masses, rows and gaps do not read ``params``.
+    the names retained for each ``ConstraintSet.active``, and the threshold
+    allocation (show iff the gain is ``>= 0``), as decisions and scored.
+    The masses, rows and gaps do not read ``params``.
+
+    Every solve scores its result here (:meth:`score`), and the threshold
+    rule is written here only: the engines read ``threshold_values`` and
+    every exit at the threshold returns ``threshold``.
 
     A population holds only its last context (:func:`_context`), so it holds
     one parameter set's arrays at most: the gains, three terms, three rows
-    and the threshold allocation, 12.8 MB at 2x10^5 users.  The public
-    model functions build a context no population holds.  A context refers
-    to the population's arrays, not to the population, so the two form no
-    reference cycle.
+    and the threshold decisions and allocation, 14.4 MB at 2x10^5 users.
+    The public model functions build a context no population holds.  A
+    context refers to the population's arrays, not to the population, so
+    the two form no reference cycle.
     """
 
     def __init__(self, pop: Population, params: ModelParams | None) -> None:
@@ -287,7 +307,6 @@ class _Context:
         self._masses = {None: (float(pop.n_a), float(pop.n_b))}
         self._rows: dict[str, np.ndarray] = {}
         self._retained: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._threshold = None
 
     def _objective(self) -> _Objective:
         params = self.params
@@ -367,12 +386,34 @@ class _Context:
             return names, np.empty((0, self.p.size))
         return names, np.array([self._rows[name] for name in names])
 
-    def threshold(self, score: Callable[[Allocation], _T]) -> _T:
-        """The threshold allocation (show iff the gain is ``>= 0``) as
-        ``score`` returns it; ``score`` runs on the first call only."""
-        if self._threshold is None:
-            self._threshold = score(Allocation.binary((self.gains >= 0.0).astype(np.float64)))
-        return self._threshold
+    @cached_property
+    def threshold_values(self) -> np.ndarray:
+        """The threshold allocation's decisions: 1.0 iff the gain is ``>= 0``."""
+        values = (self.gains >= 0.0).astype(np.float64)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def threshold(self) -> _Scored:
+        """The threshold allocation, scored."""
+        return self.score(Allocation.binary(self.threshold_values))
+
+    def score(self, alloc: Allocation) -> _Scored:
+        """``alloc`` with :func:`herm_aware_utility` and the three gap
+        functions of its decisions, in one pass: each group's decisions and
+        ``1 - d`` are gathered once, and every value is bit for bit what the
+        public function returns.  A gap whose weight column sums to zero over
+        a group is NaN."""
+        d = alloc.values
+        objective = _utility(self.terms, d, 1.0 - d)
+        d_a, d_b = d[self.mask_a], d[self.mask_b]
+        gaps = []
+        for column in _SHARE_WEIGHTS.values():
+            try:
+                gaps.append(self.share_gap(d_a, d_b, column))
+            except DegenerateGroupError:
+                gaps.append(math.nan)
+        return _Scored(alloc, objective, tuple(gaps))
 
 
 def _context(pop: Population, params: ModelParams) -> _Context:
@@ -441,35 +482,6 @@ def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
 def _column_gap(pop: Population, alloc: Allocation, column: str | None) -> float:
     d = _check_aligned(pop, alloc)
     return _Context(pop, None).share_gap(d[pop.mask_a], d[pop.mask_b], column)
-
-
-class _Scores(NamedTuple):
-    """The objective of a decision vector and its three gaps, in
-    ``_SHARE_WEIGHTS`` order."""
-
-    objective: float
-    gaps: tuple[float, float, float]
-
-
-def _scores(pop: Population, d: np.ndarray, params: ModelParams) -> _Scores:
-    """:func:`herm_aware_utility` and the three gap functions of the
-    decision vector ``d``, aligned with ``pop``, in one pass, from the
-    population's context for ``params``.
-
-    Each group's decisions and ``1 - d`` are gathered once; every value is
-    bit for bit what the public function returns.  A gap whose weight
-    column sums to zero over a group is NaN.
-    """
-    ctx = _context(pop, params)
-    objective = _utility(ctx.terms, d, 1.0 - d)
-    d_a, d_b = d[pop.mask_a], d[pop.mask_b]
-    gaps = []
-    for column in _SHARE_WEIGHTS.values():
-        try:
-            gaps.append(ctx.share_gap(d_a, d_b, column))
-        except DegenerateGroupError:
-            gaps.append(math.nan)
-    return _Scores(objective, tuple(gaps))
 
 
 def parity_gap(pop: Population, alloc: Allocation) -> float:

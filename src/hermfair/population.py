@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import _textio
 from ._textio import open_text
-from .model import Population
+from .model import Population, _real
 
 __all__ = [
     "RNG_STREAM",
@@ -54,7 +55,7 @@ ALLOCATION_CSV_HEADER = (*POPULATION_CSV_HEADER, "decision")
 
 
 def _check_shape(name: str, value: float) -> float:
-    value = float(value)
+    value = _real(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be a positive finite shape, got {value!r}")
     return value
@@ -96,6 +97,10 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_a", "n_b", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError(f"group sizes must be at least 1, got {self.n_a} and {self.n_b}")
         if max(self.n_a, self.n_b) > MAX_GROUP_SIZE:

@@ -7,10 +7,10 @@ subject to each active group-gap being zero up to the request tolerance
 ``eps`` (``|gap| <= eps``).  Every constrained solve first tries the
 threshold allocation (``d_i = 1`` iff the gain ``c_i >= 0``): if it already
 meets every retained row it is optimal and is returned with no further
-work.  Its gains, rows and threshold score come from the population's
-solve context (``hermfair.model._Context``), so the threshold score is
-shared with ``solve_unconstrained`` and every oracle solve ending there.
-Otherwise:
+work.  The population's solve context (``hermfair.model._Context``)
+holds the gains, the rows and the threshold allocation, and scores every
+result: one scored threshold allocation is shared by
+``solve_unconstrained`` and every solve that ends there.  Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
@@ -45,7 +45,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,12 +56,11 @@ from .model import (
     _SHARE_WEIGHTS,
     _context,
     _Context,
-    _scores,
-    decision_gains,
+    _Scored,
 )
-# Bound here, though scoring goes through ``_scores``, for code that wraps
-# this module's names (perfbench's tracer).
-from .model import eho_gap, eo_gap, herm_aware_utility, parity_gap  # noqa: F401
+# Bound here, though the solve context computes the gains and scores every
+# result, for code that wraps this module's names (perfbench's tracer).
+from .model import decision_gains, eho_gap, eo_gap, herm_aware_utility, parity_gap  # noqa: F401
 
 __all__ = [
     "SolveMode",
@@ -144,6 +142,8 @@ class SolveRequest:
     enumeration_cap: int = 22
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, SolveMode):
+            raise ValueError(f"mode must be a SolveMode, got {self.mode!r}")
         cap = self.enumeration_cap
         if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
             raise ValueError(f"enumeration cap must be a non-negative int, got {cap!r}")
@@ -195,25 +195,7 @@ def threshold_rule(pop: Population, params: ModelParams) -> Allocation:
     The gain is :func:`~hermfair.model.decision_gains`; a zero gain shows
     the ad.
     """
-    return Allocation.binary((decision_gains(pop, params) >= 0.0).astype(np.float64))
-
-
-class _Scored(NamedTuple):
-    """An allocation with its objective and its three gaps, in
-    ``_SHARE_WEIGHTS`` order: what a result holds apart from its request."""
-
-    allocation: Allocation
-    objective: float
-    gaps: tuple[float, float, float]
-
-
-def _score(pop: Population, params: ModelParams, alloc: Allocation) -> _Scored:
-    return _Scored(alloc, *_scores(pop, alloc.values, params))
-
-
-def _threshold_scored(pop: Population, params: ModelParams) -> _Scored:
-    """The threshold allocation, scored once in the population's context."""
-    return _context(pop, params).threshold(lambda alloc: _score(pop, params, alloc))
+    return Allocation.binary(_Context(pop, params).threshold_values)
 
 
 def _result(scored: _Scored, constraints: ConstraintSet, n_fractional: int) -> SolveResult:
@@ -237,21 +219,16 @@ def _result(scored: _Scored, constraints: ConstraintSet, n_fractional: int) -> S
     )
 
 
-def _build_result(
-    pop: Population,
-    params: ModelParams,
-    values: np.ndarray,
-    constraints: ConstraintSet,
-) -> SolveResult:
+def _build_result(ctx: _Context, values: np.ndarray, constraints: ConstraintSet) -> SolveResult:
     n_frac = int(np.count_nonzero((values > SNAP_EPS) & (values < 1.0 - SNAP_EPS)))
-    return _result(_score(pop, params, Allocation(values)), constraints, n_frac)
+    return _result(ctx.score(Allocation(values)), constraints, n_frac)
 
 
 def solve_unconstrained(req: SolveRequest) -> SolveResult:
     """Closed-form optimum via the threshold rule; no constraints allowed."""
     if req.constraints.any_active:
         raise ValueError("solve_unconstrained requires an empty constraint set")
-    return _result(_threshold_scored(req.population, req.params), req.constraints, 0)
+    return _result(_context(req.population, req.params).threshold, req.constraints, 0)
 
 
 def _snap(values: np.ndarray) -> np.ndarray:
@@ -531,8 +508,7 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
         raise ValueError("solve_constrained_lp requires at least one active constraint")
     if method not in ("auto", "parametric", "highs"):
         raise ValueError(f"unknown method {method!r}")
-    pop, params = req.population, req.params
-    ctx = _context(pop, params)
+    ctx = _context(req.population, req.params)
     _, rows = ctx.rows(req.constraints.active)
     c = ctx.gains
     eps = req.constraints.tolerance
@@ -540,11 +516,11 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     if method == "parametric" and rows.shape[0] != 1:
         raise ValueError("parametric method handles exactly one retained constraint row")
 
-    threshold = np.where(c >= 0.0, 1.0, 0.0)  # ties show the ad, matching the threshold rule
+    threshold = ctx.threshold_values
     if np.all(np.abs(rows @ threshold) <= eps):
         # the unconstrained optimum is feasible, hence optimal; its values
         # are exactly 0 or 1, so nothing is snapped
-        return _result(_threshold_scored(pop, params), req.constraints, 0)
+        return _result(ctx.threshold, req.constraints, 0)
     values = None
     if method != "highs" and rows.shape[0] == 1:
         values = _solve_slab_single(c, rows[0], eps, threshold)
@@ -553,7 +529,7 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     if values is None:
         values = _solve_slab_highs(c, rows, eps)
 
-    return _build_result(pop, params, _snap(values), req.constraints)
+    return _build_result(ctx, _snap(values), req.constraints)
 
 
 # The oracle scores 2**_BLOCK_BITS decision vectors per block.
@@ -602,13 +578,12 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
     Raises:
         PopulationTooLargeError: population exceeds ``enumeration_cap``.
     """
-    pop, params = req.population, req.params
-    n = pop.size
+    n = req.population.size
     if n > req.enumeration_cap:
         raise PopulationTooLargeError(
             f"population size {n} exceeds the enumeration cap {req.enumeration_cap}"
         )
-    ctx = _context(pop, params)
+    ctx = _context(req.population, req.params)
     c = ctx.gains
     _, rows = ctx.rows(req.constraints.active)
     limit = req.constraints.tolerance + ROUNDOFF_ALLOWANCE
@@ -633,11 +608,11 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
             best_obj = float(obj[idx])
             best_mask = (block << h) + idx
     values = ((best_mask >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
-    if np.array_equal(values, c >= 0.0):
+    if np.array_equal(values, ctx.threshold_values):
         # the threshold allocation, scored once per population and parameter
         # object as in solve_constrained_lp
-        return _result(_threshold_scored(pop, params), req.constraints, 0)
-    return _build_result(pop, params, values, req.constraints)
+        return _result(ctx.threshold, req.constraints, 0)
+    return _build_result(ctx, values, req.constraints)
 
 
 def solve(req: SolveRequest) -> SolveResult:

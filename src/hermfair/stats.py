@@ -97,13 +97,13 @@ class ContingencyTable:
     __slots__ = ("row_labels", "col_labels", "counts")
 
     def __init__(self, counts, row_labels=None, col_labels=None):
-        arr = np.asarray(counts)
+        # the cells as given (a bool is not promoted to an int), as Python
+        # numbers for an array's cells, so the checks cannot wrap as int64 does
+        arr = np.asarray(counts, dtype=object)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
             raise ValueError("counts must form a matrix with at least 2 rows and 2 columns")
-        # Python numbers, so the checks below cannot wrap as int64 sums do
         cells = arr.ravel().tolist()
-        if not all((isinstance(c, int) and not isinstance(c, bool))
-                   or (isinstance(c, float) and c.is_integer()) for c in cells):
+        if not all(map(_is_count, cells)):
             raise ValueError("counts must be integers")
         if min(cells) < 0:
             raise ValueError("counts must be non-negative")
@@ -175,11 +175,14 @@ def _log10_chi2_tail(statistic: float, dof: int) -> float:
     return (-x + (a - 1.0) * math.log(x) - math.lgamma(a) + math.log(series)) / math.log(10.0)
 
 
+def _is_count(value) -> bool:
+    """The module's integer rule: integral floats pass, bools do not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()))
+
+
 def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer; integral floats pass, bools do not."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    ):
+    if not _is_count(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -13,7 +13,6 @@ from hermfair.model import (
     ModelParams,
     Population,
     _context,
-    _scores,
     decision_gains,
     economic_utility,
     eho_gap,
@@ -92,6 +91,23 @@ class TestValidation:
             make_params(gamma=-0.01)
         with pytest.raises(ValueError):
             make_params(beta_a=float("inf"))
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, np.bool_(True)])
+    def test_params_reject_a_bool_or_a_string(self, value):
+        # float() would take each of these as a number
+        for name in ("alpha", "gamma"):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                make_params(**{name: value})
+        got = make_params(alpha=np.float32(0.5), gamma=1, xi=np.int64(2))
+        assert (got.alpha, got.gamma, got.xi) == (0.5, 1.0, 2.0)
+        assert type(got.alpha) is float
+
+    @pytest.mark.parametrize("value", [True, False, "1e-6", None])
+    def test_constraint_set_tolerance_rejects_a_bool_or_a_string(self, value):
+        with pytest.raises(ValueError, match="^tolerance must be a real number"):
+            ConstraintSet.parity(tolerance=value)
+        assert ConstraintSet.parity(tolerance=0).tolerance == 0.0
+        assert ConstraintSet.parity(tolerance=np.float64(0.5)).tolerance == 0.5
 
     def test_constraint_set_tolerance(self):
         with pytest.raises(ValueError):
@@ -400,7 +416,7 @@ class TestScorer:
     @given(_scoring_cases(), _params_strategy())
     def test_one_pass_scorer_matches_the_public_functions_bitwise(self, case, params):
         pop, alloc, zeroed = case
-        objective, gaps = _scores(pop, alloc.values, params)
+        _, objective, gaps = _context(pop, params).score(alloc)
         # the public functions on a population that has cached nothing
         fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
         assert _bits(objective) == _bits(herm_aware_utility(fresh, alloc, params))
@@ -418,7 +434,7 @@ class TestScorer:
         pop = pop_from(["B", "A", "B", "A"], [0.4, 0.0, 0.2, 0.0], [0.5, 0.3, 0.9, 0.1])
         d = np.array([0.25, 1.0, 0.0, 0.5])
         for _ in range(2):
-            objective, (parity, eo, eho) = _scores(pop, d, make_params())
+            _, objective, (parity, eo, eho) = _context(pop, make_params()).score(Allocation(d))
             assert math.isnan(eo) and not math.isnan(parity) and not math.isnan(eho)
             assert parity == parity_gap(pop, Allocation(d)) == 0.125 - 0.75
             assert objective == herm_aware_utility(pop, Allocation(d), make_params())
@@ -457,10 +473,10 @@ class TestPopulationCache:
         ctx = _context(pop, params)
         gains = ctx.gains
         assert _context(pop, params) is ctx and ctx.gains is gains
-        _scores(pop, np.ones(pop.size), params)
+        ctx.score(Allocation(np.ones(pop.size)))
         ctx.rows(ConstraintSet.all().active)
-        cached = [gains, *ctx.terms[1:], *ctx._rows.values()]
-        assert len(cached) == 7
+        cached = [gains, ctx.threshold_values, *ctx.terms[1:], *ctx._rows.values()]
+        assert len(cached) == 8
         for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -499,8 +515,8 @@ class TestPopulationCache:
         p1, p2 = make_params(), make_params(gamma=0.3)
         results = [solve(SolveRequest(pop, p1, cs)) for cs in (ConstraintSet(), ConstraintSet.all())]
         ctx = pop._context
-        built = [ctx.gains, *ctx.terms[1:], *ctx._rows.values()]
-        threshold = weakref.ref(ctx._threshold.allocation.values)
+        built = [ctx.gains, ctx.threshold_values, *ctx.terms[1:], *ctx._rows.values()]
+        threshold = weakref.ref(vars(ctx)["threshold"].allocation.values)
         assert results[0].allocation.values is threshold()
         refs = [weakref.ref(arr) for arr in built]
         del ctx, built

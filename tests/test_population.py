@@ -75,6 +75,23 @@ class TestSampling:
         with pytest.raises(ValueError):
             ClickConfig(k_a=0.0)
 
+    @pytest.mark.parametrize("value", [True, "2", np.bool_(True), None])
+    def test_shapes_reject_a_bool_or_a_string(self, value):
+        with pytest.raises(ValueError, match="^k_a must be a real number"):
+            ClickConfig(k_a=value)
+        with pytest.raises(ValueError, match=r"^beta_a\[0\] must be a real number"):
+            UptakeConfig(beta_a=(value, 2.0), beta_b=(1.0, 1.0))
+        with pytest.raises(ValueError, match=r"^beta_b\[1\] must be a real number"):
+            UptakeConfig(beta_a=(1.0, 2.0), beta_b=(1.0, value))
+        assert ClickConfig(k_a=1, k_b=np.float32(0.5)) == ClickConfig(k_a=1.0, k_b=0.5)
+
+    @pytest.mark.parametrize("name", ["n_a", "n_b", "seed"])
+    @pytest.mark.parametrize("value", [True, "2", 2.0, None])
+    def test_spec_sizes_and_seed_must_be_ints(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            spec(**{name: value})
+        assert spec(**{name: np.int64(3)}) == spec(**{name: 3})
+
     def test_group_size_ceiling(self):
         # only specs are built here; nothing is drawn
         ceiling = hermfair.population.MAX_GROUP_SIZE

@@ -7,6 +7,7 @@ import pytest
 
 from hermfair.model import ModelParams, Population
 from hermfair.population import PopulationSpec, UptakeConfig, sample_population
+import hermfair.model
 import hermfair.population
 import hermfair.scenarios
 import hermfair.solver
@@ -299,9 +300,9 @@ class TestSharedThresholdScore:
 
     def test_a_threshold_cell_scores_its_allocation_once(self, monkeypatch):
         calls = []
-        real = hermfair.solver._scores
+        real = hermfair.model._Context.score
         monkeypatch.setattr(
-            hermfair.solver, "_scores", lambda pop, d, params: calls.append(d) or real(pop, d, params)
+            hermfair.model._Context, "score", lambda ctx, alloc: calls.append(alloc) or real(ctx, alloc)
         )
         spec = builtin_scenario("gamma", grid=(1.0,), replications=1, n_a=200, n_b=200)
         records = hermfair.scenarios._run_cell((spec, 5, 0, 0))

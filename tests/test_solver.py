@@ -429,11 +429,11 @@ class TestConstrainedLP:
 
         pop = pop_from(["A", "B"], [0.5, 0.5], [0.5, 0.5])
         cs = ConstraintSet.parity(0.25)
-        build = hermfair.solver._build_result
-        relaxed = build(pop, make_params(), np.array([0.0, 0.25 + 1e-9]), cs)
+        build, ctx = hermfair.solver._build_result, _context(pop, make_params())
+        relaxed = build(ctx, np.array([0.0, 0.25 + 1e-9]), cs)
         assert relaxed.status is SolveStatus.TOLERANCE_RELAXED
         with pytest.raises(SolverNumericalError, match="violates active constraints"):
-            build(pop, make_params(), np.array([0.0, 0.25 + 2e-8]), cs)
+            build(ctx, np.array([0.0, 0.25 + 2e-8]), cs)
 
     def test_feasible_threshold_skips_every_engine(self, monkeypatch):
         # group B mirrors group A under equal parameters, so the threshold
@@ -460,17 +460,18 @@ class TestConstrainedLP:
 
     @staticmethod
     def _count_scorings(monkeypatch, parity_offset=0.0):
-        """Wrap the solver's scorer; record each decision vector it scores,
-        and add ``parity_offset`` to every parity gap it returns."""
+        """Wrap the solve context's scorer; record each decision vector it
+        scores, and add ``parity_offset`` to every parity gap it returns."""
         calls = []
-        real = hermfair.solver._scores
+        real = hermfair.model._Context.score
 
-        def counted(pop, d, params):
-            calls.append(d)
-            objective, (parity, eo, eho) = real(pop, d, params)
-            return objective, (parity + parity_offset, eo, eho)
+        def counted(ctx, alloc):
+            calls.append(alloc.values)
+            scored = real(ctx, alloc)
+            parity, eo, eho = scored.gaps
+            return scored._replace(gaps=(parity + parity_offset, eo, eho))
 
-        monkeypatch.setattr(hermfair.solver, "_scores", counted)
+        monkeypatch.setattr(hermfair.model._Context, "score", counted)
         return calls
 
     def test_threshold_status_follows_each_request(self, monkeypatch):
@@ -505,7 +506,7 @@ class TestConstrainedLP:
             assert (got.objective, got.gaps, got.status, got.n_fractional) == (
                 want.objective, want.gaps, want.status, want.n_fractional
             )
-        assert pop._context._threshold is not None  # the 0.5 solves ended at the threshold
+        assert "threshold" in vars(pop._context)  # the 0.5 solves ended at the threshold
 
     def test_threshold_score_is_keyed_by_params_identity(self, monkeypatch):
         calls = self._count_scorings(monkeypatch)
@@ -532,7 +533,7 @@ class TestConstrainedLP:
         pop = sample_population(PopulationSpec(n_a=200, n_b=200, uptake=UptakeConfig((4, 6), (7, 3)), seed=5))
         res = solve_constrained_lp(SolveRequest(pop, make_params(), ConstraintSet.all()))
         assert res.allocation.values.tobytes() != threshold_rule(pop, make_params()).values.tobytes()
-        assert pop._context._threshold is None
+        assert "threshold" not in vars(pop._context)
         assert len(calls) == 1  # the engine's allocation, scored once
 
     def test_equality_slack_form_matches_stacked_inequalities(self):
@@ -1002,13 +1003,13 @@ class TestBinaryExact:
         # leaves the population's threshold score as it was
         fair = solve_binary_exact(SolveRequest(pop, params, ConstraintSet.parity(0.0), mode=exact))
         assert not np.array_equal(fair.allocation.values, unc.allocation.values)
-        assert len(calls) == 2 and pop._context._threshold.allocation is unc.allocation
+        assert len(calls) == 2 and vars(pop._context)["threshold"].allocation is unc.allocation
         fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
         solve_binary_exact(SolveRequest(fresh, params, ConstraintSet.parity(0.0), mode=exact))
-        assert fresh._context._threshold is None
+        assert "threshold" not in vars(fresh._context)
         fresh_oracle = solve_binary_exact(SolveRequest(fresh, params, mode=exact))
-        assert fresh._context._threshold is not None and len(calls) == 4
-        objective, gaps = hermfair.model._scores(fresh, oracle.allocation.values, params)
+        assert "threshold" in vars(fresh._context) and len(calls) == 4
+        _, objective, gaps = _context(fresh, params).score(oracle.allocation)
         assert (oracle.objective, oracle.gaps) == (fresh_oracle.objective, fresh_oracle.gaps)
         assert np.array([oracle.objective, *oracle.gaps]).tobytes() == np.array(
             [objective, *gaps]).tobytes()
@@ -1032,6 +1033,13 @@ class TestBinaryExact:
         with pytest.raises(ValueError, match="enumeration cap must be a non-negative int"):
             SolveRequest(pop, make_params(), enumeration_cap=cap)
         SolveRequest(pop, make_params(), enumeration_cap=0)
+
+    @pytest.mark.parametrize("mode", ["binary_exact", "fractional", None])
+    def test_mode_must_be_a_solve_mode(self, mode):
+        # a string would run the fractional solve with no cap check
+        pop = pop_from(["A"] * 20 + ["B"] * 20, [0.5] * 40, [0.5] * 40)
+        with pytest.raises(ValueError, match="mode must be a SolveMode"):
+            SolveRequest(pop, make_params(), mode=mode)
 
     def test_parity_zero_tolerance_equal_counts(self):
         pop = pop_from(["A", "A", "B", "B"], [0.9, 0.8, 0.7, 0.6], [0.5] * 4)

@@ -216,6 +216,7 @@ class TestTableValidation:
     @pytest.mark.parametrize("counts", [
         [[True, False], [False, True]],
         np.eye(2, dtype=bool),
+        [[True, 2], [0, 1]],  # a bool among ints is not promoted to 1
     ])
     def test_boolean_counts_rejected(self, counts):
         # as wilson_interval rejects a bool count
