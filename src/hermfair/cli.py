@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 input error (malformed files, invalid parameters,
 oversized enumeration requests) or a standard output closed before the run
-ends (silently), 2 solver-level failure (a numerical failure).
+ends (silently), 2 solver-level failure (a numerical failure) or a usage
+error (what argparse rejects: an unknown command or flag, a missing
+argument).
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import reprlib
 import sys
@@ -178,48 +179,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finite_number(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _grid(value) -> bool:
-    if type(value) is dict:
-        return sorted(value) == ["start", "step", "stop"] and all(
-            map(_finite_number, value.values()))
-    return type(value) is list and bool(value) and all(map(_finite_number, value))
-
-
-_INTEGER = (lambda value: type(value) is int, "an integer")  # not true, not 1.0
-_NUMBER = (_finite_number, "a finite number")
-
-# The JSON type of each run-configuration key: a test and what it asks for.
-# `--config` and the sweep flags fill one dict of these keys (each flag's
-# dest is its key); value ranges are checked by the library.
-_CONFIG_TYPES = {
-    "scenario": (_SCENARIO_CHOICES.__contains__, f"one of {list(_SCENARIO_CHOICES)}"),
-    "uptake": (_UPTAKE_CHOICES.__contains__, f"one of {list(_UPTAKE_CHOICES)}"),
-    "seed": _INTEGER,
-    "reps": _INTEGER,
-    "grid": (_grid, "a non-empty list of finite numbers or a {start, stop, step} object"),
-    "n_a": _INTEGER,
-    "n_b": _INTEGER,
-    "tolerance": _NUMBER,
-    "jobs": _INTEGER,
-}
-
-
-def _check_config(config: dict) -> None:
-    """Reject unknown keys and values of the wrong JSON type."""
-    unknown = sorted(set(config) - set(_CONFIG_TYPES))
-    if unknown:
-        raise _InputError(f"unknown run configuration keys: {unknown}")
-    for key, value in config.items():
-        ok, want = _CONFIG_TYPES[key]
-        if not ok(value):
-            raise _InputError(f"{key} must be {want}, got {reprlib.repr(value)}")
+# The run-configuration keys.  `--config` and the sweep flags fill one dict
+# of these keys (each flag's dest is its key); the library checks each value.
+_CONFIG_KEYS = ("scenario", "uptake", "seed", "reps", "grid", "n_a", "n_b", "tolerance", "jobs")
 
 
 def _load_sweep_config(path: str) -> dict:
@@ -237,23 +199,27 @@ def _load_sweep_config(path: str) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     # explicit flags override the config file
     config = _load_sweep_config(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key in _CONFIG_TYPES}
+    flags = {key: getattr(args, key) for key in _CONFIG_KEYS}
     if flags["grid"] is not None:
         flags["grid"] = list(_parse_grid(flags["grid"]))
     config.update((key, value) for key, value in flags.items() if value is not None)
     if "scenario" not in config:
         raise _InputError("either --scenario or --config with a scenario is required")
-    _check_config(config)
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise _InputError(f"unknown run configuration keys: {unknown}")
 
     grid = config.get("grid")
-    if type(grid) is dict:
+    if type(grid) is dict and sorted(grid) == ["start", "step", "stop"]:
         try:
             grid = build_grid(grid["start"], grid["stop"], grid["step"])
         except ValueError as exc:
             raise _InputError(f"config grid: {exc}") from exc
+    elif "grid" in config and type(grid) is not list:
+        raise _InputError(
+            f"grid must be a list or a {{start, stop, step}} object, got {reprlib.repr(grid)}")
+    seed = config.get("seed", PopulationSpec.seed)
     jobs = config.get("jobs", DEFAULT_JOBS)
-    if jobs > MAX_JOBS:
-        raise _InputError(f"jobs: {jobs} is greater than the maximum of {MAX_JOBS}")
     try:
         spec = builtin_scenario(
             config["scenario"],
@@ -264,20 +230,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             n_b=config.get("n_b", ScenarioSpec.n_b),
             tolerance=config.get("tolerance", ScenarioSpec.tolerance),
         )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    seed = config.get("seed", PopulationSpec.seed)
-    t0 = time.perf_counter()
-    try:
+        t0 = time.perf_counter()
         result = run_sweep(spec, base_seed=seed, jobs=jobs)
-    except ValueError as exc:  # seed or jobs out of range, before any cell runs
+    except ValueError as exc:  # a bad run value, found before any cell runs
         raise _InputError(str(exc)) from exc
     wall = time.perf_counter() - t0
     rows = aggregate(result)
+
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     write_records_csv(result, outdir / "records.csv")
     write_aggregates_csv(result, rows, outdir / "aggregates.csv")

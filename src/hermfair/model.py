@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -42,10 +43,23 @@ class DegenerateGroupError(ValueError):
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; a bool or a string is not a number here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    """``value`` as a float; a bool, a string, a NaN, an infinity or an int
+    beyond the float range is not a finite number here."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
     return float(value)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` itself; a bool or an integral float is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return value
 
 
 class Population:
@@ -148,10 +162,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta_a", "beta_b", "theta_a", "theta_b",
                      "omega_a", "omega_b", "xi", "gamma"):
-            value = _real(name, getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.alpha <= 0:
             raise ValueError("alpha must be strictly positive")
         for name in ("theta_a", "theta_b", "omega_a", "omega_b", "xi"):
@@ -230,7 +241,7 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         tol = _real("tolerance", self.tolerance)
-        if not (math.isfinite(tol) and tol >= 0.0):
+        if tol < 0.0:
             raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(

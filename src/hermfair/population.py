@@ -17,8 +17,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import math
-import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import _textio
 from ._textio import open_text
-from .model import Population, _real
+from .model import Population, _integer, _real
 
 __all__ = [
     "RNG_STREAM",
@@ -56,7 +54,7 @@ ALLOCATION_CSV_HEADER = (*POPULATION_CSV_HEADER, "decision")
 
 def _check_shape(name: str, value: float) -> float:
     value = _real(name, value)
-    if not (math.isfinite(value) and value > 0.0):
+    if not value > 0.0:
         raise ValueError(f"{name} must be a positive finite shape, got {value!r}")
     return value
 
@@ -98,9 +96,7 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_a", "n_b", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(name, getattr(self, name))
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError(f"group sizes must be at least 1, got {self.n_a} and {self.n_b}")
         if max(self.n_a, self.n_b) > MAX_GROUP_SIZE:

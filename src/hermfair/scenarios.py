@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ._textio import open_text, write_json
-from .model import ConstraintSet, ModelParams
+from .model import ConstraintSet, ModelParams, _integer, _real
 from .population import ClickConfig, PopulationSpec, UptakeConfig, sample_population, subseed
 from .solver import SolveRequest, SolveResult, solve_constrained_lp, solve_unconstrained
 
@@ -121,14 +121,16 @@ def build_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     ``start == stop`` gives the one point ``start``.
 
     Raises:
-        ValueError: ``step`` is not positive, a bound is not finite,
-            ``stop`` is below ``start``, or the grid would have more than
-            ``MAX_GRID_POINTS`` points (checked before any point is built).
+        ValueError: ``start``, ``stop`` or ``step`` is not a finite number
+            (a bool, a string, a NaN or an infinity), ``step`` is not
+            positive, ``stop`` is below ``start``, or the grid would have
+            more than ``MAX_GRID_POINTS`` points (checked before any point
+            is built).
     """
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        _real(name, value)
     if not step > 0:
         raise ValueError("step must be positive")
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError("grid start, stop and step must be finite")
     if stop < start:
         raise ValueError(f"grid stop {stop} is below its start {start}")
     span = (stop - start) / step + 1e-9
@@ -182,7 +184,7 @@ class ScenarioSpec:
         repeated = [value for value, count in Counter(self.grid).items() if count > 1]
         if repeated:  # aggregate would pool their cells
             raise ValueError(f"grid value {repeated[0]} appears more than once")
-        if self.replications < 1:
+        if _integer("replications", self.replications) < 1:
             raise ValueError("replications must be at least 1")
         cells = len(self.grid) * self.replications
         if cells > MAX_CELLS:
@@ -200,7 +202,7 @@ class ScenarioSpec:
         return UPTAKE_VARIANTS[self.uptake_variant]
 
     def params_for(self, value: float) -> ModelParams:
-        return replace(self.base_params, **{self.varying: float(value)})
+        return replace(self.base_params, **{self.varying: value})
 
 
 def builtin_scenario(
@@ -224,9 +226,9 @@ def builtin_scenario(
     scenario = ScenarioId(scenario)
     uptake_variant = UptakeVariant(uptake_variant)
     varying, default_grid, fixed_overrides = _SCENARIO_DEFS[scenario]
-    values = tuple(float(v) for v in grid) if grid is not None else default_grid
+    values = default_grid if grid is None else tuple(_real("grid value", v) for v in grid)
     base = replace(ModelParams.default(), **fixed_overrides)
-    if varying != "gamma":
+    if varying != "gamma" and values:  # an empty grid is rejected by ScenarioSpec
         base = replace(base, **{varying: values[0]})
     return ScenarioSpec(
         scenario=scenario,
@@ -346,11 +348,16 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> S
     sub-seed derived from ``(base_seed, value index, replication)``, so cells
     are reproducible in isolation and parallel scheduling cannot change any
     number.  Solver failures are recorded per record and the sweep continues.
-    ``base_seed`` must be non-negative and ``jobs`` between 1 and
-    ``MAX_JOBS``; both are checked before any cell runs.
+
+    Raises:
+        ValueError: ``base_seed`` is not a non-negative integer, or ``jobs``
+            is not an integer from 1 to ``MAX_JOBS`` (a bool or an integral
+            float such as ``2.0`` is not an integer here); both are checked
+            before any cell runs.
     """
-    if jobs > MAX_JOBS:
-        raise ValueError(f"jobs {jobs} exceeds the ceiling of {MAX_JOBS} workers")
+    _integer("base_seed", base_seed)
+    if _integer("jobs", jobs) > MAX_JOBS:
+        raise ValueError(f"jobs {jobs} is greater than the maximum of {MAX_JOBS}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if base_seed < 0:

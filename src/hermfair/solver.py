@@ -56,6 +56,7 @@ from .model import (
     _SHARE_WEIGHTS,
     _context,
     _Context,
+    _integer,
     _Scored,
 )
 # Bound here, though the solve context computes the gains and scores every
@@ -144,9 +145,9 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, SolveMode):
             raise ValueError(f"mode must be a SolveMode, got {self.mode!r}")
-        cap = self.enumeration_cap
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
-            raise ValueError(f"enumeration cap must be a non-negative int, got {cap!r}")
+        cap = _integer("enumeration cap", self.enumeration_cap)
+        if cap < 0:
+            raise ValueError(f"enumeration cap must be non-negative, got {cap!r}")
         if cap > MAX_ENUMERATION_CAP:
             raise ValueError(f"enumeration cap {cap} exceeds the ceiling {MAX_ENUMERATION_CAP}")
 

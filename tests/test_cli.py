@@ -106,7 +106,11 @@ class TestAllocate:
         pop_csv = write(tmp_path / "pop.csv", "group,p,rho\nA,0.5,0.5\nB,0.5,0.5\n")
         rc = main(["allocate", pop_csv, "--parity", "--tol", tol, "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+        assert {
+            "nan": "tolerance must be a finite number, got nan",
+            "inf": "tolerance must be a finite number, got inf",
+            "-1": "tolerance must be finite and non-negative, got -1.0",
+        }[tol] in capsys.readouterr().err
 
 
     def test_allocation_csv_bytes(self, tmp_path):
@@ -128,6 +132,16 @@ class TestAllocate:
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("work started before the input was checked")
+
+
+def assert_sweep_rejected(argv, tmp_path, capsys, monkeypatch, message):
+    """``hermfair sweep`` exits 1 naming the bad value, before any cell runs
+    and without making its output directory."""
+    monkeypatch.setattr(hermfair.scenarios, "_run_cell", fail_if_called)
+    out = tmp_path / "o"
+    assert main(["sweep", *argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCeilings:
@@ -163,10 +177,7 @@ class TestCeilings:
         (["--grid", "0:1e-10:1e-11"], "grid value 0.0 appears more than once"),
     ])
     def test_sweep_flags(self, tmp_path, capsys, monkeypatch, argv, message):
-        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
-        rc = main(["sweep", "--scenario", "A", *argv, "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert message in capsys.readouterr().err
+        assert_sweep_rejected(["--scenario", "A", *argv], tmp_path, capsys, monkeypatch, message)
 
     @pytest.mark.parametrize("config, message", [
         ({"jobs": 65}, "65 is greater than the maximum of 64"),
@@ -178,10 +189,8 @@ class TestCeilings:
         ({"grid": [0.1, 0.2, 0.1]}, "grid value 0.1 appears more than once"),
     ])
     def test_sweep_config(self, tmp_path, capsys, monkeypatch, config, message):
-        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
         cfg = write(tmp_path / "cfg.json", json.dumps({"scenario": "A", **config}))
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert message in capsys.readouterr().err
+        assert_sweep_rejected(["--config", cfg], tmp_path, capsys, monkeypatch, message)
 
 
     @pytest.mark.parametrize("flag", ["--na", "--nb"])
@@ -194,41 +203,40 @@ class TestCeilings:
 
 
 class TestConfigTypes:
-    """Each value of the wrong JSON type exits 1 before the sweep runs."""
+    """Each value of the wrong JSON type exits 1 before any cell runs.
+
+    The library checks every value, so a message names the library's field
+    (``replications`` for ``reps``, ``base_seed`` for ``seed``)."""
 
     @pytest.mark.parametrize("config, message", [
-        ({"reps": 1.0}, "reps must be an integer, got 1.0"),
+        ({"reps": 1.0}, "replications must be an integer, got 1.0"),
         ({"n_a": 10.0}, "n_a must be an integer, got 10.0"),
         ({"jobs": 2.0}, "jobs must be an integer, got 2.0"),
         ({"seed": 3.0}, "seed must be an integer, got 3.0"),
-        ({"reps": True}, "reps must be an integer, got True"),
+        ({"reps": True}, "replications must be an integer, got True"),
         ({"tolerance": float("nan")}, "tolerance must be a finite number, got nan"),
         ({"tolerance": True}, "tolerance must be a finite number, got True"),
         ({"tolerance": 10 ** 400}, "tolerance must be a finite number"),
-        ({"scenario": "Z"}, "scenario must be one of"),
-        ({"uptake": 3}, "uptake must be one of"),
-        ({"grid": []}, "grid must be a non-empty list"),
-        ({"grid": [0.1, "x"]}, "grid must be a non-empty list"),
+        ({"scenario": "Z"}, "'Z' is not a valid ScenarioId"),
+        ({"uptake": 3}, "3 is not a valid UptakeVariant"),
+        ({"grid": []}, "grid must contain at least one value"),
+        ({"grid": [0.1, "x"]}, "grid value must be a finite number, got 'x'"),
         ({"grid": {"start": 0, "stop": 1}}, "{start, stop, step} object"),
         ({"grid": {"start": 0, "stop": 1, "step": 0.5, "x": 1}}, "{start, stop, step} object"),
         ({"grid": {"start": 0, "stop": 1, "step": 0}}, "config grid: step must be positive"),
         ({"repz": 5}, "unknown run configuration keys: ['repz']"),
     ])
     def test_config(self, tmp_path, capsys, monkeypatch, config, message):
-        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
         cfg = write(tmp_path / "cfg.json", json.dumps({"scenario": "A", **config}))
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert message in capsys.readouterr().err
+        assert_sweep_rejected(["--config", cfg], tmp_path, capsys, monkeypatch, message)
 
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "config must be a JSON object"),
         ("{", "config is not valid JSON"),
     ])
     def test_config_not_a_json_object(self, tmp_path, capsys, monkeypatch, text, message):
-        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
         cfg = write(tmp_path / "cfg.json", text)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert message in capsys.readouterr().err
+        assert_sweep_rejected(["--config", cfg], tmp_path, capsys, monkeypatch, message)
 
     @pytest.mark.parametrize("argv, message", [
         (["--tol", "nan"], "tolerance must be a finite number, got nan"),
@@ -238,10 +246,7 @@ class TestConfigTypes:
         (["--reps", "0"], "replications must be at least 1"),
     ])
     def test_flags(self, tmp_path, capsys, monkeypatch, argv, message):
-        monkeypatch.setattr(hermfair.cli, "run_sweep", fail_if_called)
-        rc = main(["sweep", "--scenario", "A", *argv, "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert message in capsys.readouterr().err
+        assert_sweep_rejected(["--scenario", "A", *argv], tmp_path, capsys, monkeypatch, message)
 
     @pytest.mark.parametrize("argv, message", [
         (["--seed", "-1"], "base seed must be non-negative"),
@@ -249,10 +254,7 @@ class TestConfigTypes:
     ])
     def test_run_arguments(self, tmp_path, capsys, monkeypatch, argv, message):
         # checked by run_sweep itself, before any cell runs
-        monkeypatch.setattr(hermfair.scenarios, "_run_cell", fail_if_called)
-        rc = main(["sweep", "--scenario", "A", *argv, "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert message in capsys.readouterr().err
+        assert_sweep_rejected(["--scenario", "A", *argv], tmp_path, capsys, monkeypatch, message)
 
     def test_flag_replaces_bad_config_value(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps(
@@ -606,7 +608,7 @@ class TestExportPopulation:
 
     @pytest.mark.parametrize("beta_a, message", [
         ("0,1", "beta_a[0] must be a positive finite shape"),
-        ("1,nan", "beta_a[1] must be a positive finite shape"),
+        ("1,nan", "beta_a[1] must be a finite number, got nan"),
     ])
     def test_invalid_shapes_exit_1(self, tmp_path, capsys, beta_a, message):
         rc = main(["export-population", "--beta-a", beta_a, "--beta-b", "2,2",

@@ -96,7 +96,7 @@ class TestValidation:
     def test_params_reject_a_bool_or_a_string(self, value):
         # float() would take each of these as a number
         for name in ("alpha", "gamma"):
-            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
                 make_params(**{name: value})
         got = make_params(alpha=np.float32(0.5), gamma=1, xi=np.int64(2))
         assert (got.alpha, got.gamma, got.xi) == (0.5, 1.0, 2.0)
@@ -104,7 +104,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("value", [True, False, "1e-6", None])
     def test_constraint_set_tolerance_rejects_a_bool_or_a_string(self, value):
-        with pytest.raises(ValueError, match="^tolerance must be a real number"):
+        with pytest.raises(ValueError, match="^tolerance must be a finite number"):
             ConstraintSet.parity(tolerance=value)
         assert ConstraintSet.parity(tolerance=0).tolerance == 0.0
         assert ConstraintSet.parity(tolerance=np.float64(0.5)).tolerance == 0.5

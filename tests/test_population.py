@@ -77,11 +77,11 @@ class TestSampling:
 
     @pytest.mark.parametrize("value", [True, "2", np.bool_(True), None])
     def test_shapes_reject_a_bool_or_a_string(self, value):
-        with pytest.raises(ValueError, match="^k_a must be a real number"):
+        with pytest.raises(ValueError, match="^k_a must be a finite number"):
             ClickConfig(k_a=value)
-        with pytest.raises(ValueError, match=r"^beta_a\[0\] must be a real number"):
+        with pytest.raises(ValueError, match=r"^beta_a\[0\] must be a finite number"):
             UptakeConfig(beta_a=(value, 2.0), beta_b=(1.0, 1.0))
-        with pytest.raises(ValueError, match=r"^beta_b\[1\] must be a real number"):
+        with pytest.raises(ValueError, match=r"^beta_b\[1\] must be a finite number"):
             UptakeConfig(beta_a=(1.0, 2.0), beta_b=(1.0, value))
         assert ClickConfig(k_a=1, k_b=np.float32(0.5)) == ClickConfig(k_a=1.0, k_b=0.5)
 

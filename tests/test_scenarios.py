@@ -1,11 +1,12 @@
 import concurrent.futures
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hermfair.model import ModelParams, Population
+from hermfair.model import ConstraintSet, ModelParams, Population
 from hermfair.population import PopulationSpec, UptakeConfig, sample_population
 import hermfair.model
 import hermfair.population
@@ -109,7 +110,7 @@ class TestCeilings:
         for start, stop, step in ((0.0, math.inf, 1.0), (math.nan, 1.0, 0.1)):
             with pytest.raises(ValueError, match="finite"):
                 build_grid(start, stop, step)
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match="^step must be a finite number, got nan$"):
             build_grid(0.0, 1.0, math.nan)
 
     def test_spec_grid_ceiling(self):
@@ -132,7 +133,7 @@ class TestCeilings:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        with pytest.raises(ValueError, match=f"exceeds the ceiling of {MAX_JOBS} workers"):
+        with pytest.raises(ValueError, match=f"is greater than the maximum of {MAX_JOBS}"):
             run_sweep(tiny_spec(), base_seed=1, jobs=MAX_JOBS + 1)
 
 
@@ -156,8 +157,8 @@ class TestCeilings:
 
     @pytest.mark.parametrize("kw, message", [
         ({"n": 0}, "group sizes must be at least 1"),
-        ({"tolerance": math.nan}, "tolerance must be finite"),
-        ({"tolerance": math.inf}, "tolerance must be finite"),
+        ({"tolerance": math.nan}, "tolerance must be a finite number, got nan"),
+        ({"tolerance": math.inf}, "tolerance must be a finite number, got inf"),
         ({"tolerance": -1e-9}, "tolerance must be finite and non-negative"),
     ])
     def test_spec_values_checked_up_front(self, kw, message):
@@ -175,6 +176,35 @@ class TestCeilings:
         monkeypatch.setattr(hermfair.scenarios, "_run_cell", no_cell)
         with pytest.raises(ValueError, match=message):
             run_sweep(tiny_spec(), **kw)
+
+
+# Each run value is checked once, by the library: a bool, a string, an
+# integral float where an integer is due, and an int beyond the float range
+# each raise ValueError where the value enters, before any cell runs.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: builtin_scenario("A", grid=["0.1"]), id="grid-string"),
+    pytest.param(lambda: builtin_scenario("A", grid=[True, 0.2]), id="grid-bool"),
+    pytest.param(lambda: builtin_scenario("A", grid=[]), id="grid-empty"),
+    pytest.param(lambda: builtin_scenario("A", replications=True), id="replications-bool"),
+    pytest.param(lambda: builtin_scenario("A", replications=2.0), id="replications-float"),
+    pytest.param(lambda: run_sweep(tiny_spec(), base_seed=3.0), id="base_seed-float"),
+    pytest.param(lambda: run_sweep(tiny_spec(), base_seed=True), id="base_seed-bool"),
+    pytest.param(lambda: run_sweep(tiny_spec(), 1, jobs=True), id="jobs-bool"),
+    pytest.param(lambda: run_sweep(tiny_spec(), 1, jobs=1.0), id="jobs-float"),
+    pytest.param(lambda: build_grid(True, 1, 0.5), id="build_grid-bool"),
+    pytest.param(lambda: build_grid("0", 1, 0.5), id="build_grid-string"),
+    pytest.param(lambda: ConstraintSet(tolerance=10**400), id="tolerance-huge-int"),
+    pytest.param(lambda: replace(ModelParams.default(), alpha=10**400), id="alpha-huge-int"),
+    pytest.param(lambda: UptakeConfig(beta_a=(10**400, 1.0), beta_b=(1.0, 1.0)),
+                 id="shape-huge-int"),
+])
+def test_library_rejects_bad_run_values(monkeypatch, call):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(hermfair.scenarios, "_run_cell", no_cell)
+    with pytest.raises(ValueError, match=r"must (be an? (finite number|integer), got |contain)"):
+        call()
 
 
 class TestRunSweep:
