@@ -13,12 +13,13 @@ from hermfair import (
     Allocation,
     ModelParams,
     Population,
+    SolveRequest,
     eho_gap,
     eo_gap,
     herm_aware_utility,
     parity_gap,
     round_allocation,
-    threshold_rule,
+    solve,
 )
 
 # Six users: three in group A, three in group B.  p is the click
@@ -44,7 +45,7 @@ print("objective, show everyone :", herm_aware_utility(pop, show_all, params))
 print("objective, show no one   :", herm_aware_utility(pop, show_none, params))
 
 # The unconstrained optimum is a per-user threshold on p.
-best = threshold_rule(pop, params)
+best = solve(SolveRequest(pop, params)).allocation
 print("\nthreshold decisions      :", best.values)
 print("objective at the optimum :", herm_aware_utility(pop, best, params))
 

@@ -17,9 +17,7 @@ from hermfair import (
     Population,
     SolveMode,
     SolveRequest,
-    solve_binary_exact,
-    solve_constrained_lp,
-    solve_unconstrained,
+    solve,
 )
 
 rng = np.random.default_rng(12)
@@ -32,16 +30,14 @@ pop = Population.from_arrays(
 params = ModelParams(alpha=0.2, beta_a=0.03, beta_b=0.08, theta_a=0.05,
                      theta_b=0.1, omega_a=0.01, omega_b=0.01, xi=0.2, gamma=0.01)
 
-unconstrained = solve_unconstrained(SolveRequest(pop, params))
+unconstrained = solve(SolveRequest(pop, params))
 print("unconstrained objective      :", unconstrained.objective)
 print("unconstrained exposure gap   :", unconstrained.parity_gap)
 
 # Ask for exposure parity, to a 2% tolerance for the binary search.
 constraints = ConstraintSet.parity(tolerance=0.02)
-lp = solve_constrained_lp(SolveRequest(pop, params, constraints))
-oracle = solve_binary_exact(
-    SolveRequest(pop, params, constraints, mode=SolveMode.BINARY_EXACT)
-)
+lp = solve(SolveRequest(pop, params, constraints))
+oracle = solve(SolveRequest(pop, params, constraints, mode=SolveMode.BINARY_EXACT))
 
 print("\nLP objective                 :", lp.objective)
 print("LP fractional coordinates    :", lp.n_fractional, "(at most one per constraint)")
@@ -55,6 +51,6 @@ print("fairness costs               :",
 # All three constraints at once: the LP may leave up to three fractional
 # coordinates, and the objective can only drop further.
 all_constraints = ConstraintSet.all(tolerance=0.02)
-lp_all = solve_constrained_lp(SolveRequest(pop, params, all_constraints))
+lp_all = solve(SolveRequest(pop, params, all_constraints))
 print("\nall constraints, objective   :", lp_all.objective)
 print("all constraints, gaps        :", [f"{g:.2e}" for g in lp_all.gaps])

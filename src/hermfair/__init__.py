@@ -52,10 +52,6 @@ from .solver import (
     SolverNumericalError,
     round_allocation,
     solve,
-    solve_binary_exact,
-    solve_constrained_lp,
-    solve_unconstrained,
-    threshold_rule,
 )
 from .stats import (
     Chi2Result,

@@ -119,7 +119,17 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         )
 
 
+def _outdir(path: str) -> Path:
+    """``--out``, checked before any work: no part of it may be a file."""
+    outdir = Path(path)
+    for part in (outdir, *outdir.parents):
+        if part.exists() and not part.is_dir():
+            raise _InputError(f"--out {path}: {part} is not a directory")
+    return outdir
+
+
 def cmd_allocate(args: argparse.Namespace) -> int:
+    outdir = _outdir(args.out)
     if args.cap < 0:
         raise _InputError(f"--cap {args.cap} must be non-negative")
     if args.cap > MAX_ENUMERATION_CAP:
@@ -154,7 +164,6 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     alloc_path = outdir / "allocation.csv"
     allocation_to_csv(pop, result.allocation.values, alloc_path)
@@ -197,6 +206,7 @@ def _load_sweep_config(path: str) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    outdir = _outdir(args.out)
     # explicit flags override the config file
     config = _load_sweep_config(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key in _CONFIG_KEYS}
@@ -237,7 +247,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     rows = aggregate(result)
 
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     write_records_csv(result, outdir / "records.csv")

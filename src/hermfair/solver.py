@@ -1,16 +1,16 @@
 """Optimal allocation: closed-form threshold rule, constrained LP, binary oracle.
 
-The unconstrained problem decomposes per user, so the optimum shows exactly
-the users whose gain (show minus withhold) is non-negative.  Constrained
-problems maximize the same linear objective over the box ``[0, 1]^n``
-subject to each active group-gap being zero up to the request tolerance
-``eps`` (``|gap| <= eps``).  Every constrained solve first tries the
-threshold allocation (``d_i = 1`` iff the gain ``c_i >= 0``): if it already
-meets every retained row it is optimal and is returned with no further
-work.  The population's solve context (``hermfair.model._Context``)
-holds the gains, the rows and the threshold allocation, and scores every
-result: one scored threshold allocation is shared by
-``solve_unconstrained`` and every solve that ends there.  Otherwise:
+:func:`solve` is the one public entry, and ``_build_result`` makes every
+result.  The unconstrained optimum shows exactly the users whose gain (show
+minus withhold) is non-negative.  Constrained problems maximize the same
+linear objective over the box ``[0, 1]^n`` subject to each active group-gap
+being zero up to the request tolerance ``eps`` (``|gap| <= eps``).  Every
+constrained solve first tries the threshold allocation (``d_i = 1`` iff the
+gain ``c_i >= 0``): if it already meets every retained row it is optimal
+and is returned with no further work.  The population's solve context
+(``hermfair.model._Context``) holds the gains, the rows and the threshold
+allocation, and scores every result: one scored threshold allocation is
+shared by every solve that ends there.  Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
@@ -57,7 +57,6 @@ from .model import (
     _context,
     _Context,
     _integer,
-    _Scored,
 )
 # Bound here, though the solve context computes the gains and scores every
 # result, for code that wraps this module's names (perfbench's tracer).
@@ -71,11 +70,7 @@ __all__ = [
     "PopulationTooLargeError",
     "SolverNumericalError",
     "constraint_rows",
-    "threshold_rule",
     "solve",
-    "solve_unconstrained",
-    "solve_constrained_lp",
-    "solve_binary_exact",
     "round_allocation",
     "MAX_ENUMERATION_CAP",
 ]
@@ -190,18 +185,23 @@ def constraint_rows(
     return list(names), rows
 
 
-def threshold_rule(pop: Population, params: ModelParams) -> Allocation:
-    """Unconstrained optimum: show iff the user's gain is non-negative.
-
-    The gain is :func:`~hermfair.model.decision_gains`; a zero gain shows
-    the ad.
-    """
-    return Allocation.binary(_Context(pop, params).threshold_values)
+def _snap(values: np.ndarray) -> np.ndarray:
+    values = values.copy()  # the two masks also take whatever lies outside [0, 1]
+    values[values < SNAP_EPS] = 0.0
+    values[values > 1.0 - SNAP_EPS] = 1.0
+    return values
 
 
-def _result(scored: _Scored, constraints: ConstraintSet, n_fractional: int) -> SolveResult:
-    """The result of ``scored`` for a request: its status is measured on the
-    active gaps against the request's tolerance."""
+def _build_result(ctx: _Context, values: np.ndarray, constraints: ConstraintSet) -> SolveResult:
+    """The result of ``values`` for a request.  The threshold allocation (its
+    array or equal values) takes the shared score; any other vector is
+    snapped and scored.  The status is measured on the active gaps."""
+    if values is ctx.threshold_values or np.array_equal(values, ctx.threshold_values):
+        scored, n_fractional = ctx.threshold, 0
+    else:
+        values = _snap(values)
+        scored = ctx.score(Allocation(values))
+        n_fractional = int(np.count_nonzero((values > 0.0) & (values < 1.0)))
     gaps = dict(zip(_SHARE_WEIGHTS, scored.gaps))
     worst = max([0.0] + [abs(gaps[name]) for name in constraints.active])
     if worst > constraints.tolerance + RESIDUAL_BOUND:
@@ -220,23 +220,13 @@ def _result(scored: _Scored, constraints: ConstraintSet, n_fractional: int) -> S
     )
 
 
-def _build_result(ctx: _Context, values: np.ndarray, constraints: ConstraintSet) -> SolveResult:
-    n_frac = int(np.count_nonzero((values > SNAP_EPS) & (values < 1.0 - SNAP_EPS)))
-    return _result(ctx.score(Allocation(values)), constraints, n_frac)
-
-
 def solve_unconstrained(req: SolveRequest) -> SolveResult:
-    """Closed-form optimum via the threshold rule; no constraints allowed."""
+    """Closed-form optimum: show iff the user's gain is non-negative (a zero
+    gain shows the ad); no constraints allowed."""
     if req.constraints.any_active:
         raise ValueError("solve_unconstrained requires an empty constraint set")
-    return _result(_context(req.population, req.params).threshold, req.constraints, 0)
-
-
-def _snap(values: np.ndarray) -> np.ndarray:
-    values = np.clip(values, 0.0, 1.0)
-    values[values < SNAP_EPS] = 0.0
-    values[values > 1.0 - SNAP_EPS] = 1.0
-    return values
+    ctx = _context(req.population, req.params)
+    return _build_result(ctx, ctx.threshold_values, req.constraints)
 
 
 def _stable_order(x: np.ndarray) -> np.ndarray:
@@ -519,18 +509,16 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
 
     threshold = ctx.threshold_values
     if np.all(np.abs(rows @ threshold) <= eps):
-        # the unconstrained optimum is feasible, hence optimal; its values
-        # are exactly 0 or 1, so nothing is snapped
-        return _result(ctx.threshold, req.constraints, 0)
-    values = None
-    if method != "highs" and rows.shape[0] == 1:
-        values = _solve_slab_single(c, rows[0], eps, threshold)
-    elif method != "highs":
-        values = _dual_simplex(c, rows, eps)  # only an allocation it has certified
-    if values is None:
+        values = threshold  # the unconstrained optimum is feasible, hence optimal
+    elif method == "highs":
         values = _solve_slab_highs(c, rows, eps)
-
-    return _build_result(ctx, _snap(values), req.constraints)
+    elif rows.shape[0] == 1:
+        values = _solve_slab_single(c, rows[0], eps, threshold)
+    else:
+        values = _dual_simplex(c, rows, eps)  # only an allocation it has certified
+        if values is None:
+            values = _solve_slab_highs(c, rows, eps)
+    return _build_result(ctx, values, req.constraints)
 
 
 # The oracle scores 2**_BLOCK_BITS decision vectors per block.
@@ -573,8 +561,7 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
 
     The show-none vector meets every gap exactly (its sums are ``0.0``), so
     some vector is always feasible.  An optimum equal to the threshold
-    allocation takes the population's threshold score, as
-    ``solve_constrained_lp`` does.
+    allocation takes the population's threshold score, as every solve does.
 
     Raises:
         PopulationTooLargeError: population exceeds ``enumeration_cap``.
@@ -609,15 +596,11 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
             best_obj = float(obj[idx])
             best_mask = (block << h) + idx
     values = ((best_mask >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
-    if np.array_equal(values, ctx.threshold_values):
-        # the threshold allocation, scored once per population and parameter
-        # object as in solve_constrained_lp
-        return _result(ctx.threshold, req.constraints, 0)
     return _build_result(ctx, values, req.constraints)
 
 
 def solve(req: SolveRequest) -> SolveResult:
-    """Dispatch on request mode and constraint activity."""
+    """The solver's one public entry: dispatch on request mode and constraint activity."""
     if req.mode is SolveMode.BINARY_EXACT:
         return solve_binary_exact(req)
     if req.constraints.any_active:
@@ -630,9 +613,11 @@ def round_allocation(alloc: Allocation, seed: int) -> Allocation:
 
     Each coordinate is shown independently with its fractional value as the
     probability, so expected gaps equal the fractional gaps; the stream is
-    fixed by ``seed``.  Integral inputs pass through unchanged.
+    fixed by ``seed``, a non-negative int.  Integral inputs pass unchanged.
     """
     if seed is None:
         raise ValueError("round_allocation requires a seed")
+    if _integer("seed", seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     draws = np.random.default_rng(seed).random(alloc.values.size)
     return Allocation.binary((draws < alloc.values).astype(np.float64))

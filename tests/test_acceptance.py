@@ -30,10 +30,10 @@ from hermfair.scenarios import AllocationRule, builtin_scenario, run_sweep
 from hermfair.solver import (
     SolveMode,
     SolveRequest,
+    solve,
     solve_binary_exact,
     solve_constrained_lp,
     solve_unconstrained,
-    threshold_rule,
 )
 from hermfair.stats import ContingencyTable, chi2_independence, wilson_interval
 
@@ -134,7 +134,7 @@ def _group_show_rate(params, group, uptake, click):
     """Expected unconstrained show rate of ``group``, by quadrature over rho.
 
     Clicks are p = u**(1/k), so P(p >= t) = 1 - t**k for t in [0, 1]; t(rho)
-    is the threshold of ``threshold_rule``, clipped to [0, 1].
+    is the threshold of the unconstrained solve, clipped to [0, 1].
     """
     beta, theta, omega = _group_params(params, group)
     shape = uptake.beta_a if group == "A" else uptake.beta_b
@@ -456,8 +456,8 @@ def test_criterion_8_property_suites():
             theta_a=c * params.theta_a, theta_b=c * params.theta_b,
             omega_a=c * params.omega_a, omega_b=c * params.omega_b,
             xi=c * params.xi, gamma=params.gamma)
-        if not np.array_equal(threshold_rule(pop, params).values,
-                              threshold_rule(pop, scaled).values):
+        if not np.array_equal(solve(SolveRequest(pop, params)).allocation.values,
+                              solve(SolveRequest(pop, scaled)).allocation.values):
             bad += 1
     checks["scale_invariance"] = bad
 

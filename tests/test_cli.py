@@ -627,9 +627,13 @@ class TestExportPopulation:
 
 
 @pytest.mark.parametrize("command", ["allocate", "sweep", "stats", "export-population"])
-def test_unwritable_out_exits_1(tmp_path, capsys, command):
-    # allocate and sweep want a directory where a file stands; stats and
-    # export-population write a file into a directory that does not exist
+def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, command):
+    # allocate and sweep want a directory where a file stands, and reject it
+    # before they solve anything; stats and export-population write a file
+    # into a directory that does not exist
+    def refuse(*args):
+        raise AssertionError("solved although --out cannot be written")
+
     taken = write(tmp_path / "taken", "")
     missing = str(tmp_path / "missing" / "out")
     pop = tmp_path / "pop.csv"
@@ -641,6 +645,12 @@ def test_unwritable_out_exits_1(tmp_path, capsys, command):
         "stats": ["stats", "chi2", write(tmp_path / "t.csv", EXPOSURE_TABLE), "--out", missing],
         "export-population": ["export-population", "--na", "5", "--nb", "5", "--out", missing],
     }[command]
+    monkeypatch.setattr(hermfair.cli, "solve", refuse)
+    monkeypatch.setattr(hermfair.scenarios, "_run_cell", refuse)
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    if command in ("allocate", "sweep"):  # a file further up the path
+        assert main(argv[:-1] + [str(Path(taken) / "sub")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert Path(taken).read_text() == ""

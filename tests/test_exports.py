@@ -26,3 +26,10 @@ def test_package_reexports_resolve():
     for name in reexports:
         assert name in exported, f"hermfair.{name} is in no module's __all__"
         assert getattr(hermfair, name) is exported[name]
+
+
+def test_solve_is_the_only_solver_entry():
+    removed = {"solve_unconstrained", "solve_constrained_lp", "solve_binary_exact", "threshold_rule"}
+    for names in (set(solver.__all__), set(dir(hermfair))):
+        assert "solve" in names
+        assert names.isdisjoint(removed)

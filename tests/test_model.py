@@ -509,7 +509,7 @@ class TestPopulationCache:
     def test_a_population_holds_one_parameter_sets_arrays(self):
         import weakref
 
-        from hermfair.solver import SolveRequest, constraint_rows, solve, threshold_rule
+        from hermfair.solver import SolveRequest, constraint_rows, solve
 
         pop = self._population()
         p1, p2 = make_params(), make_params(gamma=0.3)
@@ -535,7 +535,6 @@ class TestPopulationCache:
         for objective in (economic_utility, hermeneutical_cost, herm_aware_utility):
             objective(fresh, alloc, p1)
         decision_gains(fresh, p1)
-        threshold_rule(fresh, p1)
         constraint_rows(fresh, ConstraintSet.all())
         assert fresh._context is None
 

@@ -44,7 +44,6 @@ from hermfair.solver import (
     solve_binary_exact,
     solve_constrained_lp,
     solve_unconstrained,
-    threshold_rule,
 )
 from test_acceptance import _b_exclusion_bound, _group_show_rate, _saturation_gamma
 
@@ -60,6 +59,17 @@ def make_params(**kw):
 
 def pop_from(groups, p, rho):
     return Population.from_arrays(np.array(groups), np.array(p), np.array(rho))
+
+
+def solved_unconstrained(pop, params):
+    """The decisions ``solve`` returns for an unconstrained request."""
+    return solve(SolveRequest(pop, params)).allocation.values
+
+
+def threshold_reference(pop, params):
+    """The threshold allocation built apart from the solver: show iff the
+    gain is non-negative."""
+    return (decision_gains(pop, params) >= 0.0).astype(np.float64)
 
 
 def random_instance(rng, n_max=14, n_min=2):
@@ -214,21 +224,20 @@ class TestThresholdRule:
         # show iff p >= beta_a / alpha = 0.15
         params = make_params(gamma=0.0)
         pop = pop_from(["A"] * 4 + ["B"], [0.149, 0.15, 0.151, 0.0, 0.9], [0.5] * 5)
-        alloc = threshold_rule(pop, params)
-        assert alloc.values[:4].tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert solved_unconstrained(pop, params)[:4].tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_hand_threshold_with_gamma(self):
         # (0.03 - 0.002 - 0.0005) / 0.2 = 0.1375 at rho = 1
         params = make_params()
         pop = pop_from(["A", "A", "B"], [0.137, 0.1375, 0.5], [1.0, 1.0, 0.5])
-        alloc = threshold_rule(pop, params)
-        assert alloc.values[0] == 0.0
-        assert alloc.values[1] == 1.0  # tie shows the ad
+        d = solved_unconstrained(pop, params)
+        assert d[0] == 0.0
+        assert d[1] == 1.0  # tie shows the ad
 
     def test_no_opportunity_cost_shows_everyone(self):
         params = make_params(beta_a=0.0, beta_b=0.0, gamma=0.0)
         pop = pop_from(["A", "B", "B"], [0.0, 0.3, 1.0], [0.1, 0.5, 0.9])
-        assert threshold_rule(pop, params).values.tolist() == [1.0, 1.0, 1.0]
+        assert solved_unconstrained(pop, params).tolist() == [1.0, 1.0, 1.0]
 
     def test_closed_form_bounds(self):
         # The bounds acceptance criteria 5b and 7b rely on.  The users at
@@ -259,11 +268,11 @@ class TestThresholdRule:
             for group, mask in (("A", pop.mask_a), ("B", pop.mask_b)):
                 star = _saturation_gamma(params, group)
                 for factor in (1.0 + 1e-9, 1.0 + float(rng.uniform(0.01, 2.0))):
-                    d = threshold_rule(pop, replace(params, gamma=star * factor)).values
+                    d = solved_unconstrained(pop, replace(params, gamma=star * factor))
                     assert d[mask].all()
             # no group-B user is shown once beta_b > alpha + gamma*(theta_b + xi)
             beyond = _b_exclusion_bound(params) * (1.0 + float(rng.uniform(1e-9, 1.0)))
-            d = threshold_rule(pop, replace(params, beta_b=beyond)).values
+            d = solved_unconstrained(pop, replace(params, beta_b=beyond))
             assert not d[pop.mask_b].any()
 
         # the quadrature show rate matches a seeded 50 000-user sample within
@@ -271,7 +280,7 @@ class TestThresholdRule:
         uptake = UptakeConfig((4, 6), (7, 3))
         pop = sample_population(PopulationSpec(n_a=50_000, n_b=50_000, uptake=uptake, seed=3))
         for params in (make_params(), make_params(gamma=0.1)):
-            d = threshold_rule(pop, params).values
+            d = solved_unconstrained(pop, params)
             for group, mask, n in (("A", pop.mask_a, pop.n_a), ("B", pop.mask_b, pop.n_b)):
                 rate = _group_show_rate(params, group, uptake, ClickConfig())
                 se = math.sqrt(rate * (1.0 - rate) / n)
@@ -447,7 +456,7 @@ class TestConstrainedLP:
         rho = [0.7, 0.4, 0.2, 0.9]
         pop = pop_from(["A"] * 4 + ["B"] * 4, p + p, rho + rho)
         params = make_params(beta_b=0.03, theta_b=0.05)
-        expected = threshold_rule(pop, params).values
+        expected = threshold_reference(pop, params)
         assert 0.0 < expected.sum() < pop.size
         for cs, m in ((ConstraintSet.parity(0.0), 1),
                       (ConstraintSet(parity_exposure=True, equality_opportunity=True), 2),
@@ -520,9 +529,9 @@ class TestConstrainedLP:
         assert results[1].allocation is results[0].allocation
         assert results[2].allocation is not results[0].allocation
         for res, params in zip(results, (first, first, equal)):
-            want = threshold_rule(pop, params)
-            assert np.array_equal(res.allocation.values, want.values)
-            assert res.objective == herm_aware_utility(pop, want, params)
+            want = threshold_reference(pop, params)
+            assert np.array_equal(res.allocation.values, want)
+            assert res.objective == herm_aware_utility(pop, Allocation.binary(want), params)
         fresh = Population.from_arrays(pop.groups, pop.p, pop.rho)
         last = solve_unconstrained(SolveRequest(fresh, replace(first, gamma=0.5)))
         assert results[3].allocation.values.tobytes() == last.allocation.values.tobytes()
@@ -532,7 +541,7 @@ class TestConstrainedLP:
         calls = self._count_scorings(monkeypatch)
         pop = sample_population(PopulationSpec(n_a=200, n_b=200, uptake=UptakeConfig((4, 6), (7, 3)), seed=5))
         res = solve_constrained_lp(SolveRequest(pop, make_params(), ConstraintSet.all()))
-        assert res.allocation.values.tobytes() != threshold_rule(pop, make_params()).values.tobytes()
+        assert res.allocation.values.tobytes() != threshold_reference(pop, make_params()).tobytes()
         assert "threshold" not in vars(pop._context)
         assert len(calls) == 1  # the engine's allocation, scored once
 
@@ -590,7 +599,7 @@ class TestConstrainedLP:
             ):
                 _, rows = constraint_rows(case, cs)
                 assert rows.shape[0] == 1
-                gap = float(rows[0] @ threshold_rule(case, params).values)
+                gap = float(rows[0] @ threshold_reference(case, params))
                 engines_ran += abs(gap) > cs.tolerance
                 req = SolveRequest(case, params, cs)
                 fast = solve_constrained_lp(req, method="parametric")
@@ -990,7 +999,7 @@ class TestBinaryExact:
         pop = pop_from(["A", "B"], [0.9, 0.01], [0.5, 0.5])
         params = make_params()
         res = solve_binary_exact(SolveRequest(pop, params, mode=SolveMode.BINARY_EXACT))
-        assert np.array_equal(res.allocation.values, threshold_rule(pop, params).values)
+        assert np.array_equal(res.allocation.values, threshold_reference(pop, params))
 
     def test_oracle_at_the_threshold_shares_its_score(self, monkeypatch):
         calls = TestConstrainedLP._count_scorings(monkeypatch)
@@ -1225,14 +1234,14 @@ class TestSolverProperties:
                 xi=c * params.xi, gamma=params.gamma,
             )
             assert np.array_equal(
-                threshold_rule(pop, params).values, threshold_rule(pop, scaled).values
+                solved_unconstrained(pop, params), solved_unconstrained(pop, scaled)
             )
 
     def test_monotone_dominance_within_group(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
             pop, params = random_instance(rng, n_max=16)
-            d = threshold_rule(pop, params).values
+            d = solved_unconstrained(pop, params)
             for g in ("A", "B"):
                 idx = np.flatnonzero(pop.groups == g)
                 for i in idx:
@@ -1276,6 +1285,11 @@ class TestRounding:
             round_allocation(Allocation([0.5]))
         with pytest.raises(ValueError, match="requires a seed"):
             round_allocation(Allocation([0.5]), None)
+
+    @pytest.mark.parametrize("seed", [True, 2.0, -1, None], ids=repr)
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError):
+            round_allocation(Allocation([0.5, 0.5]), seed)
 
     def test_bernoulli_expected_gap_matches_fractional(self):
         # average the realized parity gap over many seeds
