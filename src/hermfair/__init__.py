@@ -25,7 +25,6 @@ from .population import (
     ClickConfig,
     PopulationSpec,
     UptakeConfig,
-    beta_sample,
     population_from_csv,
     population_to_csv,
     sample_population,

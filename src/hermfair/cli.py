@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 input error (malformed files, invalid parameters,
 oversized enumeration requests) or a standard output closed before the run
 ends (silently), 2 solver-level failure (a numerical failure) or a usage
 error (what argparse rejects: an unknown command or flag, a missing
-argument).
+argument).  The commands raise; ``main`` alone maps an exception to an exit
+code: a ``ValueError`` (bad input, from the library or the CLI) or an
+``OSError`` exits 1, a ``SolverNumericalError`` exits 2, each after one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from ._textio import write_json
-from .model import ConstraintSet, DegenerateGroupError, ModelParams
+from .model import ConstraintSet, ModelParams
 from .population import (
     MAX_GROUP_SIZE,
     RNG_STREAM,
@@ -54,10 +57,10 @@ from .scenarios import (
 )
 from .solver import (
     MAX_ENUMERATION_CAP,
-    PopulationTooLargeError,
     SolveMode,
     SolveRequest,
     SolverNumericalError,
+    check_enumeration_cap,
     solve,
 )
 from .stats import (
@@ -77,37 +80,34 @@ _SCENARIO_CHOICES = tuple(s.value for s in ScenarioId)
 # rarely meets the fractional default
 _EXACT_TOLERANCE = 0.02
 
-class _InputError(Exception):
-    """User input problem; exits with code 1."""
-
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise _InputError(f"--grid expects start:stop:step or a comma list, got {text!r}")
+            raise ValueError(f"--grid expects start:stop:step or a comma list, got {text!r}")
         try:
             start, stop, step = (float(x) for x in parts)
         except ValueError:
-            raise _InputError(f"--grid values must be numbers, got {text!r}") from None
+            raise ValueError(f"--grid values must be numbers, got {text!r}") from None
         try:
             return build_grid(start, stop, step)
         except ValueError as exc:
-            raise _InputError(f"--grid: {exc}") from exc
+            raise ValueError(f"--grid: {exc}") from exc
     try:
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise _InputError(f"--grid values must be numbers, got {text!r}") from None
+        raise ValueError(f"--grid values must be numbers, got {text!r}") from None
 
 
 def _parse_shapes(text: str, flag: str) -> tuple[float, float]:
     parts = [x.strip() for x in text.split(",")]
     if len(parts) != 2:
-        raise _InputError(f"{flag} expects 'shape1,shape2', got {text!r}")
+        raise ValueError(f"{flag} expects 'shape1,shape2', got {text!r}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise _InputError(f"{flag} shapes must be numbers, got {text!r}") from None
+        raise ValueError(f"{flag} shapes must be numbers, got {text!r}") from None
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,45 +124,32 @@ def _outdir(path: str) -> Path:
     outdir = Path(path)
     for part in (outdir, *outdir.parents):
         if part.exists() and not part.is_dir():
-            raise _InputError(f"--out {path}: {part} is not a directory")
+            raise ValueError(f"--out {path}: {part} is not a directory")
     return outdir
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
     outdir = _outdir(args.out)
-    if args.cap < 0:
-        raise _InputError(f"--cap {args.cap} must be non-negative")
-    if args.cap > MAX_ENUMERATION_CAP:
-        raise _InputError(f"--cap {args.cap} exceeds the ceiling {MAX_ENUMERATION_CAP}")
+    check_enumeration_cap(args.cap)
     try:
         pop = population_from_csv(args.population)
     except OSError as exc:
-        raise _InputError(f"cannot read population CSV: {exc}") from exc
+        raise ValueError(f"cannot read population CSV: {exc}") from exc
     except ValueError as exc:
-        raise _InputError(f"{args.population}: {exc}") from exc
+        raise ValueError(f"{args.population}: {exc}") from exc
 
     mode = SolveMode.BINARY_EXACT if args.mode == "binary-exact" else SolveMode.FRACTIONAL
     tol = args.tol
     if tol is None:
         tol = _EXACT_TOLERANCE if mode is SolveMode.BINARY_EXACT else ConstraintSet.tolerance
-    try:
-        params = ModelParams(**{k: getattr(args, k) for k in _PARAM_DEFAULTS})
-        constraints = ConstraintSet(
-            parity_exposure=args.parity,
-            equality_opportunity=args.eo,
-            equality_herm_opportunity=args.eho,
-            tolerance=tol,
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    req = SolveRequest(pop, params, constraints, mode=mode, enumeration_cap=args.cap)
-    try:
-        result = solve(req)
-    except (PopulationTooLargeError, DegenerateGroupError) as exc:
-        raise _InputError(str(exc)) from exc
-    except SolverNumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = ModelParams(**{k: getattr(args, k) for k in _PARAM_DEFAULTS})
+    constraints = ConstraintSet(
+        parity_exposure=args.parity,
+        equality_opportunity=args.eo,
+        equality_herm_opportunity=args.eho,
+        tolerance=tol,
+    )
+    result = solve(SolveRequest(pop, params, constraints, mode=mode, enumeration_cap=args.cap))
 
     outdir.mkdir(parents=True, exist_ok=True)
     alloc_path = outdir / "allocation.csv"
@@ -189,19 +176,23 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 # The run-configuration keys.  `--config` and the sweep flags fill one dict
-# of these keys (each flag's dest is its key); the library checks each value.
-_CONFIG_KEYS = ("scenario", "uptake", "seed", "reps", "grid", "n_a", "n_b", "tolerance", "jobs")
+# of these keys (each flag's dest is its key).  Each key set there, but the
+# base seed and the worker count, goes to `builtin_scenario` as the argument
+# named here; the library checks each value and holds each default.
+_SCENARIO_ARGS = {"scenario": "scenario", "uptake": "uptake_variant", "grid": "grid",
+                  "reps": "replications", "n_a": "n_a", "n_b": "n_b", "tolerance": "tolerance"}
+_CONFIG_KEYS = (*_SCENARIO_ARGS, "seed", "jobs")
 
 
 def _load_sweep_config(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise _InputError(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise _InputError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     if type(raw) is not dict:
-        raise _InputError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return raw
 
 
@@ -214,36 +205,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         flags["grid"] = list(_parse_grid(flags["grid"]))
     config.update((key, value) for key, value in flags.items() if value is not None)
     if "scenario" not in config:
-        raise _InputError("either --scenario or --config with a scenario is required")
+        raise ValueError("either --scenario or --config with a scenario is required")
     unknown = sorted(set(config) - set(_CONFIG_KEYS))
     if unknown:
-        raise _InputError(f"unknown run configuration keys: {unknown}")
+        raise ValueError(f"unknown run configuration keys: {unknown}")
 
     grid = config.get("grid")
     if type(grid) is dict and sorted(grid) == ["start", "step", "stop"]:
         try:
-            grid = build_grid(grid["start"], grid["stop"], grid["step"])
+            config["grid"] = build_grid(grid["start"], grid["stop"], grid["step"])
         except ValueError as exc:
-            raise _InputError(f"config grid: {exc}") from exc
+            raise ValueError(f"config grid: {exc}") from exc
     elif "grid" in config and type(grid) is not list:
-        raise _InputError(
+        raise ValueError(
             f"grid must be a list or a {{start, stop, step}} object, got {reprlib.repr(grid)}")
     seed = config.get("seed", PopulationSpec.seed)
     jobs = config.get("jobs", DEFAULT_JOBS)
-    try:
-        spec = builtin_scenario(
-            config["scenario"],
-            config.get("uptake", UptakeVariant.MAIN_B_ADVANTAGED.value),
-            grid=grid,
-            replications=config.get("reps", ScenarioSpec.replications),
-            n_a=config.get("n_a", ScenarioSpec.n_a),
-            n_b=config.get("n_b", ScenarioSpec.n_b),
-            tolerance=config.get("tolerance", ScenarioSpec.tolerance),
-        )
-        t0 = time.perf_counter()
-        result = run_sweep(spec, base_seed=seed, jobs=jobs)
-    except ValueError as exc:  # a bad run value, found before any cell runs
-        raise _InputError(str(exc)) from exc
+    spec = builtin_scenario(
+        **{arg: config[key] for key, arg in _SCENARIO_ARGS.items() if key in config})
+    t0 = time.perf_counter()
+    result = run_sweep(spec, base_seed=seed, jobs=jobs)
     wall = time.perf_counter() - t0
     rows = aggregate(result)
 
@@ -287,18 +268,13 @@ def _read_table(args: argparse.Namespace):
     try:
         return table_from_csv(args.table)
     except OSError as exc:
-        raise _InputError(f"cannot read table: {exc}") from exc
+        raise ValueError(f"cannot read table: {exc}") from exc
     except ValueError as exc:
-        raise _InputError(f"{args.table}: {exc}") from exc
+        raise ValueError(f"{args.table}: {exc}") from exc
 
 
 def cmd_stats_wilson(args: argparse.Namespace) -> int:
-    if args.successes is None or args.n is None:
-        raise _InputError("wilson requires --successes and --n")
-    try:
-        interval = wilson_interval(args.successes, args.n, args.confidence)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    interval = wilson_interval(args.successes, args.n, args.confidence)
     write_json(
         {
             "test": "wilson",
@@ -333,10 +309,7 @@ def cmd_stats_chi2(args: argparse.Namespace) -> int:
 
 def cmd_stats_proportions(args: argparse.Namespace) -> int:
     table = _read_table(args)
-    try:
-        cells = conditional_proportions(table, axis=args.axis, confidence=args.confidence)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    cells = conditional_proportions(table, axis=args.axis, confidence=args.confidence)
     write_json(
         {
             "test": "conditional_proportions",
@@ -352,24 +325,21 @@ def cmd_stats_proportions(args: argparse.Namespace) -> int:
 
 def cmd_export_population(args: argparse.Namespace) -> int:
     if bool(args.beta_a) != bool(args.beta_b):
-        raise _InputError("--beta-a and --beta-b must be given together")
-    try:
-        if args.beta_a:
-            uptake = UptakeConfig(
-                beta_a=_parse_shapes(args.beta_a, "--beta-a"),
-                beta_b=_parse_shapes(args.beta_b, "--beta-b"),
-            )
-        else:
-            uptake = UPTAKE_VARIANTS[UptakeVariant(args.uptake)]
-        spec = PopulationSpec(
-            n_a=args.na,
-            n_b=args.nb,
-            uptake=uptake,
-            click=ClickConfig(k_a=args.ka, k_b=args.kb),
-            seed=args.seed,
+        raise ValueError("--beta-a and --beta-b must be given together")
+    if args.beta_a:
+        uptake = UptakeConfig(
+            beta_a=_parse_shapes(args.beta_a, "--beta-a"),
+            beta_b=_parse_shapes(args.beta_b, "--beta-b"),
         )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    else:
+        uptake = UPTAKE_VARIANTS[UptakeVariant(args.uptake)]
+    spec = PopulationSpec(
+        n_a=args.na,
+        n_b=args.nb,
+        uptake=uptake,
+        click=ClickConfig(k_a=args.ka, k_b=args.kb),
+        seed=args.seed,
+    )
     pop = sample_population(spec)
     population_to_csv(pop, args.out)
     print(f"wrote {args.out} ({pop.n_a}+{pop.n_b} users, seed {args.seed})")
@@ -450,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_props.set_defaults(func=cmd_stats_proportions)
     p_wilson = tests.add_parser("wilson", parents=[out_flag, confidence_flag],
                                 help="Wilson score interval for one proportion")
-    p_wilson.add_argument("--successes", type=int, default=None)
-    p_wilson.add_argument("--n", type=int, default=None)
+    p_wilson.add_argument("--successes", type=int, required=True)
+    p_wilson.add_argument("--n", type=int, required=True)
     p_wilson.set_defaults(func=cmd_stats_wilson)
 
     p_export = sub.add_parser("export-population", help="sample a population to CSV")
@@ -490,7 +460,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (_InputError, OSError) as exc:  # OSError: an --out path that cannot be written
+    except SolverNumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,6 @@ __all__ = [
     "UptakeConfig",
     "ClickConfig",
     "PopulationSpec",
-    "beta_sample",
     "sample_population",
     "subseed",
     "population_to_csv",
@@ -108,13 +107,6 @@ class PopulationSpec:
             raise ValueError("seed must be a non-negative integer")
 
 
-def beta_sample(shape1: float, shape2: float, rng: np.random.Generator, size=None):
-    """Draw Beta(shape1, shape2) variates from ``rng``."""
-    _check_shape("shape1", shape1)
-    _check_shape("shape2", shape2)
-    return rng.beta(shape1, shape2, size=size)
-
-
 def _click_sample(k: float, rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.random(size) ** (1.0 / k)
 
@@ -126,9 +118,9 @@ def sample_population(spec: PopulationSpec) -> Population:
     give bit-identical populations.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    rho_a = beta_sample(*spec.uptake.beta_a, rng, size=spec.n_a)
+    rho_a = rng.beta(*spec.uptake.beta_a, size=spec.n_a)
     p_a = _click_sample(spec.click.k_a, rng, spec.n_a)
-    rho_b = beta_sample(*spec.uptake.beta_b, rng, size=spec.n_b)
+    rho_b = rng.beta(*spec.uptake.beta_b, size=spec.n_b)
     p_b = _click_sample(spec.click.k_b, rng, spec.n_b)
     groups = np.concatenate([np.full(spec.n_a, "A"), np.full(spec.n_b, "B")])
     p = np.clip(np.concatenate([p_a, p_b]), 0.0, 1.0)

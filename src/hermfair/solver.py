@@ -129,6 +129,15 @@ class SolveStatus(enum.Enum):
 MAX_ENUMERATION_CAP = 30
 
 
+def check_enumeration_cap(cap: int) -> None:
+    """Raise ValueError unless ``cap`` is an integer in [0, MAX_ENUMERATION_CAP]."""
+    _integer("enumeration cap", cap)
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be non-negative, got {cap!r}")
+    if cap > MAX_ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap {cap} exceeds the ceiling {MAX_ENUMERATION_CAP}")
+
+
 @dataclass(frozen=True)
 class SolveRequest:
     population: Population
@@ -140,11 +149,7 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, SolveMode):
             raise ValueError(f"mode must be a SolveMode, got {self.mode!r}")
-        cap = _integer("enumeration cap", self.enumeration_cap)
-        if cap < 0:
-            raise ValueError(f"enumeration cap must be non-negative, got {cap!r}")
-        if cap > MAX_ENUMERATION_CAP:
-            raise ValueError(f"enumeration cap {cap} exceeds the ceiling {MAX_ENUMERATION_CAP}")
+        check_enumeration_cap(self.enumeration_cap)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from hermfair.model import (
     herm_aware_utility,
     parity_gap,
 )
-from hermfair.population import UptakeConfig, beta_sample, sample_population, PopulationSpec
+from hermfair.population import UptakeConfig, sample_population, PopulationSpec
 from hermfair.scenarios import AllocationRule, builtin_scenario, run_sweep
 from hermfair.solver import (
     SolveMode,
@@ -487,8 +487,8 @@ def test_criterion_8_property_suites():
 
     # sampler moments at the stated draw counts
     sampler_rng = np.random.default_rng(4242)
-    mean_a = float(beta_sample(4, 6, sampler_rng, size=100_000).mean())
-    mean_b = float(beta_sample(7, 3, sampler_rng, size=100_000).mean())
+    mean_a = float(sampler_rng.beta(4, 6, size=100_000).mean())
+    mean_b = float(sampler_rng.beta(7, 3, size=100_000).mean())
     pop = sample_population(PopulationSpec(
         n_a=50_000, n_b=50_000, uptake=UptakeConfig((4, 6), (7, 3)), seed=3))
     click_mean = float(pop.p.mean())

@@ -14,7 +14,7 @@ import hermfair.scenarios
 from hermfair.cli import main
 from hermfair.model import ConstraintSet, ModelParams
 from hermfair.population import population_from_csv, population_to_csv
-from hermfair.solver import SolveRequest, solve
+from hermfair.solver import SolveRequest, SolverNumericalError, solve
 from hermfair.stats import chi2_independence, table_from_csv, wilson_interval
 
 EXPOSURE_TABLE = ",not_exposed,exposed\nany_same_sex,883,219\nopposite_sex_only,1975,122\n"
@@ -153,7 +153,7 @@ class TestCeilings:
         rc = main(["allocate", pop_csv, "--mode", "binary-exact", "--cap", "31",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "--cap 31 exceeds the ceiling 30" in capsys.readouterr().err
+        assert "enumeration cap 31 exceeds the ceiling 30" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["fractional", "binary-exact"])
     def test_negative_cap(self, tmp_path, capsys, monkeypatch, mode):
@@ -162,7 +162,7 @@ class TestCeilings:
         rc = main(["allocate", pop_csv, "--mode", mode, "--cap", "-1",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "--cap -1 must be non-negative" in capsys.readouterr().err
+        assert "enumeration cap must be non-negative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["--jobs", "65"], "65 is greater than the maximum of 64"),
@@ -502,9 +502,6 @@ class TestStats:
         table = write(tmp_path / "t.csv", ",a,b\nonly_row,1,2\n")
         assert main(["stats", "chi2", table]) == 1
 
-    def test_wilson_requires_counts(self):
-        assert main(["stats", "wilson"]) == 1
-
     @pytest.mark.parametrize("argv", [
         ["proportions", "--axis", "cols", "--confidence", "0.5", "TABLE"],
         ["proportions", "TABLE", "--axis", "cols", "--confidence", "0.5"],
@@ -534,6 +531,8 @@ class TestStats:
         ["wilson", "TABLE", "--successes", "3", "--n", "10"],
         ["chi2"],
         [],
+        ["wilson"],
+        ["wilson", "--n", "10"],
     ])
     def test_a_flag_the_test_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv):
         table = write(tmp_path / "t.csv", EXPOSURE_TABLE)
@@ -654,3 +653,54 @@ def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, command):
         assert main(argv[:-1] + [str(Path(taken) / "sub")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert Path(taken).read_text() == ""
+
+
+class TestExitRule:
+    """``main`` alone maps an exception to an exit code, for every command."""
+
+    @staticmethod
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    def argv(self, tmp_path, command):
+        pop = tmp_path / "pop.csv"
+        assert main(["export-population", "--na", "5", "--nb", "5", "--out", str(pop)]) == 0
+        return {
+            "allocate": ["allocate", str(pop), "--out", str(tmp_path / "o")],
+            "sweep": ["sweep", "--scenario", "A", "--reps", "1", "--grid", "0.05",
+                      "--na", "5", "--nb", "5", "--out", str(tmp_path / "o")],
+            "stats": ["stats", "chi2", write(tmp_path / "t.csv", EXPOSURE_TABLE)],
+            "export-population": ["export-population", "--out", str(tmp_path / "p.csv")],
+        }[command]
+
+    @pytest.mark.parametrize("command, call", [
+        ("allocate", "allocation_to_csv"),
+        ("sweep", "aggregate"),
+        ("stats", "chi2_independence"),
+        ("export-population", "sample_population"),
+    ])
+    def test_a_library_value_error_exits_1(self, tmp_path, capsys, monkeypatch, command, call):
+        argv = self.argv(tmp_path, command)
+        monkeypatch.setattr(hermfair.cli, call, self.boom)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_a_solver_numerical_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(req):
+            raise SolverNumericalError("residual 1e-3 exceeds the bound")
+
+        argv = self.argv(tmp_path, "allocate")
+        monkeypatch.setattr(hermfair.cli, "solve", fail)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: residual 1e-3 exceeds the bound\n"
+
+    def test_any_other_exception_propagates(self, tmp_path, monkeypatch):
+        def fail(req):
+            raise TypeError("a fault in the program")
+
+        argv = self.argv(tmp_path, "allocate")
+        monkeypatch.setattr(hermfair.cli, "solve", fail)
+        with pytest.raises(TypeError, match="a fault in the program"):
+            main(argv)

@@ -21,7 +21,6 @@ from hermfair.population import (
     PopulationSpec,
     UptakeConfig,
     allocation_to_csv,
-    beta_sample,
     population_from_csv,
     population_to_csv,
     sample_population,
@@ -101,28 +100,30 @@ class TestSampling:
                 spec(**kw)
 
 
+def uptake_draws(shapes, size, seed):
+    """The ``size`` group-A uptake draws of a population sampled with ``shapes``."""
+    pop = sample_population(spec(n_a=size, n_b=1, seed=seed, uptake=UptakeConfig(shapes, shapes)))
+    return pop.rho[:size]
+
+
 class TestMoments:
     def test_beta_main_group_a_mean(self):
         # Beta(4, 6) has mean 0.4
-        rng = np.random.default_rng(42)
-        draws = beta_sample(4, 6, rng, size=100_000)
+        draws = uptake_draws((4, 6), 100_000, seed=42)
         assert abs(draws.mean() - 0.4) < 0.005
 
     def test_beta_main_group_b_mean(self):
         # Beta(7, 3) has mean 0.7
-        rng = np.random.default_rng(42)
-        draws = beta_sample(7, 3, rng, size=100_000)
+        draws = uptake_draws((7, 3), 100_000, seed=42)
         assert abs(draws.mean() - 0.7) < 0.005
 
     def test_beta_variance(self):
         # Var Beta(4, 6) = 4*6 / (10^2 * 11) = 0.0218...
-        rng = np.random.default_rng(7)
-        draws = beta_sample(4, 6, rng, size=100_000)
+        draws = uptake_draws((4, 6), 100_000, seed=7)
         assert abs(draws.var() - 0.4 * 0.6 / 11.0) < 0.002
 
     def test_beta_uniform_special_case(self):
-        rng = np.random.default_rng(17)
-        draws = beta_sample(1, 1, rng, size=10_000)
+        draws = uptake_draws((1, 1), 10_000, seed=17)
         ks = sps.kstest(draws, "uniform").statistic
         assert ks < 0.02
 
@@ -133,10 +134,9 @@ class TestMoments:
 
     def test_no_nan_across_shape_range(self):
         # one million draws across the admissible shape range
-        rng = np.random.default_rng(11)
         shapes = [(0.5, 0.5), (0.5, 20.0), (20.0, 0.5), (2.0, 5.0), (20.0, 20.0)]
-        for s1, s2 in shapes:
-            draws = beta_sample(s1, s2, rng, size=200_000)
+        for pair in shapes:
+            draws = uptake_draws(pair, 200_000, seed=11)
             assert np.isfinite(draws).all()
             assert (draws >= 0.0).all() and (draws <= 1.0).all()
 
