@@ -187,7 +187,9 @@ class Allocation:
     """Per-user show decisions aligned index-by-index with a population.
 
     ``Allocation(values)`` holds show probabilities in [0, 1] (a randomized
-    policy); :meth:`binary` also requires every decision to be 0 or 1.
+    policy); :meth:`binary` also requires every decision to be 0 or 1.  Both
+    check and copy what they are given.  An allocation the solver made comes
+    only from ``hermfair.solver._build_result``, through :meth:`_trusted`.
     """
 
     values: np.ndarray
@@ -209,6 +211,21 @@ class Allocation:
         if not np.isin(alloc.values, (0.0, 1.0)).all():
             raise ValueError("binary allocation entries must be exactly 0 or 1")
         return alloc
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "Allocation":
+        """An allocation of ``values`` itself, unchecked and uncopied: a new
+        1-d float64 array in [0, 1] that nothing else holds, made read-only
+        here."""
+        values.flags.writeable = False
+        alloc = object.__new__(cls)
+        object.__setattr__(alloc, "values", values)
+        return alloc
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Allocation):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
         return int(self.values.size)

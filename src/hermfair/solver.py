@@ -200,12 +200,18 @@ def _snap(values: np.ndarray) -> np.ndarray:
 def _build_result(ctx: _Context, values: np.ndarray, constraints: ConstraintSet) -> SolveResult:
     """The result of ``values`` for a request.  The threshold allocation (its
     array or equal values) takes the shared score; any other vector is
-    snapped and scored.  The status is measured on the active gaps."""
-    if values is ctx.threshold_values or np.array_equal(values, ctx.threshold_values):
+    snapped and scored.  ``_snap`` makes a new array whose entries lie in
+    [0, 1] or are NaN, so once NaN is rejected the allocation holds it
+    without ``Allocation``'s copy and checks.  The status is measured on
+    the active gaps."""
+    # every engine returns n values, so no shape check is needed
+    if values is ctx.threshold_values or (values == ctx.threshold_values).all():
         scored, n_fractional = ctx.threshold, 0
     else:
         values = _snap(values)
-        scored = ctx.score(Allocation(values))
+        if np.isnan(values).any():
+            raise ValueError("allocation values must be finite")
+        scored = ctx.score(Allocation._trusted(values))
         n_fractional = int(np.count_nonzero((values > 0.0) & (values < 1.0)))
     gaps = dict(zip(_SHARE_WEIGHTS, scored.gaps))
     worst = max([0.0] + [abs(gaps[name]) for name in constraints.active])
@@ -273,8 +279,9 @@ def _solve_slab_single(
     order = _stable_order(lam)
     lam_s = lam[order]
     a_s = ai[order]
-    pos = np.where(a_s > 0.0, a_s, 0.0)
-    neg = np.where(a_s < 0.0, a_s, 0.0)
+    positive, negative = a_s > 0.0, a_s < 0.0
+    pos = np.where(positive, a_s, 0.0)
+    neg = np.where(negative, a_s, 0.0)
     # Plateau value of a.d for multipliers between breakpoints k and k+1:
     # positive-a coordinates with larger breakpoints stay on, negative-a
     # coordinates with smaller-or-equal breakpoints have switched on.
@@ -289,7 +296,7 @@ def _solve_slab_single(
     lam_hat = lam_s[k]
 
     marginal = lam_s == lam_hat
-    on = ((a_s > 0.0) & (lam_s > lam_hat)) | ((a_s < 0.0) & (lam_s < lam_hat))
+    on = (positive & (lam_s > lam_hat)) | (negative & (lam_s < lam_hat))
     dd = np.zeros(lam_s.size)
     dd[on] = 1.0
     delta = b - float(a_s @ dd)
@@ -370,18 +377,20 @@ def _solve_slab_highs(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray
 
 
 def _certified(
-    c: np.ndarray, rows: np.ndarray, eps: float, d: np.ndarray, lam: np.ndarray
+    c: np.ndarray, rows: np.ndarray, eps: float, d: np.ndarray, lam: np.ndarray,
+    gain_sum: float,
 ) -> bool:
     """Whether ``d`` is certified optimal by the multipliers ``lam``.
 
     Every row must be within ``eps`` plus ``ROUNDOFF_ALLOWANCE``, and ``c . d``
-    within ``_DUALITY_GAP * sum(|c|)`` of the weak-duality bound
-    ``sum((c - lam . R)^+) + eps * |lam|_1``.
+    within ``_DUALITY_GAP * gain_sum`` of the weak-duality bound
+    ``sum((c - lam . R)^+) + eps * |lam|_1``, where ``gain_sum`` is
+    ``sum(|c|)``.
     """
     if not np.all(np.abs(rows @ d) <= eps + ROUNDOFF_ALLOWANCE):
         return False
     bound = np.maximum(c - lam @ rows, 0.0).sum() + eps * np.abs(lam).sum()
-    return bool(bound - c @ d <= _DUALITY_GAP * np.abs(c).sum())
+    return bool(bound - c @ d <= _DUALITY_GAP * gain_sum)
 
 
 def _ascending(
@@ -430,16 +439,19 @@ def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | N
     scale, cols, lower, upper = _equality_form(rows, eps)
     width = upper - lower
     fixed = width == 0.0  # a slack at eps = 0 never enters
-    feasible_tol = np.concatenate([np.full(n, _PRIMAL_TOL), 0.5 * ROUNDOFF_ALLOWANCE * scale])
+    slack_tol = (0.5 * ROUNDOFF_ALLOWANCE * scale).tolist()
     x = np.concatenate([np.where(c >= 0.0, 1.0, 0.0), np.zeros(m)])
     # Gains pushed away from zero by a fixed pseudo-random amount break the
     # dual ties of an indifferent group or of duplicate users; they move the
     # optimum by at most 4 * _PERTURBATION * sum(|c|), inside the certificate.
-    gain_scale = float(np.abs(c).mean())
+    gain_sum = float(np.abs(c).sum())
     cost = np.zeros(n + m)
     spread = np.arange(n) * _GOLDEN % 1.0  # an equidistributed sequence in [0, 1)
-    cost[:n] = c + (2.0 * x[:n] - 1.0) * (_PERTURBATION * gain_scale) * (1.0 + spread)
+    cost[:n] = c + (2.0 * x[:n] - 1.0) * (_PERTURBATION * (gain_sum / n)) * (1.0 + spread)
     basis = np.arange(n, n + m)
+    # the basic columns' bounds and feasibility tolerances, as Python floats
+    basic_lower, basic_upper = lower[n:].tolist(), upper[n:].tolist()
+    basic_tol = list(slack_tol)
     for _ in range(_SIMPLEX_ITERATIONS):
         try:
             inv = np.linalg.inv(cols[:, basis])
@@ -449,35 +461,42 @@ def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | N
         xb = -inv @ (cols @ x)
         x[basis] = xb
         y = cost[basis] @ inv
-        excess = np.maximum(lower[basis] - xb, xb - upper[basis])
-        tol = feasible_tol[basis]
-        r = int(np.argmax(excess - tol))
-        if excess[r] <= tol[r]:
+        # the most violated basic variable leaves: the first largest excess
+        # over its tolerance
+        r, excess, worst = 0, 0.0, -math.inf
+        for i, v in enumerate(xb.tolist()):
+            e = max(basic_lower[i] - v, v - basic_upper[i])
+            if e - basic_tol[i] > worst:
+                r, excess, worst, leaving = i, e, e - basic_tol[i], v
+        if worst <= 0.0:
             d = np.clip(x[:n], 0.0, 1.0)
-            return d if _certified(c, rows, eps, d, y * scale) else None
+            return d if _certified(c, rows, eps, d, y * scale, gain_sum) else None
 
         # The dual step moves y by -sign * t * inv[r], so the reduced cost of
         # column j moves by t * alpha_j.  A column at its lower bound (reduced
         # cost <= 0) reaches zero when alpha_j > 0, one at its upper bound
         # when alpha_j < 0.
-        sign = 1.0 if xb[r] > upper[basis[r]] else -1.0
+        sign = 1.0 if leaving > basic_upper[r] else -1.0
         alpha = sign * (inv[r] @ cols)
-        pivot_tol = _PIVOT_TOL * float(np.max(np.abs(alpha)))
+        pivot_tol = _PIVOT_TOL * float(np.abs(alpha).max())
         alpha[basis] = 0.0
         alpha[fixed] = 0.0
         cand = np.flatnonzero(np.where(x > lower, -alpha, alpha) > pivot_tol)
-        breaks = np.maximum((y @ cols - cost)[cand] / alpha[cand], 0.0)
+        alpha_cand = alpha[cand]
+        breaks = np.maximum((y @ cols - cost)[cand] / alpha_cand, 0.0)
         # flipping a column moves the leaving variable `weight` toward its bound
-        weight = np.abs(alpha[cand]) * width[cand]
-        order, reach = _ascending(breaks, weight, excess[r])
-        k = int(np.searchsorted(reach, excess[r], side="left"))
+        weight = np.abs(alpha_cand) * width[cand]
+        order, reach = _ascending(breaks, weight, excess)
+        k = int(np.searchsorted(reach, excess, side="left"))
         if k == order.size:
             return None  # no dual step restores feasibility: round-off
-        entering = cand[order[k]]
+        entering = int(cand[order[k]])
         flip = cand[order[:k]]
         x[flip] = lower[flip] + upper[flip] - x[flip]
-        x[basis[r]] = upper[basis[r]] if sign > 0.0 else lower[basis[r]]
+        x[basis[r]] = basic_upper[r] if sign > 0.0 else basic_lower[r]
         basis[r] = entering
+        basic_lower[r], basic_upper[r] = float(lower[entering]), float(upper[entering])
+        basic_tol[r] = _PRIMAL_TOL if entering < n else slack_tol[entering - n]
     return None
 
 
@@ -546,6 +565,19 @@ def _subset_sums(vectors: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _block_best(obj: np.ndarray, gaps: np.ndarray, limit: float) -> tuple[int, float]:
+    """The first column of a block with the largest ``obj`` among those whose
+    ``gaps`` all lie within ``limit`` in absolute value, and that objective;
+    ``(0, -inf)`` when no column does.  ``gaps`` is overwritten."""
+    if gaps.shape[0]:
+        feasible = (np.abs(gaps, out=gaps) <= limit).all(axis=0)
+        if not feasible.any():
+            return 0, -math.inf
+        obj = np.where(feasible, obj, -np.inf)
+    idx = int(np.argmax(obj))  # first maximum: smallest mask in the block
+    return idx, float(obj[idx])
+
+
 def solve_binary_exact(req: SolveRequest) -> SolveResult:
     """Exhaustive search over binary vectors; the verification oracle.
 
@@ -560,9 +592,10 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
     of ``2**16`` sharing their high bits (meet in the middle, Horowitz and
     Sahni, J. ACM 21(2), 1974): the gain and the gap-row sums of every
     subset of the last ``min(16, n)`` users are built once, and a block adds
-    its fixed high users' sums to them.  Working memory is bounded by
-    ``(1 + m) * 2**16`` floats for ``m`` retained rows, plus the high
-    users' sums, ``(1 + m) * 2**(n - 16)`` floats.
+    its fixed high users' sums to them.  Up to 16 users form one block,
+    scored from those sums as they are, with no high users' sums.  Working
+    memory is bounded by ``(1 + m) * 2**16`` floats for ``m`` retained
+    rows, plus the high users' sums, ``(1 + m) * 2**(n - 16)`` floats.
 
     The show-none vector meets every gap exactly (its sums are ``0.0``), so
     some vector is always feasible.  An optimum equal to the threshold
@@ -585,21 +618,16 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
     vectors = np.vstack([c, rows])
     h = min(_BLOCK_BITS, n)
     low = _subset_sums(vectors[:, n - h:])
-    high = _subset_sums(vectors[:, :n - h])
-    best_obj = -np.inf
-    best_mask = 0
-    for block in range(high.shape[1]):
-        obj = low[0] + high[0, block]
-        if rows.shape[0]:
-            gaps = low[1:] + high[1:, block, None]
-            feasible = (np.abs(gaps, out=gaps) <= limit).all(axis=0)
-            if not feasible.any():
-                continue
-            obj = np.where(feasible, obj, -np.inf)
-        idx = int(np.argmax(obj))  # first maximum: smallest mask in the block
-        if obj[idx] > best_obj:
-            best_obj = float(obj[idx])
-            best_mask = (block << h) + idx
+    if h == n:
+        best_mask, _ = _block_best(low[0], low[1:], limit)  # one block, no high users
+    else:
+        high = _subset_sums(vectors[:, :n - h])
+        best_obj = -math.inf
+        best_mask = 0
+        for block in range(high.shape[1]):
+            idx, obj = _block_best(low[0] + high[0, block], low[1:] + high[1:, block, None], limit)
+            if obj > best_obj:
+                best_obj, best_mask = obj, (block << h) + idx
     values = ((best_mask >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
     return _build_result(ctx, values, req.constraints)
 

@@ -80,6 +80,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             Allocation([0.0, 1.5])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_allocation_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            Allocation([0.5, value])
+
+    def test_allocation_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="1-d vector"):
+            Allocation([[0.5, 1.0], [0.0, 0.5]])
+
+    def test_allocation_keeps_a_read_only_copy(self):
+        values = np.array([0.5, 1.0])
+        alloc = Allocation(values)
+        assert alloc.values is not values and not alloc.values.flags.writeable
+        values[0] = 0.0  # the caller's array stays writable and apart
+        assert alloc.values[0] == 0.5
+        with pytest.raises(ValueError):
+            alloc.values[0] = 0.0
+
+    def test_allocation_equality_compares_values(self):
+        assert Allocation([0.5, 1.0]) == Allocation(np.array([0.5, 1.0]))
+        assert Allocation([0.5, 1.0]) != Allocation([0.5, 0.0])
+        assert Allocation([0.5, 1.0]) != Allocation([0.5, 1.0, 0.0])
+
     def test_params_invariants(self):
         with pytest.raises(ValueError):
             make_params(alpha=0.0)

@@ -444,6 +444,28 @@ class TestConstrainedLP:
         with pytest.raises(SolverNumericalError, match="violates active constraints"):
             build(ctx, np.array([0.0, 0.25 + 2e-8]), cs)
 
+    def test_engine_output_is_checked_once(self):
+        # a result holds the snapped engine output itself, read-only; the
+        # one value snapping cannot bring into [0, 1], NaN, is rejected
+        pop = pop_from(["A", "B"], [0.5, 0.5], [0.5, 0.5])
+        cs = ConstraintSet.parity(0.25)
+        build, ctx = hermfair.solver._build_result, _context(pop, make_params())
+        engine = np.array([-1e-12, 0.25])
+        res = build(ctx, engine, cs)
+        assert np.array_equal(res.allocation.values, [0.0, 0.25]) and engine[0] == -1e-12
+        assert not res.allocation.values.flags.writeable
+        with pytest.raises(ValueError, match="must be finite"):
+            build(ctx, np.array([0.0, math.nan]), cs)
+
+    def test_results_compare_by_value(self):
+        pop, params = random_instance(np.random.default_rng(31), n_min=6)
+        twin = Population.from_arrays(pop.groups, pop.p, pop.rho)
+        for cs in (ConstraintSet(), ConstraintSet.parity(1e-3), ConstraintSet.all(1e-3)):
+            res = solve(SolveRequest(pop, params, cs))
+            assert res == solve(SolveRequest(twin, params, cs))
+            other = replace(res, allocation=Allocation(1.0 - res.allocation.values))
+            assert res != other
+
     def test_feasible_threshold_skips_every_engine(self, monkeypatch):
         # group B mirrors group A under equal parameters, so the threshold
         # allocation has every gap exactly zero and no engine may run
@@ -789,7 +811,7 @@ class TestLadder:
                          params.alpha, params.gamma * (params.theta_b + params.omega_b)])
         lam = coef * np.array([b.sum(), pop.p[b].sum(), pop.rho[b].sum()])
         assert np.abs((c - lam @ rows)[b]).max() <= 1e-12 * np.abs(c).max()
-        assert hermfair.solver._certified(c, rows, eps, d, lam)
+        assert hermfair.solver._certified(c, rows, eps, d, lam, float(np.abs(c).sum()))
 
     def test_dual_simplex_on_adversarial_instances(self):
         # the engine alone, on small instances with ties, duplicate users,
@@ -1183,6 +1205,23 @@ class TestOracleReference:
             shape = ("free", "ties", "duplicates", "one-user")[k % 4]
             pop, params = self._case(rng, int(rng.integers(2, 13)), shape)
             self._check(pop, params, self.ROW_SETS[k // 4 % 4], (0.0, 0.05)[k // 16 % 2])
+
+    @pytest.mark.parametrize("shape", ["ties", "duplicates", "one-user"])
+    def test_one_block_matches_the_block_loop(self, monkeypatch, shape):
+        # up to _BLOCK_BITS users the oracle scores its one block directly;
+        # with 3-bit blocks the same requests run the block loop
+        rng = np.random.default_rng(2029)
+        requests = [
+            SolveRequest(*self._case(rng, n, shape), replace(rows, tolerance=tol),
+                         mode=SolveMode.BINARY_EXACT)
+            for n in (4, 7, 10, 13) for rows in self.ROW_SETS for tol in (0.0, 0.05)
+        ]
+        one_block = [solve_binary_exact(req) for req in requests]
+        monkeypatch.setattr(hermfair.solver, "_BLOCK_BITS", 3)
+        for req, expected in zip(requests, one_block):
+            res = solve_binary_exact(req)
+            assert res.allocation.values.tobytes() == expected.allocation.values.tobytes()
+            assert res.objective == expected.objective and res == expected
 
     @pytest.mark.parametrize("n", [17, 18])
     def test_several_blocks(self, n):
