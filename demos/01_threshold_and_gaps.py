@@ -49,10 +49,10 @@ best = solve(SolveRequest(pop, params)).allocation
 print("\nthreshold decisions      :", best.values)
 print("objective at the optimum :", herm_aware_utility(pop, best, params))
 
-# Gap functions are oriented group B minus group A.
-print("\nexposure gap   (B - A)   :", parity_gap(pop, best))
-print("click-share gap (B - A)  :", eo_gap(pop, best))
-print("uptake-share gap (B - A) :", eho_gap(pop, best))
+# Gap functions are oriented group A minus group B.
+print("\nexposure gap   (A - B)   :", parity_gap(pop, best))
+print("click-share gap (A - B)  :", eo_gap(pop, best))
+print("uptake-share gap (A - B) :", eho_gap(pop, best))
 
 # Fractional allocations are randomized policies; realize one with a seed.
 half = Allocation(np.full(6, 0.5))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from ._textio import write_json
-from .model import ConstraintSet, ModelParams
+from .model import GAP_ORIENTATION, ConstraintSet, ModelParams
 from .population import (
     MAX_GROUP_SIZE,
     RNG_STREAM,
@@ -159,7 +159,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     summary = {
         "objective": result.objective,
         "status": result.status.value,
-        "gap_orientation": "group B minus group A",
+        "gap_orientation": GAP_ORIENTATION,
         "parity_gap": json_number(result.parity_gap),
         "eo_gap": json_number(result.eo_gap),
         "eho_gap": json_number(result.eho_gap),
@@ -247,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "jobs": jobs,
         "rng_stream": RNG_STREAM,
         "numpy_version": np.__version__,
-        "gap_orientation": "group A minus group B",
+        "gap_orientation": GAP_ORIENTATION,
         "n_records": len(result.records),
         "n_failed": result.n_failed,
         "wall_time_s": wall,

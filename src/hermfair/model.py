@@ -189,7 +189,8 @@ class Allocation:
     ``Allocation(values)`` holds show probabilities in [0, 1] (a randomized
     policy); :meth:`binary` also requires every decision to be 0 or 1.  Both
     check and copy what they are given.  An allocation the solver made comes
-    only from ``hermfair.solver._build_result``, through :meth:`_trusted`.
+    only through :meth:`_trusted`, from ``hermfair.solver._build_result``
+    and from the solve context's threshold allocation.
     """
 
     values: np.ndarray
@@ -239,6 +240,10 @@ _SHARE_WEIGHTS: dict[str, str | None] = {
     "equality_opportunity": "p",
     "equality_herm_opportunity": "rho",
 }
+
+# The sign of every gap the library reports (see :meth:`_Context.share_gap`),
+# as each output file's ``gap_orientation`` field states it.
+GAP_ORIENTATION = "group A minus group B"
 
 
 @dataclass(frozen=True)
@@ -378,13 +383,13 @@ class _Context:
         return masses
 
     def share_gap(self, d_a: np.ndarray, d_b: np.ndarray, column: str | None) -> float:
-        """Group B's share of its ``column``-weighted mass that is shown, minus
-        group A's (of its users for None), from each group's decisions."""
+        """Group A's share of its ``column``-weighted mass that is shown, minus
+        group B's (of its users for None), from each group's decisions."""
         mass_a, mass_b = self.masses(column)
         if column is not None:
             w = getattr(self, column)
             d_a, d_b = d_a * w[self.mask_a], d_b * w[self.mask_b]
-        return float(d_b.sum()) / mass_b - float(d_a.sum()) / mass_a
+        return float(d_a.sum()) / mass_a - float(d_b.sum()) / mass_b
 
     def _gap_row(self, name: str) -> np.ndarray:
         """Group A users carry ``-w / mass_a``, group B users ``w / mass_b``."""
@@ -424,7 +429,7 @@ class _Context:
     @cached_property
     def threshold(self) -> _Scored:
         """The threshold allocation, scored."""
-        return self.score(Allocation.binary(self.threshold_values))
+        return self.score(Allocation._trusted(self.threshold_values.copy()))
 
     def score(self, alloc: Allocation) -> _Scored:
         """``alloc`` with :func:`herm_aware_utility` and the three gap
@@ -513,16 +518,16 @@ def _column_gap(pop: Population, alloc: Allocation, column: str | None) -> float
 
 
 def parity_gap(pop: Population, alloc: Allocation) -> float:
-    """Difference in group-average exposure, group B minus group A.
+    """Difference in group-average exposure, group A minus group B.
 
-    Positive values mean group B receives the ad at a higher rate than
-    group A.
+    Positive values mean group A receives the ad at a higher rate than
+    group B.
     """
     return _column_gap(pop, alloc, _SHARE_WEIGHTS["parity_exposure"])
 
 
 def eo_gap(pop: Population, alloc: Allocation) -> float:
-    """Difference in click-weighted exposure shares, group B minus group A.
+    """Difference in click-weighted exposure shares, group A minus group B.
 
     Each group's share is ``sum(d * p) / sum(p)`` over its members.
     """
@@ -530,7 +535,7 @@ def eo_gap(pop: Population, alloc: Allocation) -> float:
 
 
 def eho_gap(pop: Population, alloc: Allocation) -> float:
-    """Difference in uptake-weighted exposure shares, group B minus group A.
+    """Difference in uptake-weighted exposure shares, group A minus group B.
 
     Same ratio form as :func:`eo_gap` with ``rho`` in place of ``p``.
     """

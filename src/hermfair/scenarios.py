@@ -5,12 +5,8 @@ grid, and for every grid value draws ``replications`` fresh populations.  All
 five rules (unconstrained, each single constraint, and all three constraints
 together) are solved on the same population per replication, and utilities
 are reported as a percentage of that replication's own unconstrained optimum.
-
-Exposure-disparity columns in sweep records are oriented group A minus
-group B: positive values mean the rule delivers more to group A.  This is
-the reading in which the built-in scenarios' unconstrained disparities come
-out positive; note it is the negative of the library gap functions, which
-are defined as group B minus group A.
+Gaps are the model's, group A minus group B: a positive gap means the rule
+delivers more to group A.
 """
 
 from __future__ import annotations
@@ -20,13 +16,13 @@ import enum
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._textio import open_text, write_json
-from .model import ConstraintSet, ModelParams, _integer, _real
+from .model import GAP_ORIENTATION, ConstraintSet, ModelParams, _integer, _real
 from .population import ClickConfig, PopulationSpec, UptakeConfig, sample_population, subseed
 from .solver import SolveRequest, SolveResult, solve_constrained_lp, solve_unconstrained
 
@@ -254,7 +250,7 @@ class SweepRecord:
     replication: int
     objective: float
     utility_pct: float
-    parity_gap: float  # group A minus group B; see module docstring
+    parity_gap: float  # group A minus group B, as every gap
     eo_gap: float
     eho_gap: float
     status: str
@@ -299,7 +295,7 @@ def _record(
             pct = 100.0 * objective / objective_unconstrained
         else:
             pct = math.nan
-        parity, eo, eho = (-gap for gap in outcome.gaps)  # group A minus group B
+        parity, eo, eho = outcome.gaps
         status = outcome.status.value
     return SweepRecord(
         scenario=spec.scenario.value,
@@ -378,28 +374,21 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> S
     return SweepResult(spec, base_seed, tuple(rec for chunk in chunks for rec in chunk))
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    """Median and quartiles across replications for one (rule, grid value)."""
-
-    rule: str
-    param_name: str
-    param_value: float
-    n_used: int
-    n_failed: int
-    utility_pct_median: float
-    utility_pct_q25: float
-    utility_pct_q75: float
-    parity_gap_median: float
-    parity_gap_q25: float
-    parity_gap_q75: float
-
-
-# The record fields summarized per (rule, grid value).  Each one names three
-# AggregateRow fields, ``<field>_median``, ``<field>_q25`` and ``<field>_q75``.
+# The record fields summarized per (rule, grid value), and each statistic's
+# percentile.  A field names the AggregateRow fields ``<field>_median``,
+# ``<field>_q25`` and ``<field>_q75``, in this order.
 _SUMMARIZED_FIELDS = ("utility_pct", "parity_gap")
-_STATISTICS = ("median", "q25", "q75")
-_PERCENTILES = (50.0, 25.0, 75.0)  # in _STATISTICS order
+_STATISTICS = {"median": 50.0, "q25": 25.0, "q75": 75.0}
+
+AggregateRow = make_dataclass(
+    "AggregateRow",
+    [("rule", str), ("param_name", str), ("param_value", float), ("n_used", int),
+     ("n_failed", int),
+     *((f"{name}_{stat}", float) for name in _SUMMARIZED_FIELDS for stat in _STATISTICS)],
+    namespace={"__module__": __name__, "__doc__":
+               "Median and quartiles across replications for one (rule, grid value)."},
+    frozen=True,
+)
 
 
 def aggregate(result: SweepResult) -> list[AggregateRow]:
@@ -429,7 +418,8 @@ def aggregate(result: SweepResult) -> list[AggregateRow]:
     for idx in by_count.values():
         for f, name in enumerate(_SUMMARIZED_FIELDS):
             values = np.array([[getattr(r, name) for r in goods[i]] for i in idx], dtype=np.float64)
-            quartiles[idx, f] = np.percentile(values, _PERCENTILES, axis=1, method="linear").T
+            quartiles[idx, f] = np.percentile(
+                values, tuple(_STATISTICS.values()), axis=1, method="linear").T
     rows: list[AggregateRow] = []
     for ((rule, value), recs), good, stats in zip(buckets.items(), goods, quartiles.tolist()):
         rows.append(AggregateRow(
@@ -491,7 +481,7 @@ def write_aggregates_json(
         "scenario": result.spec.scenario.value,
         "uptake_variant": result.spec.uptake_variant.value,
         "param_name": result.spec.varying,
-        "gap_orientation": "group A minus group B",
+        "gap_orientation": GAP_ORIENTATION,
         "rows": [
             {col: json_number(getattr(row, col)) for col in _AGG_COLUMNS[1:]}
             for row in rows

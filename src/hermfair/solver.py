@@ -170,9 +170,9 @@ class SolveResult:
 def constraint_rows(
     pop: Population, constraints: ConstraintSet
 ) -> tuple[list[str], np.ndarray]:
-    """Linear rows whose dot product with a decision vector is the named gap.
+    """Linear rows whose dot product with a decision vector is the named gap,
+    negated: the constraints bound only its absolute value.
 
-    Rows are oriented group B minus group A, matching the gap functions.
     Rows numerically identical to an earlier row (for example the
     uptake-weighted row when every user shares one uptake value, which then
     collapses onto the exposure row) are dropped.  Each call builds the rows

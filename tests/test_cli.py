@@ -12,7 +12,9 @@ import hermfair
 import hermfair.cli
 import hermfair.scenarios
 from hermfair.cli import main
-from hermfair.model import ConstraintSet, ModelParams
+from hermfair.model import (
+    GAP_ORIENTATION, Allocation, ConstraintSet, ModelParams, eho_gap, eo_gap, parity_gap,
+)
 from hermfair.population import population_from_csv, population_to_csv
 from hermfair.solver import SolveRequest, SolverNumericalError, solve
 from hermfair.stats import chi2_independence, table_from_csv, wilson_interval
@@ -128,6 +130,21 @@ class TestAllocate:
             writer.writerow([g, format(p, ".17g"), format(r, ".17g"), format(d, ".17g")])
         assert (out / "allocation.csv").read_bytes() == buf.getvalue().encode()
         assert 0 < result.n_fractional  # the file carries a fraction, not only 0 and 1
+
+    def test_summary_gaps_are_the_written_allocations(self, tmp_path):
+        pop_csv = tmp_path / "pop.csv"
+        assert main(["export-population", "--na", "40", "--nb", "40", "--seed", "3",
+                     "--out", str(pop_csv)]) == 0
+        out = tmp_path / "out"
+        assert main(["allocate", str(pop_csv), "--parity", "--eo", "--eho", "--tol", "0.01",
+                     "--out", str(out)]) == 0
+        with open(out / "allocation.csv", newline="") as fh:
+            alloc = Allocation([float(row["decision"]) for row in csv.DictReader(fh)])
+        pop = population_from_csv(pop_csv)
+        summary = json.loads((out / "summary.json").read_text())
+        gaps = [summary[name] for name in ("parity_gap", "eo_gap", "eho_gap")]
+        assert gaps == [gap(pop, alloc) for gap in (parity_gap, eo_gap, eho_gap)]
+        assert any(gap != 0.0 for gap in gaps)  # a sign to compare
 
 
 def fail_if_called(*args, **kwargs):
@@ -396,6 +413,19 @@ class TestSweep:
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
         assert (a / "aggregates.csv").read_bytes() == (b / "aggregates.csv").read_bytes()
 
+    def test_no_gap_is_written_as_negative_zero(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["sweep", "--scenario", "gamma", "--reps", "1", "--na", "30", "--nb", "30",
+                     "--seed", "1", "--out", str(out)]) == 0
+        zeros = 0
+        for name in ("records.csv", "aggregates.csv"):
+            with open(out / name, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    gaps = [value for column, value in row.items() if "gap" in column]
+                    assert "-0" not in gaps
+                    zeros += gaps.count("0")
+        assert zeros  # the sweep has exactly-zero gaps to write
+
     def test_jobs_do_not_change_output(self, tmp_path):
         a = self.run_tiny(tmp_path, "serial")
         b = self.run_tiny(tmp_path, "parallel", extra=("--jobs", "2"))
@@ -457,6 +487,16 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--reps", "1", "--out", str(out)]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["replications"] == 1
+
+
+def test_every_file_states_one_gap_orientation(tmp_path):
+    pop_csv = write(tmp_path / "pop.csv", "group,p,rho\nA,0.9,0.5\nA,0.5,0.4\nB,0.1,0.8\n")
+    assert main(["allocate", pop_csv, "--parity", "--out", str(tmp_path / "alloc")]) == 0
+    assert main(["sweep", "--scenario", "A", "--grid", "0.05", "--reps", "1", "--na", "10",
+                 "--nb", "10", "--out", str(tmp_path / "sweep")]) == 0
+    files = ("alloc/summary.json", "sweep/metadata.json", "sweep/aggregates.json")
+    stated = {json.loads((tmp_path / name).read_text())["gap_orientation"] for name in files}
+    assert stated == {GAP_ORIENTATION} == {"group A minus group B"}
 
 
 class TestStats:

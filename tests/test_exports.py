@@ -1,6 +1,8 @@
 """Every exported name resolves, so no export outlives the code it names."""
 
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,10 @@ def test_solve_is_the_only_solver_entry():
     for names in (set(solver.__all__), set(dir(hermfair))):
         assert "solve" in names
         assert names.isdisjoint(removed)
+
+
+def test_one_version():
+    # CI's byte compare keys on the project version; every output file
+    # carries hermfair.__version__
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == hermfair.__version__

@@ -262,17 +262,17 @@ class TestGaps:
     def test_parity_worked_example(self):
         pop = pop_from(["A", "A", "B", "B"], [0.5] * 4, [0.5] * 4)
         alloc = Allocation.binary([1.0, 0.0, 1.0, 1.0])
-        assert parity_gap(pop, alloc) == pytest.approx(0.5)
+        assert parity_gap(pop, alloc) == pytest.approx(-0.5)
 
     def test_eo_worked_example(self):
         pop = pop_from(["A", "A", "B", "B"], [0.8, 0.2, 0.5, 0.5], [0.5] * 4)
         alloc = Allocation.binary([1.0, 0.0, 1.0, 1.0])
-        assert eo_gap(pop, alloc) == pytest.approx(0.2)
+        assert eo_gap(pop, alloc) == pytest.approx(-0.2)
 
     def test_eho_worked_example(self):
         pop = pop_from(["A", "A", "B", "B"], [0.5] * 4, [0.9, 0.1, 0.4, 0.6])
         alloc = Allocation.binary([0.0, 1.0, 1.0, 0.0])
-        assert eho_gap(pop, alloc) == pytest.approx(0.3)
+        assert eho_gap(pop, alloc) == pytest.approx(-0.3)
 
     def test_uniform_weights_reduce_to_parity(self):
         pop = pop_from(["A", "A", "B", "B", "B"], [0.3] * 5, [0.8] * 5)
@@ -459,7 +459,7 @@ class TestScorer:
         for _ in range(2):
             _, objective, (parity, eo, eho) = _context(pop, make_params()).score(Allocation(d))
             assert math.isnan(eo) and not math.isnan(parity) and not math.isnan(eho)
-            assert parity == parity_gap(pop, Allocation(d)) == 0.125 - 0.75
+            assert parity == parity_gap(pop, Allocation(d)) == 0.75 - 0.125
             assert objective == herm_aware_utility(pop, Allocation(d), make_params())
 
 

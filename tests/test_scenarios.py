@@ -1,7 +1,8 @@
 import concurrent.futures
 import io
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import hermfair.solver
 from hermfair.scenarios import (
     MAX_GRID_POINTS,
     MAX_JOBS,
+    AggregateRow,
     AllocationRule,
     ScenarioId,
     ScenarioSpec,
@@ -30,7 +32,7 @@ from hermfair.scenarios import (
     write_aggregates_json,
     write_records_csv,
 )
-from hermfair.solver import SolveRequest, solve_constrained_lp, solve_unconstrained
+from hermfair.solver import SolveRequest, solve, solve_constrained_lp, solve_unconstrained
 
 RULES = {r.value for r in AllocationRule}
 
@@ -292,6 +294,18 @@ class TestRunSweep:
                 if r.rule == AllocationRule.UNCONSTRAINED.value]
         assert float(np.median(gaps)) > 0.05
 
+    def test_record_gaps_are_the_solves_gaps(self):
+        spec = tiny_spec("gamma", grid=(0.0, 0.5, 1.0), reps=2)
+        for rec in run_sweep(spec, base_seed=3).records:
+            pop = sample_population(PopulationSpec(
+                n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click, seed=rec.seed,
+            ))
+            constraints = AllocationRule(rec.rule).constraint_set(spec.tolerance)
+            want = solve(SolveRequest(pop, spec.params_for(rec.param_value), constraints))
+            # bit for bit: the sign of a zero gap included
+            assert np.array([rec.parity_gap, rec.eo_gap, rec.eho_gap]).tobytes() == np.array(
+                want.gaps).tobytes()
+
     def test_seed_recorded_per_cell(self):
         res = run_sweep(tiny_spec(grid=(0.05, 0.2), reps=2), base_seed=5)
         cells = {(r.param_value, r.replication): r.seed for r in res.records}
@@ -435,6 +449,25 @@ class TestAggregate:
         failed_row = json.loads(json_buf.getvalue())["rows"][3]
         assert [failed_row[f"{name}_{stat}"] for name in ("utility_pct", "parity_gap")
                 for stat in ("median", "q25", "q75")] == [None] * 6
+
+
+class TestAggregateRow:
+    def test_fields_and_value_equality(self):
+        assert [f.name for f in fields(AggregateRow)] == [
+            "rule", "param_name", "param_value", "n_used", "n_failed",
+            "utility_pct_median", "utility_pct_q25", "utility_pct_q75",
+            "parity_gap_median", "parity_gap_q25", "parity_gap_q75",
+        ]
+        values = dict(rule="parity_of_exposure", param_name="beta_b", param_value=0.1,
+                      n_used=2, n_failed=0, utility_pct_median=90.0, utility_pct_q25=85.0,
+                      utility_pct_q75=95.0, parity_gap_median=0.0, parity_gap_q25=-1e-7,
+                      parity_gap_q75=1e-7)
+        row = AggregateRow(**values)
+        assert row == AggregateRow(**values) != replace(row, n_failed=1)
+        with pytest.raises(FrozenInstanceError):
+            row.n_used = 3
+        assert pickle.loads(pickle.dumps(row)) == row
+        assert repr(row).startswith("AggregateRow(rule='parity_of_exposure', ")
 
 
 class TestWriters:
