@@ -81,33 +81,28 @@ _SCENARIO_CHOICES = tuple(s.value for s in ScenarioId)
 _EXACT_TOLERANCE = 0.02
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"--grid expects start:stop:step or a comma list, got {text!r}")
-        try:
-            start, stop, step = (float(x) for x in parts)
-        except ValueError:
-            raise ValueError(f"--grid values must be numbers, got {text!r}") from None
-        try:
-            return build_grid(start, stop, step)
-        except ValueError as exc:
-            raise ValueError(f"--grid: {exc}") from exc
+def _numbers(text: str, sep: str, what: str) -> list[float]:
+    """The numbers between the ``sep`` of ``text``; an empty entry is not one."""
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        return [float(x) for x in text.split(sep)]
     except ValueError:
-        raise ValueError(f"--grid values must be numbers, got {text!r}") from None
+        raise ValueError(f"{what} must be numbers, got {text!r}") from None
+
+
+def _parse_grid(text: str) -> list[float] | dict[str, float]:
+    """``--grid`` as the config's ``grid`` takes it: a comma list, or
+    ``start:stop:step`` as a ``{start, stop, step}`` object."""
+    if ":" not in text:
+        return _numbers(text, ",", "--grid values")
+    if text.count(":") != 2:
+        raise ValueError(f"--grid expects start:stop:step or a comma list, got {text!r}")
+    return dict(zip(("start", "stop", "step"), _numbers(text, ":", "--grid values")))
 
 
 def _parse_shapes(text: str, flag: str) -> tuple[float, float]:
-    parts = [x.strip() for x in text.split(",")]
-    if len(parts) != 2:
+    if text.count(",") != 1:
         raise ValueError(f"{flag} expects 'shape1,shape2', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValueError(f"{flag} shapes must be numbers, got {text!r}") from None
+    return tuple(_numbers(text, ",", f"{flag} shapes"))
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -117,6 +112,15 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
             f"--{name.replace('_', '-')}", type=float, default=default,
             dest=name, help=f"default {default}",
         )
+
+
+def _read(reader, path: str):
+    """``reader(path)``; the message of a malformed file starts with its path.
+    An unreadable one raises the ``OSError``, whose message names the file."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _outdir(path: str) -> Path:
@@ -131,12 +135,7 @@ def _outdir(path: str) -> Path:
 def cmd_allocate(args: argparse.Namespace) -> int:
     outdir = _outdir(args.out)
     check_enumeration_cap(args.cap)
-    try:
-        pop = population_from_csv(args.population)
-    except OSError as exc:
-        raise ValueError(f"cannot read population CSV: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{args.population}: {exc}") from exc
+    pop = _read(population_from_csv, args.population)
 
     mode = SolveMode.BINARY_EXACT if args.mode == "binary-exact" else SolveMode.FRACTIONAL
     tol = args.tol
@@ -185,12 +184,9 @@ _CONFIG_KEYS = (*_SCENARIO_ARGS, "seed", "jobs")
 
 
 def _load_sweep_config(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read config: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"config is not valid JSON: {exc}") from exc
+    # utf-8-sig: one leading byte-order mark is accepted, as in the CSV readers
+    with open(path, encoding="utf-8-sig") as fh:
+        raw = json.load(fh)
     if type(raw) is not dict:
         raise ValueError("config must be a JSON object")
     return raw
@@ -199,10 +195,10 @@ def _load_sweep_config(path: str) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     outdir = _outdir(args.out)
     # explicit flags override the config file
-    config = _load_sweep_config(args.config) if args.config else {}
+    config = {} if args.config is None else _read(_load_sweep_config, args.config)
     flags = {key: getattr(args, key) for key in _CONFIG_KEYS}
     if flags["grid"] is not None:
-        flags["grid"] = list(_parse_grid(flags["grid"]))
+        flags["grid"] = _parse_grid(flags["grid"])
     config.update((key, value) for key, value in flags.items() if value is not None)
     if "scenario" not in config:
         raise ValueError("either --scenario or --config with a scenario is required")
@@ -212,10 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     grid = config.get("grid")
     if type(grid) is dict and sorted(grid) == ["start", "step", "stop"]:
-        try:
-            config["grid"] = build_grid(grid["start"], grid["stop"], grid["step"])
-        except ValueError as exc:
-            raise ValueError(f"config grid: {exc}") from exc
+        config["grid"] = build_grid(**grid)
     elif "grid" in config and type(grid) is not list:
         raise ValueError(
             f"grid must be a list or a {{start, stop, step}} object, got {reprlib.repr(grid)}")
@@ -264,15 +257,6 @@ def _stats_out(args: argparse.Namespace):
     return sys.stdout if args.out in (None, "-") else args.out
 
 
-def _read_table(args: argparse.Namespace):
-    try:
-        return table_from_csv(args.table)
-    except OSError as exc:
-        raise ValueError(f"cannot read table: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{args.table}: {exc}") from exc
-
-
 def cmd_stats_wilson(args: argparse.Namespace) -> int:
     interval = wilson_interval(args.successes, args.n, args.confidence)
     write_json(
@@ -291,7 +275,7 @@ def cmd_stats_wilson(args: argparse.Namespace) -> int:
 
 
 def cmd_stats_chi2(args: argparse.Namespace) -> int:
-    table = _read_table(args)
+    table = _read(table_from_csv, args.table)
     correction = {"auto": "auto", "always": True, "never": False}[args.correction]
     res = chi2_independence(table, correction=correction)
     write_json(
@@ -308,7 +292,7 @@ def cmd_stats_chi2(args: argparse.Namespace) -> int:
 
 
 def cmd_stats_proportions(args: argparse.Namespace) -> int:
-    table = _read_table(args)
+    table = _read(table_from_csv, args.table)
     cells = conditional_proportions(table, axis=args.axis, confidence=args.confidence)
     write_json(
         {
@@ -324,9 +308,9 @@ def cmd_stats_proportions(args: argparse.Namespace) -> int:
 
 
 def cmd_export_population(args: argparse.Namespace) -> int:
-    if bool(args.beta_a) != bool(args.beta_b):
+    if (args.beta_a is None) != (args.beta_b is None):
         raise ValueError("--beta-a and --beta-b must be given together")
-    if args.beta_a:
+    if args.beta_a is not None:
         uptake = UptakeConfig(
             beta_a=_parse_shapes(args.beta_a, "--beta-a"),
             beta_b=_parse_shapes(args.beta_b, "--beta-b"),
@@ -463,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverNumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be written
+    except (ValueError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

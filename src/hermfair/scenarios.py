@@ -368,8 +368,10 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> S
     else:
         # imported here: multiprocessing costs ~20 ms that serial runs skip
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunksize = max(1, len(cells) // (jobs * 8))
+        # no more workers than cells: under fork the pool starts them all at once
+        workers = min(jobs, len(cells))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(cells) // (workers * 8))
             chunks = list(pool.map(_run_cell, cells, chunksize=chunksize))
     return SweepResult(spec, base_seed, tuple(rec for chunk in chunks for rec in chunk))
 

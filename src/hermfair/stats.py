@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._textio import ascii_number, open_text
+from .model import _real
 
 __all__ = [
     "ContingencyTable",
@@ -187,6 +188,8 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_confidence(confidence: float) -> None:
+    if not isinstance(confidence, float):  # a float NaN or infinity gets the range message
+        _real("confidence", confidence)
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
 
@@ -227,7 +230,8 @@ def wilson_interval(
 
     Raises:
         ValueError: a count that is not an integer (bools included) or out of
-            range, or a confidence outside (0, 1).
+            range, a confidence that is not a real number (a string, a bool,
+            None), or one outside (0, 1).
     """
     _check_count("successes", successes)
     _check_count("n", n)
@@ -301,7 +305,7 @@ def conditional_proportions(
 
     Raises:
         ValueError: ``axis`` is not ``"rows"`` or ``"cols"``, or a confidence
-            outside (0, 1).
+            that is not a real number or lies outside (0, 1).
     """
     if axis not in ("rows", "cols"):
         raise ValueError("axis must be 'rows' or 'cols'")

@@ -181,34 +181,49 @@ class TestCeilings:
         assert rc == 1
         assert "enumeration cap must be non-negative, got -1" in capsys.readouterr().err
 
+    # A fixed id keeps a case's name as its message changes.
     @pytest.mark.parametrize("argv, message", [
         (["--jobs", "65"], "65 is greater than the maximum of 64"),
-        (["--grid", "0:1:1e-5"], "--grid: grid 0.0:1.0:1e-05 has more than 10000 points"),
-        (["--grid", "0:1:0"], "--grid: step must be positive"),
+        pytest.param(["--grid", "0:1:1e-5"], "grid 0.0:1.0:1e-05 has more than 10000 points",
+                     id="argv1---grid: grid 0.0:1.0:1e-05 has more than 10000 points"),
+        pytest.param(["--grid", "0:1:0"], "step must be positive",
+                     id="argv2---grid: step must be positive"),
         (["--grid", ",".join(["0.1"] * 10001)], "grid has 10001 points, more than 10000"),
         (["--na", "1000001"], "ceiling of 1000000 users per group"),
         (["--nb", str(10**12)], "ceiling of 1000000 users per group"),
         (["--reps", "100000"], "14 grid points x 100000 replications is 1400000 cells"),
         (["--grid", "0.05", "--reps", "100001"], "is 100001 cells, more than 100000"),
-        (["--grid", "1:0:0.1"], "--grid: grid stop 0.0 is below its start 1.0"),
+        pytest.param(["--grid", "1:0:0.1"], "grid stop 0.0 is below its start 1.0",
+                     id="argv8---grid: grid stop 0.0 is below its start 1.0"),
         (["--grid", "0:1e-10:1e-11"], "grid value 0.0 appears more than once"),
+        (["--grid", "0.05,,0.08"], "--grid values must be numbers, got '0.05,,0.08'"),
+        (["--grid", "0.05,"], "--grid values must be numbers, got '0.05,'"),
+        (["--grid", "0:0.1"], "--grid expects start:stop:step or a comma list, got '0:0.1'"),
+        (["--grid", "0:x:0.1"], "--grid values must be numbers, got '0:x:0.1'"),
     ])
     def test_sweep_flags(self, tmp_path, capsys, monkeypatch, argv, message):
         assert_sweep_rejected(["--scenario", "A", *argv], tmp_path, capsys, monkeypatch, message)
 
     @pytest.mark.parametrize("config, message", [
         ({"jobs": 65}, "65 is greater than the maximum of 64"),
-        ({"grid": {"start": 0, "stop": 1, "step": 1e-5}}, "config grid: grid 0:1:1e-05 has more"),
+        pytest.param({"grid": {"start": 0, "stop": 1, "step": 1e-5}}, "grid 0:1:1e-05 has more",
+                     id="config1-config grid: grid 0:1:1e-05 has more"),
         ({"grid": [0.1] * 10001}, "grid has 10001 points, more than 10000"),
         ({"n_a": 1000001}, "ceiling of 1000000 users per group"),
         ({"reps": 10**9}, "cells, more than 100000"),
-        ({"grid": {"start": 1, "stop": 0, "step": 0.1}}, "config grid: grid stop 0 is below"),
+        pytest.param({"grid": {"start": 1, "stop": 0, "step": 0.1}}, "grid stop 0 is below",
+                     id="config5-config grid: grid stop 0 is below"),
         ({"grid": [0.1, 0.2, 0.1]}, "grid value 0.1 appears more than once"),
     ])
     def test_sweep_config(self, tmp_path, capsys, monkeypatch, config, message):
         cfg = write(tmp_path / "cfg.json", json.dumps({"scenario": "A", **config}))
         assert_sweep_rejected(["--config", cfg], tmp_path, capsys, monkeypatch, message)
 
+    def test_grid_error_is_the_library_message(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", "A", "--grid", "0:1:0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: step must be positive\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--na", "--nb"])
     def test_export_group_size(self, tmp_path, capsys, monkeypatch, flag):
@@ -240,7 +255,8 @@ class TestConfigTypes:
         ({"grid": [0.1, "x"]}, "grid value must be a finite number, got 'x'"),
         ({"grid": {"start": 0, "stop": 1}}, "{start, stop, step} object"),
         ({"grid": {"start": 0, "stop": 1, "step": 0.5, "x": 1}}, "{start, stop, step} object"),
-        ({"grid": {"start": 0, "stop": 1, "step": 0}}, "config grid: step must be positive"),
+        pytest.param({"grid": {"start": 0, "stop": 1, "step": 0}}, "step must be positive",
+                     id="config14-config grid: step must be positive"),
         ({"repz": 5}, "unknown run configuration keys: ['repz']"),
     ])
     def test_config(self, tmp_path, capsys, monkeypatch, config, message):
@@ -249,11 +265,13 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "config must be a JSON object"),
-        ("{", "config is not valid JSON"),
+        pytest.param("{", "Expecting property name enclosed in double quotes",
+                     id="{-config is not valid JSON"),
     ])
     def test_config_not_a_json_object(self, tmp_path, capsys, monkeypatch, text, message):
         cfg = write(tmp_path / "cfg.json", text)
-        assert_sweep_rejected(["--config", cfg], tmp_path, capsys, monkeypatch, message)
+        assert_sweep_rejected(["--config", cfg], tmp_path, capsys, monkeypatch,
+                              f"error: {cfg}: {message}")
 
     @pytest.mark.parametrize("argv, message", [
         (["--tol", "nan"], "tolerance must be a finite number, got nan"),
@@ -480,6 +498,27 @@ class TestSweep:
         cfg = write(tmp_path / "bad.json", json.dumps({"scenario": "A", "reps": "ten"}))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
+    def test_config_byte_order_mark_accepted(self, tmp_path):
+        # as some Windows editors write it
+        text = json.dumps({"scenario": "A", "reps": 1, "n_a": 10, "n_b": 10,
+                           "grid": {"start": 0.04, "stop": 0.1, "step": 0.03}}).encode()
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / f"{name}.json").write_bytes(data)
+            assert main(["sweep", "--config", str(tmp_path / f"{name}.json"),
+                         "--out", str(tmp_path / name)]) == 0
+        records = [(tmp_path / name / "records.csv").read_bytes() for name in ("plain", "bom")]
+        assert records[0] == records[1]
+
+    def test_colon_grid_is_the_config_grid_object(self, tmp_path):
+        run = ["sweep", "--scenario", "A", "--reps", "1", "--na", "10", "--nb", "10"]
+        cfg = write(tmp_path / "cfg.json", json.dumps(
+            {"grid": {"start": 0.04, "stop": 0.1, "step": 0.03}}))
+        assert main([*run, "--grid", "0.04:0.1:0.03", "--out", str(tmp_path / "flag")]) == 0
+        assert main([*run, "--config", cfg, "--out", str(tmp_path / "config")]) == 0
+        for name in ("records.csv", "aggregates.csv", "aggregates.json"):
+            assert ((tmp_path / "flag" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes())
+
     def test_flags_override_config(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps(
             {"scenario": "A", "reps": 5, "n_a": 10, "n_b": 10, "grid": [0.05]}))
@@ -487,6 +526,22 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--reps", "1", "--out", str(out)]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["replications"] == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["allocate"], ["sweep", "--config"], ["stats", "chi2"], ["stats", "proportions"],
+], ids=" ".join)
+def test_input_file_errors_name_the_file(tmp_path, capsys, command):
+    """Every input file is read one way: a malformed file's message starts
+    with its path, and an unreadable file's is the OS error, which names it."""
+    out = ["--out", str(tmp_path / "o")]
+    bad = write(tmp_path / "bad", "x\n")
+    assert main([*command, bad, *out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    missing = str(tmp_path / "missing")
+    assert main([*command, missing, *out]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_every_file_states_one_gap_orientation(tmp_path):
@@ -644,6 +699,19 @@ class TestExportPopulation:
     def test_shapes_must_come_in_pairs(self, tmp_path):
         rc = main(["export-population", "--beta-a", "8,2", "--out", str(tmp_path / "p.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("shapes, message", [
+        (["--beta-a", ""], "--beta-a and --beta-b must be given together"),
+        (["--beta-a", "", "--beta-b", ""], "--beta-a expects 'shape1,shape2', got ''"),
+        (["--beta-a", "1,", "--beta-b", "2,2"], "--beta-a shapes must be numbers, got '1,'"),
+        (["--beta-a", "1,2", "--beta-b", "2,2,2"],
+         "--beta-b expects 'shape1,shape2', got '2,2,2'"),
+    ])
+    def test_shape_text_rejected(self, tmp_path, capsys, shapes, message):
+        out = tmp_path / "p.csv"
+        assert main(["export-population", *shapes, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("beta_a, message", [
         ("0,1", "beta_a[0] must be a positive finite shape"),

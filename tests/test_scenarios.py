@@ -228,6 +228,28 @@ class TestRunSweep:
         parallel = run_sweep(spec, base_seed=9, jobs=2)
         assert serial == parallel
 
+    def test_no_more_workers_than_cells(self, monkeypatch):
+        # under fork the pool starts every worker it may have at once
+        asked = []
+
+        class Recorder:  # starts no process: maps in this one
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        spec = tiny_spec(grid=(0.05, 0.2), reps=1)
+        assert run_sweep(spec, base_seed=9, jobs=MAX_JOBS) == run_sweep(spec, base_seed=9)
+        assert asked == [2]
+
     def test_record_shape(self):
         spec = tiny_spec(grid=(0.05, 0.2), reps=3)
         res = run_sweep(spec, base_seed=0)

@@ -134,6 +134,15 @@ class TestWilsonGoldens:
         with pytest.raises(ValueError, match="must be an integer"):
             wilson_interval(successes, n)
 
+    @pytest.mark.parametrize("confidence", ["0.5", None, True, 10**400],
+                             ids=["str", "None", "bool", "huge-int"])
+    def test_confidence_must_be_a_number(self, confidence):
+        table = ContingencyTable([[1, 2], [3, 4]])
+        for call in (lambda: wilson_interval(1, 4, confidence=confidence),
+                     lambda: conditional_proportions(table, confidence=confidence)):
+            with pytest.raises(ValueError, match="^confidence must be a finite number, got "):
+                call()
+
     def test_integer_types_accepted(self):
         ref = wilson_interval(3, 10)
         assert wilson_interval(np.int64(3), np.int32(10)) == ref
