@@ -20,11 +20,12 @@ import reprlib
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from ._textio import write_json
+from ._textio import ascii_number, write_json
 from .model import GAP_ORIENTATION, ConstraintSet, ModelParams
 from .population import (
     MAX_GROUP_SIZE,
@@ -81,10 +82,25 @@ _SCENARIO_CHOICES = tuple(s.value for s in ScenarioId)
 _EXACT_TOLERANCE = 0.02
 
 
+def _ascii(kind: type) -> Callable[[str], float]:
+    """An argparse ``type`` that reads a ``kind`` as the CSV readers do
+    (``_textio.ascii_number``: ASCII digits, no ``_``); argparse names a
+    rejected value by ``kind``, as for ``type=float``."""
+    def parse(text: str) -> float:
+        return ascii_number(text, kind)
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+# the type of every number flag and of every entry of a number list
+_FLOAT, _INT = _ascii(float), _ascii(int)
+
+
 def _numbers(text: str, sep: str, what: str) -> list[float]:
     """The numbers between the ``sep`` of ``text``; an empty entry is not one."""
     try:
-        return [float(x) for x in text.split(sep)]
+        return [_FLOAT(x) for x in text.split(sep)]
     except ValueError:
         raise ValueError(f"{what} must be numbers, got {text!r}") from None
 
@@ -109,7 +125,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model parameters")
     for name, default in _PARAM_DEFAULTS.items():
         group.add_argument(
-            f"--{name.replace('_', '-')}", type=float, default=default,
+            f"--{name.replace('_', '-')}", type=_FLOAT, default=default,
             dest=name, help=f"default {default}",
         )
 
@@ -345,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--eo", action="store_true", help="enforce click-weighted equality")
     p_alloc.add_argument("--eho", action="store_true", help="enforce uptake-weighted equality")
     p_alloc.add_argument("--mode", choices=("fractional", "binary-exact"), default="fractional")
-    p_alloc.add_argument("--tol", type=float, default=None,
+    p_alloc.add_argument("--tol", type=_FLOAT, default=None,
                          help=f"constraint tolerance (default {ConstraintSet.tolerance} "
                               f"fractional, {_EXACT_TOLERANCE} binary-exact)")
-    p_alloc.add_argument("--cap", type=int, default=SolveRequest.enumeration_cap,
+    p_alloc.add_argument("--cap", type=_INT, default=SolveRequest.enumeration_cap,
                          help=f"binary enumeration cap (default %(default)s, "
                               f"at most {MAX_ENUMERATION_CAP})")
     p_alloc.add_argument("--out", default=".", help="output directory")
@@ -358,23 +374,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", choices=_SCENARIO_CHOICES)
     p_sweep.add_argument("--config", help="JSON run configuration (flags override it)")
     p_sweep.add_argument("--uptake", choices=_UPTAKE_CHOICES, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None,
+    p_sweep.add_argument("--seed", type=_INT, default=None,
                          help=f"base seed (default {PopulationSpec.seed})")
-    p_sweep.add_argument("--reps", type=int, default=None,
+    p_sweep.add_argument("--reps", type=_INT, default=None,
                          help=f"replications (default {ScenarioSpec.replications}; "
                               f"grid points x replications at most {MAX_CELLS})")
     p_sweep.add_argument("--grid", default=None,
                          help="varying-parameter grid: 'start:stop:step' or comma list "
                               f"(at most {MAX_GRID_POINTS} points)")
-    p_sweep.add_argument("--na", type=int, default=None, dest="n_a",
+    p_sweep.add_argument("--na", type=_INT, default=None, dest="n_a",
                          help=f"group A size (default {ScenarioSpec.n_a}, "
                               f"at most {MAX_GROUP_SIZE})")
-    p_sweep.add_argument("--nb", type=int, default=None, dest="n_b",
+    p_sweep.add_argument("--nb", type=_INT, default=None, dest="n_b",
                          help=f"group B size (default {ScenarioSpec.n_b}, "
                               f"at most {MAX_GROUP_SIZE})")
-    p_sweep.add_argument("--tol", type=float, default=None, dest="tolerance",
+    p_sweep.add_argument("--tol", type=_FLOAT, default=None, dest="tolerance",
                          help=f"solver tolerance (default {ScenarioSpec.tolerance})")
-    p_sweep.add_argument("--jobs", type=int, default=None,
+    p_sweep.add_argument("--jobs", type=_INT, default=None,
                          help=f"parallel workers (default {DEFAULT_JOBS}, at most {MAX_JOBS})")
     p_sweep.add_argument("--out", default="sweep-out", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -389,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output JSON path (default stdout); its parent directory "
                                "must already exist")
     confidence_flag = argparse.ArgumentParser(add_help=False)
-    confidence_flag.add_argument("--confidence", type=float, default=WilsonInterval.confidence,
+    confidence_flag.add_argument("--confidence", type=_FLOAT, default=WilsonInterval.confidence,
                                  help="interval coverage (default %(default)s)")
 
     p_chi2 = tests.add_parser("chi2", parents=[table_arg, out_flag],
@@ -404,24 +420,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_props.set_defaults(func=cmd_stats_proportions)
     p_wilson = tests.add_parser("wilson", parents=[out_flag, confidence_flag],
                                 help="Wilson score interval for one proportion")
-    p_wilson.add_argument("--successes", type=int, required=True)
-    p_wilson.add_argument("--n", type=int, required=True)
+    p_wilson.add_argument("--successes", type=_INT, required=True)
+    p_wilson.add_argument("--n", type=_INT, required=True)
     p_wilson.set_defaults(func=cmd_stats_wilson)
 
     p_export = sub.add_parser("export-population", help="sample a population to CSV")
-    p_export.add_argument("--na", type=int, default=ScenarioSpec.n_a,
+    p_export.add_argument("--na", type=_INT, default=ScenarioSpec.n_a,
                           help=f"group A size (default %(default)s, at most {MAX_GROUP_SIZE})")
-    p_export.add_argument("--nb", type=int, default=ScenarioSpec.n_b,
+    p_export.add_argument("--nb", type=_INT, default=ScenarioSpec.n_b,
                           help=f"group B size (default %(default)s, at most {MAX_GROUP_SIZE})")
     p_export.add_argument("--uptake", choices=_UPTAKE_CHOICES,
                           default=UptakeVariant.MAIN_B_ADVANTAGED.value)
     p_export.add_argument("--beta-a", default=None, help="custom group-A shapes 'a,b'")
     p_export.add_argument("--beta-b", default=None, help="custom group-B shapes 'a,b'")
-    p_export.add_argument("--ka", type=float, default=ClickConfig.k_a,
+    p_export.add_argument("--ka", type=_FLOAT, default=ClickConfig.k_a,
                           help="group A click coefficient (default %(default)s)")
-    p_export.add_argument("--kb", type=float, default=ClickConfig.k_b,
+    p_export.add_argument("--kb", type=_FLOAT, default=ClickConfig.k_b,
                           help="group B click coefficient (default %(default)s)")
-    p_export.add_argument("--seed", type=int, default=PopulationSpec.seed,
+    p_export.add_argument("--seed", type=_INT, default=PopulationSpec.seed,
                           help="sampling seed (default %(default)s)")
     p_export.add_argument("--out", required=True,
                           help="output CSV path; its parent directory must already exist")

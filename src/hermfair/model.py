@@ -72,8 +72,8 @@ class Population:
 
     Apart from its data a population has one private slot: the solve
     context (``_Context``) of the last :class:`ModelParams` object it was
-    solved with, which holds what that object's solves share.  Equality
-    ignores it.
+    solved with, which holds what that object's solves share, each
+    full-length array once.  Equality ignores it.
     """
 
     __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b", "_context")
@@ -317,18 +317,20 @@ class _Scored(NamedTuple):
 class _Context:
     """What the solves of one population under one parameter object share,
     each part computed on first use and read-only: the objective's per-user
-    terms, the gains, the group masses, the gap rows by constraint name with
-    the names retained for each ``ConstraintSet.active``, and the threshold
-    allocation (show iff the gain is ``>= 0``), as decisions and scored.
-    The masses, rows and gaps do not read ``params``.
+    terms, the gains, the group masses, the gap rows (one block, with a
+    view of it by constraint name) with the names retained for each
+    ``ConstraintSet.active`` and their matrix, and the threshold allocation
+    (show iff the gain is ``>= 0``), as decisions and scored.  The masses,
+    rows and gaps do not read ``params``.
 
     Every solve scores its result here (:meth:`score`), and the threshold
     rule is written here only: the engines read ``threshold_values`` and
     every exit at the threshold returns ``threshold``.
 
     A population holds only its last context (:func:`_context`), so it holds
-    one parameter set's arrays at most: the gains, three terms, three rows
-    and the threshold decisions and allocation, 14.4 MB at 2x10^5 users.
+    one parameter set's arrays at most, each once: the gains, three terms,
+    the block of at most three rows, whose views every request shares, and
+    the threshold decisions and allocation, 14.4 MB at 2x10^5 users.
     The public model functions build a context no population holds.  A
     context refers to the population's arrays, not to the population, so
     the two form no reference cycle.
@@ -338,8 +340,10 @@ class _Context:
         self.params = params
         self.p, self.rho, self.mask_a, self.mask_b = pop.p, pop.rho, pop.mask_a, pop.mask_b
         self._masses = {None: (float(pop.n_a), float(pop.n_b))}
+        self._block: np.ndarray | None = None
         self._rows: dict[str, np.ndarray] = {}
         self._retained: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._matrices: dict[tuple[str, ...], np.ndarray] = {}
 
     def _objective(self) -> _Objective:
         params = self.params
@@ -402,22 +406,54 @@ class _Context:
 
     def rows(self, active: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
         """The retained names of the ``active`` gap rows and their matrix, a
-        new array; a row equal to an earlier one is not retained.  Rows are
-        kept only once all of ``active`` is built, so a degenerate group
+        read-only view of the context's one block of rows that every later
+        request for those names shares; a row equal to an earlier one is
+        not retained.
+
+        The block holds every row built so far, in ``_SHARE_WEIGHTS`` order,
+        and each kept row is a view into it.  A request that needs a new row
+        replaces the block by one of the kept rows and the new ones.  Rows
+        are kept only once all of ``active`` is built, so a degenerate group
         (which raises) keeps none."""
         names = self._retained.get(active)
         if names is None:
-            rows = {name: self._rows[name] if name in self._rows else self._gap_row(name)
-                    for name in active}
+            if not set(active) <= self._rows.keys():
+                self._extend(active)
             kept: list[str] = []
             for name in active:
-                if not any(np.max(np.abs(rows[k] - rows[name])) <= _DEDUP_EPS for k in kept):
+                row = self._rows[name]
+                if not any(np.abs(self._rows[k] - row).max() <= _DEDUP_EPS for k in kept):
                     kept.append(name)
-            self._rows.update(rows)
             names = self._retained[active] = tuple(kept)
+        matrix = self._matrices.get(names)
+        if matrix is None:
+            matrix = self._matrices[names] = self._matrix(names)
+        return names, matrix
+
+    def _matrix(self, names: tuple[str, ...]) -> np.ndarray:
+        """The rows of ``names`` as a view of the block: at most three rows
+        in block order are evenly spaced."""
         if not names:
-            return names, np.empty((0, self.p.size))
-        return names, np.array([self._rows[name] for name in names])
+            matrix = np.empty((0, self.p.size))
+            matrix.flags.writeable = False
+            return matrix
+        built = list(self._rows)
+        first, last = built.index(names[0]), built.index(names[-1])
+        step = (last - first) // (len(names) - 1) if len(names) > 1 else 1
+        return self._block[first:last + 1:step]
+
+    def _extend(self, active: tuple[str, ...]) -> None:
+        """Replace the block by one of the kept rows and those of ``active``,
+        each built into it in turn; a degenerate group raises before
+        anything is kept."""
+        built = [name for name in _SHARE_WEIGHTS if name in self._rows or name in active]
+        block = np.empty((len(built), self.p.size))
+        for i, name in enumerate(built):
+            block[i] = self._rows[name] if name in self._rows else self._gap_row(name)
+        block.flags.writeable = False
+        self._block = block
+        self._rows = dict(zip(built, block))
+        self._matrices = {}
 
     @cached_property
     def threshold_values(self) -> np.ndarray:

@@ -138,9 +138,13 @@ def subseed(base_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# Rows formatted per ``write`` call: the writing process's memory does not
-# grow with n (a forked child holds the text of its range until it is read).
+# A file is read and written in one range of rows per usable CPU, but in no
+# more ranges than chunks of this many rows.
 _WRITE_CHUNK_ROWS = 1 << 16
+# Rows formatted per ``write`` call: the writing process's memory grows
+# neither with n nor with a range (a forked child still holds the text of
+# its range until it is read).
+_WRITE_PIECE_ROWS = 1 << 13
 
 
 def _write_csv(
@@ -151,16 +155,18 @@ def _write_csv(
 
     Floats carry 17 significant digits and lines end in ``\\r\\n``: the bytes
     ``csv.writer`` gives for the same rows (labels are ``A``/``B``, which it
-    never quotes).  Each chunk of rows is formatted by one ``%`` operation;
-    the chunks of a file of more than one chunk are formatted on every
-    usable CPU (``_textio.forked_map``) and written in order.
+    never quotes).  A file of more than one chunk of rows is cut into one
+    range per usable CPU, formatted on every one (``_textio.forked_map``) and
+    written in order.  Each range is formatted in pieces of
+    ``_WRITE_PIECE_ROWS`` rows, one ``%`` operation each, so the calling
+    process holds one piece's floats and text at a time.
     """
     width = 1 + len(columns)
     row = "%s" + ",%.17g" * len(columns) + "\r\n"
 
     def format_rows(start: int, stop: int) -> Iterator[str]:
-        for lo in range(start, stop, _WRITE_CHUNK_ROWS):
-            hi = min(lo + _WRITE_CHUNK_ROWS, stop)
+        for lo in range(start, stop, _WRITE_PIECE_ROWS):
+            hi = min(lo + _WRITE_PIECE_ROWS, stop)
             cells = [None] * (width * (hi - lo))
             cells[0::width] = groups[lo:hi].tolist()
             for k, column in enumerate(columns, start=1):

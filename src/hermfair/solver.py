@@ -176,8 +176,8 @@ def constraint_rows(
     Rows numerically identical to an earlier row (for example the
     uptake-weighted row when every user shares one uptake value, which then
     collapses onto the exposure row) are dropped.  Each call builds the rows
-    from the population and keeps nothing; a solve reads them from the
-    population's context.
+    from the population, keeps nothing and returns a new writable matrix; a
+    solve reads a read-only view of them from the population's context.
 
     Returns:
         (names, matrix) where matrix has one row per retained constraint.
@@ -187,7 +187,7 @@ def constraint_rows(
             zero over a group.
     """
     names, rows = _Context(pop, None).rows(constraints.active)
-    return list(names), rows
+    return list(names), rows.copy()
 
 
 def _snap(values: np.ndarray) -> np.ndarray:
@@ -269,40 +269,55 @@ def _solve_slab_single(
     Lagrangian; at most one coordinate ends up strictly fractional.
     ``threshold`` is the unconstrained optimum (``c >= 0``); the caller
     returns it itself when it is feasible, so here it lies outside the slab.
+    Each full-length array is made once and let go when the scan is done
+    with it.
     """
     d = threshold.copy()
     b = eps if float(a @ d) > 0.0 else -eps
 
-    active = a != 0.0
-    ai = a[active]
-    lam = c[active] / ai
+    users = np.flatnonzero(a)  # the users a coordinate of the scan moves
+    lam = c[users]
+    np.divide(lam, a[users], out=lam)
     order = _stable_order(lam)
     lam_s = lam[order]
-    a_s = ai[order]
-    positive, negative = a_s > 0.0, a_s < 0.0
-    pos = np.where(positive, a_s, 0.0)
-    neg = np.where(negative, a_s, 0.0)
+    del lam
+    users = users[order]  # in breakpoint order
+    del order
+    a_s = a[users]
+    size = a_s.size
     # Plateau value of a.d for multipliers between breakpoints k and k+1:
     # positive-a coordinates with larger breakpoints stay on, negative-a
     # coordinates with smaller-or-equal breakpoints have switched on.
-    suffix_pos = np.concatenate([np.cumsum(pos[::-1])[::-1], [0.0]])
-    prefix_neg = np.cumsum(neg)
-    g_plateau = suffix_pos[1:] + prefix_neg
-    if b > suffix_pos[0] + 1e-15:
+    suffix_pos = np.empty(size + 1)
+    suffix_pos[size] = 0.0
+    np.maximum(a_s, 0.0, out=suffix_pos[:size])
+    reversed_pos = suffix_pos[:size][::-1]
+    np.cumsum(reversed_pos, out=reversed_pos)
+    top = float(suffix_pos[0])
+    plateau = np.minimum(a_s, 0.0)
+    np.cumsum(plateau, out=plateau)
+    np.add(suffix_pos[1:], plateau, out=plateau)
+    del suffix_pos
+    if b > top + 1e-15:
         raise SolverNumericalError("constraint face lies outside the achievable range")
-    k = int(np.searchsorted(-g_plateau, -b, side="left"))
-    if k >= lam_s.size:
+    k = int(np.searchsorted(np.negative(plateau, out=plateau), -b, side="left"))
+    del plateau
+    if k >= size:
         raise SolverNumericalError("no multiplier breakpoint attains the constraint face")
     lam_hat = lam_s[k]
 
-    marginal = lam_s == lam_hat
-    on = (positive & (lam_s > lam_hat)) | (negative & (lam_s < lam_hat))
-    dd = np.zeros(lam_s.size)
-    dd[on] = 1.0
+    # the breakpoints equal to lam_hat, a run of the sorted ones; below it
+    # the negative-a coordinates are on, above it the positive-a ones
+    lo = int(np.searchsorted(lam_s, lam_hat, side="left"))
+    hi = int(np.searchsorted(lam_s, lam_hat, side="right"))
+    del lam_s
+    dd = np.zeros(size)
+    np.less(a_s[:lo], 0.0, out=dd[:lo])
+    np.greater(a_s[hi:], 0.0, out=dd[hi:])
     delta = b - float(a_s @ dd)
     # Marginal coordinates have zero reduced cost; fill them in index order
     # until the face is met.  At most one receives a fractional value.
-    for j in np.nonzero(marginal)[0]:
+    for j in range(lo, hi):
         if delta == 0.0:
             break
         step = delta / a_s[j]
@@ -311,8 +326,7 @@ def _solve_slab_single(
             dd[j] = take
             delta -= take * a_s[j]
 
-    idx = np.nonzero(active)[0]
-    d[idx[order]] = dd  # zero-coefficient coordinates keep their unconstrained value
+    d[users] = dd  # zero-coefficient coordinates keep their unconstrained value
     return d
 
 
@@ -323,9 +337,7 @@ def linprog(*args, **kwargs):
     return _linprog(*args, **kwargs)
 
 
-def _equality_form(
-    rows: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _equality_form(rows: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The slab ``|rows . d| <= eps`` as equality rows with bounded slacks.
 
     The columns are the n decisions followed by one slack per row, and row k
@@ -336,16 +348,17 @@ def _equality_form(
     ~1e-9/scale in gap units, well inside the residual bound.
 
     Returns:
-        (scale, cols, lower, upper): the row scales, the m x (n + m) matrix
-        ``[R * scale | -I]`` and the column bounds.
+        (scale, cols, box): the row scales, the m x (n + m) matrix
+        ``[R * scale | -I]`` and the slacks' bounds ``eps * scale``.  The
+        decisions' bounds are the constants 0 and 1.
     """
     m, n = rows.shape
-    scale = 1.0 / np.max(np.abs(rows), axis=1)
-    cols = np.hstack([rows * scale[:, None], -np.eye(m)])
-    box = eps * scale
-    lower = np.concatenate([np.zeros(n), -box])
-    upper = np.concatenate([np.ones(n), box])
-    return scale, cols, lower, upper
+    cols = np.empty((m, n + m))
+    scaled = cols[:, :n]  # |R| first, to find each row's largest
+    scale = 1.0 / np.abs(rows, out=scaled).max(axis=1)
+    np.multiply(rows, scale[:, None], out=scaled)
+    cols[:, n:] = -np.eye(m)
+    return scale, cols, eps * scale
 
 
 def _solve_slab_highs(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
@@ -355,12 +368,18 @@ def _solve_slab_highs(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray
     nothing from a few dense rows over boxed columns.
     """
     m, n = rows.shape
-    _, cols, lower, upper = _equality_form(rows, eps)
+    _, cols, box = _equality_form(rows, eps)
+    cost = np.zeros(n + m)
+    np.negative(c, out=cost[:n])
+    bounds = np.empty((n + m, 2))
+    bounds[:n] = 0.0, 1.0
+    bounds[n:, 0] = -box
+    bounds[n:, 1] = box
     res = linprog(
-        np.concatenate([-c, np.zeros(m)]),
+        cost,
         A_eq=cols,
         b_eq=np.zeros(m),
-        bounds=np.column_stack([lower, upper]),
+        bounds=bounds,
         method="highs-ds",
         options={
             "primal_feasibility_tolerance": 1e-9,
@@ -387,9 +406,11 @@ def _certified(
     ``sum((c - lam . R)^+) + eps * |lam|_1``, where ``gain_sum`` is
     ``sum(|c|)``.
     """
-    if not np.all(np.abs(rows @ d) <= eps + ROUNDOFF_ALLOWANCE):
+    if not (np.abs(rows @ d) <= eps + ROUNDOFF_ALLOWANCE).all():
         return False
-    bound = np.maximum(c - lam @ rows, 0.0).sum() + eps * np.abs(lam).sum()
+    reduced = lam @ rows
+    np.subtract(c, reduced, out=reduced)
+    bound = np.maximum(reduced, 0.0, out=reduced).sum() + eps * np.abs(lam).sum()
     return bool(bound - c @ d <= _DUALITY_GAP * gain_sum)
 
 
@@ -434,23 +455,45 @@ def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | N
     enters.  Basic values and duals are recomputed from the m x m basis.
     The final vertex has at most m fractional coordinates; it is returned
     only when ``_certified`` accepts it with the final duals.
+
+    Besides the matrix, the full-length arrays are the n + m values, costs
+    and bound sides and one buffer for the pivot row and reduced costs,
+    made once and updated in place by every iteration.
     """
     m, n = rows.shape
-    scale, cols, lower, upper = _equality_form(rows, eps)
-    width = upper - lower
-    fixed = width == 0.0  # a slack at eps = 0 never enters
+    scale, cols, box = _equality_form(rows, eps)
+    # the slacks' bounds and widths (a decision's are 0, 1 and 1), as Python
+    # floats
+    slack_lower, slack_upper = (-box).tolist(), box.tolist()
+    slack_width = (2.0 * box).tolist()
     slack_tol = (0.5 * ROUNDOFF_ALLOWANCE * scale).tolist()
-    x = np.concatenate([np.where(c >= 0.0, 1.0, 0.0), np.zeros(m)])
+    x = np.empty(n + m)
+    np.greater_equal(c, 0.0, out=x[:n])
+    x[n:] = 0.0
+    # The side of each nonbasic column: -1.0 at its upper bound, 1.0 at its
+    # lower bound, 0.0 when the two are equal (a slack at eps = 0, which
+    # never enters).  A basic column's side is set when it leaves.
+    side = np.subtract(1.0, x)
+    side -= x
     # Gains pushed away from zero by a fixed pseudo-random amount break the
     # dual ties of an indifferent group or of duplicate users; they move the
     # optimum by at most 4 * _PERTURBATION * sum(|c|), inside the certificate.
-    gain_sum = float(np.abs(c).sum())
-    cost = np.zeros(n + m)
-    spread = np.arange(n) * _GOLDEN % 1.0  # an equidistributed sequence in [0, 1)
-    cost[:n] = c + (2.0 * x[:n] - 1.0) * (_PERTURBATION * (gain_sum / n)) * (1.0 + spread)
+    alpha = np.empty(n + m)  # the pivot row, then the reduced costs
+    cost = np.empty(n + m)
+    perturbation = cost[:n]
+    gain_sum = float(np.abs(c, out=perturbation).sum())
+    # an equidistributed sequence in [0, 1): a - floor(a) is a % 1.0 exactly
+    # for a >= 0
+    np.multiply(np.arange(n), _GOLDEN, out=perturbation)
+    perturbation -= np.floor(perturbation, out=alpha[:n])
+    perturbation += 1.0
+    perturbation *= -(_PERTURBATION * (gain_sum / n))
+    perturbation *= side[:n]  # away from zero: up where c >= 0
+    perturbation += c
+    cost[n:] = 0.0
     basis = np.arange(n, n + m)
     # the basic columns' bounds and feasibility tolerances, as Python floats
-    basic_lower, basic_upper = lower[n:].tolist(), upper[n:].tolist()
+    basic_lower, basic_upper = list(slack_lower), list(slack_upper)
     basic_tol = list(slack_tol)
     for _ in range(_SIMPLEX_ITERATIONS):
         try:
@@ -469,34 +512,51 @@ def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | N
             if e - basic_tol[i] > worst:
                 r, excess, worst, leaving = i, e, e - basic_tol[i], v
         if worst <= 0.0:
+            del alpha, side, cost  # before the certificate's arrays
             d = np.clip(x[:n], 0.0, 1.0)
             return d if _certified(c, rows, eps, d, y * scale, gain_sum) else None
 
         # The dual step moves y by -sign * t * inv[r], so the reduced cost of
         # column j moves by t * alpha_j.  A column at its lower bound (reduced
         # cost <= 0) reaches zero when alpha_j > 0, one at its upper bound
-        # when alpha_j < 0.
+        # when alpha_j < 0: when alpha_j times its side is positive.
         sign = 1.0 if leaving > basic_upper[r] else -1.0
-        alpha = sign * (inv[r] @ cols)
-        pivot_tol = _PIVOT_TOL * float(np.abs(alpha).max())
+        np.matmul(sign * inv[r], cols, out=alpha)  # bit for bit sign * (inv[r] @ cols)
+        pivot_tol = _PIVOT_TOL * max(float(alpha.max()), -float(alpha.min()))
         alpha[basis] = 0.0
-        alpha[fixed] = 0.0
-        cand = np.flatnonzero(np.where(x > lower, -alpha, alpha) > pivot_tol)
-        alpha_cand = alpha[cand]
-        breaks = np.maximum((y @ cols - cost)[cand] / alpha_cand, 0.0)
-        # flipping a column moves the leaving variable `weight` toward its bound
-        weight = np.abs(alpha_cand) * width[cand]
+        alpha *= side
+        cand = np.flatnonzero(alpha > pivot_tol)
+        weight = alpha[cand]  # |alpha_j|
+        breaks = np.matmul(y, cols, out=alpha)[cand]
+        breaks -= cost[cand]
+        breaks *= side[cand]  # over |alpha_j|: bit for bit over alpha_j
+        np.divide(breaks, weight, out=breaks)
+        np.maximum(breaks, 0.0, out=breaks)
+        # flipping a column moves the leaving variable `weight` toward its
+        # bound: |alpha_j| times its width, 1.0 for a decision; the slacks
+        # come last
+        for i in range(cand.size - 1, max(cand.size - m, 0) - 1, -1):
+            if cand[i] < n:
+                break
+            weight[i] *= slack_width[cand[i] - n]
         order, reach = _ascending(breaks, weight, excess)
         k = int(np.searchsorted(reach, excess, side="left"))
         if k == order.size:
             return None  # no dual step restores feasibility: round-off
         entering = int(cand[order[k]])
         flip = cand[order[:k]]
-        x[flip] = lower[flip] + upper[flip] - x[flip]
+        # a decision flips to 1 - x, a slack to -box + box - x = 0 - x
+        x[flip] = (flip < n) - x[flip]
+        side[flip] *= -1.0
         x[basis[r]] = basic_upper[r] if sign > 0.0 else basic_lower[r]
+        side[basis[r]] = -sign if basic_upper[r] > basic_lower[r] else 0.0
         basis[r] = entering
-        basic_lower[r], basic_upper[r] = float(lower[entering]), float(upper[entering])
-        basic_tol[r] = _PRIMAL_TOL if entering < n else slack_tol[entering - n]
+        if entering < n:
+            basic_lower[r], basic_upper[r], basic_tol[r] = 0.0, 1.0, _PRIMAL_TOL
+        else:
+            j = entering - n
+            basic_lower[r], basic_upper[r], basic_tol[r] = (
+                slack_lower[j], slack_upper[j], slack_tol[j])
     return None
 
 
@@ -532,7 +592,7 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
         raise ValueError("parametric method handles exactly one retained constraint row")
 
     threshold = ctx.threshold_values
-    if np.all(np.abs(rows @ threshold) <= eps):
+    if (np.abs(rows @ threshold) <= eps).all():
         values = threshold  # the unconstrained optimum is feasible, hence optimal
     elif method == "highs":
         values = _solve_slab_highs(c, rows, eps)

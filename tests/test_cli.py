@@ -299,6 +299,66 @@ class TestConfigTypes:
         assert json.loads((out / "metadata.json").read_text())["replications"] == 1
 
 
+class TestAsciiNumbers:
+    """A number on the command line is an ASCII decimal, as in the CSV
+    readers: digit-group underscores and non-ASCII digits are rejected, in
+    a number list with exit 1 and in a number flag as a usage error."""
+
+    @pytest.mark.parametrize("grid", ["0.0_5,0.1", "0.05,٠.١", "0.04:0.1:0.0_3",
+                                      "٠:0.1:0.03"])
+    def test_grid(self, tmp_path, capsys, monkeypatch, grid):
+        assert_sweep_rejected(["--scenario", "A", "--grid", grid], tmp_path, capsys,
+                              monkeypatch, f"--grid values must be numbers, got {grid!r}")
+
+    @pytest.mark.parametrize("shapes", ["1_0,2", "2,٢"])
+    def test_shapes(self, tmp_path, capsys, monkeypatch, shapes):
+        monkeypatch.setattr(hermfair.cli, "sample_population", fail_if_called)
+        out = tmp_path / "p.csv"
+        rc = main(["export-population", "--beta-a", shapes, "--beta-b", "2,2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --beta-a shapes must be numbers, got {shapes!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["allocate", "POP", "--alpha", "0.2_5"],
+        ["allocate", "POP", "--gamma", "٠.١"],
+        ["allocate", "POP", "--tol", "1e-0_6"],
+        ["allocate", "POP", "--cap", "1_0"],
+        ["sweep", "--scenario", "A", "--seed", "٣"],
+        ["sweep", "--scenario", "A", "--reps", "1_0"],
+        ["sweep", "--scenario", "A", "--na", "1_000"],
+        ["sweep", "--scenario", "A", "--nb", "١٠"],
+        ["sweep", "--scenario", "A", "--tol", "0.0_1"],
+        ["sweep", "--scenario", "A", "--jobs", "٢"],
+        ["stats", "wilson", "--n", "20", "--successes", "1_0"],
+        ["stats", "wilson", "--successes", "10", "--n", "٢٠"],
+        ["stats", "wilson", "--successes", "10", "--n", "20", "--confidence", "0.9_5"],
+        ["export-population", "--na", "1_0"],
+        ["export-population", "--nb", "١٠"],
+        ["export-population", "--ka", "0.0_5"],
+        ["export-population", "--kb", "٠.١"],
+        ["export-population", "--seed", "٣"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]).encode("unicode_escape").decode())
+    def test_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        for name in ("population_from_csv", "run_sweep", "wilson_interval", "sample_population"):
+            monkeypatch.setattr(hermfair.cli, name, fail_if_called)
+        pop = write(tmp_path / "pop.csv", "group,p,rho\nA,0.5,0.5\nB,0.5,0.5\n")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([pop if a == "POP" else a for a in argv] + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: invalid " in err and "usage: hermfair" in err
+        assert not out.exists()
+
+    def test_plain_ascii_numbers_still_parse(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert main(["stats", "wilson", "--successes", " 10 ", "--n", "+20",
+                     "--confidence", "9.5E-1", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["successes"], payload["n"], payload["confidence"]) == (10, 20, 0.95)
+
+
 def test_config_sweep_without_jsonschema(tmp_path):
     """A `--config` sweep needs no jsonschema: the import is blocked outright."""
     cfg = write(tmp_path / "cfg.json", json.dumps(

@@ -322,6 +322,25 @@ class TestCsvDialect:
         assert pop.size == 140_000
         assert peak <= 2.25 * path.stat().st_size
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_write_holds_two_fifths_of_the_file_at_most(self, tmp_path, cpus):
+        pop = sample_population(spec(n_a=70_000, n_b=70_000, seed=5))
+        decision = (pop.p >= 0.05).astype(np.float64)
+        decision[::1000] = 0.5
+        path = tmp_path / "alloc.csv"
+        with split_io(cpus, chunk_rows=1 << 16, piece_rows=1 << 13) as calls:
+            tracemalloc.start()
+            try:
+                allocation_to_csv(pop, decision, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert calls == [cpus]
+        # 0.32 of the file measured on 1 and on 2 CPUs: one piece of 2^13
+        # rows, its floats and its text (2.1-2.6 when a range of 2^16 rows
+        # was formatted at once); the margin is 0.08 of the file
+        assert peak <= 0.4 * path.stat().st_size
+
     def test_long_label_named_in_full(self):
         label = "Anonymous-" * 20
         with pytest.raises(ValueError, match=f"^line 3: group must be 'A' or 'B', got '{label}'$"):
@@ -382,6 +401,7 @@ class TestCsvBytes:
         whole = io.StringIO()
         population_to_csv(pop, whole)
         monkeypatch.setattr(population, "_WRITE_CHUNK_ROWS", 4)
+        monkeypatch.setattr(population, "_WRITE_PIECE_ROWS", 3)
         chunked = io.StringIO()
         population_to_csv(pop, chunked)
         assert chunked.getvalue() == whole.getvalue()
@@ -417,9 +437,9 @@ def test_caller_handles_stay_open():
 # ------------------------------------------------------------- split I/O
 
 @contextlib.contextmanager
-def split_io(cpus, chunk_rows=4):
-    """Pin the usable CPUs and the chunk size; yield the range count of each
-    ``forked_map`` call."""
+def split_io(cpus, chunk_rows=4, piece_rows=3):
+    """Pin the usable CPUs, the chunk size and the rows formatted per write;
+    yield the range count of each ``forked_map`` call."""
     calls = []
     real = _textio.forked_map
 
@@ -429,6 +449,7 @@ def split_io(cpus, chunk_rows=4):
 
     with mock.patch.object(_textio, "usable_cpus", lambda: cpus), \
             mock.patch.object(hermfair.population, "_WRITE_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(hermfair.population, "_WRITE_PIECE_ROWS", piece_rows), \
             mock.patch.object(_textio, "forked_map", spy):
         yield calls
 
