@@ -1,10 +1,11 @@
 """Opening the text files that the readers and writers accept by path or handle,
-writing strict JSON, their number rule, and splitting the rows of a large file
-over the usable CPUs."""
+writing strict JSON and CSV tables, their number rule, and splitting the rows
+of a large file over the usable CPUs."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -35,6 +36,19 @@ def write_json(payload, path: str | os.PathLike | io.TextIOBase) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False)
     with open_text(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def write_csv(
+    path: str | os.PathLike | io.TextIOBase, header: Iterable, rows: Iterable[Iterable]
+) -> None:
+    """Write ``header`` and then each of ``rows`` through ``csv.writer``, to a
+    path or a handle as :func:`open_text` takes.  A float is written as
+    ``.17g``, which reads back to the same bits."""
+    with open_text(path, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(x, ".17g") if isinstance(x, float) else x for x in row])
 
 
 def ascii_number(field: str, kind: Callable[[str], float]) -> float:

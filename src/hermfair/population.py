@@ -123,8 +123,10 @@ def sample_population(spec: PopulationSpec) -> Population:
     rho_b = rng.beta(*spec.uptake.beta_b, size=spec.n_b)
     p_b = _click_sample(spec.click.k_b, rng, spec.n_b)
     groups = np.concatenate([np.full(spec.n_a, "A"), np.full(spec.n_b, "B")])
-    p = np.clip(np.concatenate([p_a, p_b]), 0.0, 1.0)
-    rho = np.clip(np.concatenate([rho_a, rho_b]), 0.0, 1.0)
+    # p is u ** (1 / k) for u in [0, 1), and a Beta draw lies in [0, 1]:
+    # Population.from_arrays checks both ranges
+    p = np.concatenate([p_a, p_b])
+    rho = np.concatenate([rho_a, rho_b])
     return Population.from_arrays(groups, p, rho)
 
 

@@ -11,7 +11,6 @@ delivers more to group A.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 import math
@@ -21,10 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._textio import open_text, write_json
+from ._textio import write_csv, write_json
 from .model import GAP_ORIENTATION, ConstraintSet, ModelParams, _integer, _real
 from .population import ClickConfig, PopulationSpec, UptakeConfig, sample_population, subseed
-from .solver import SolveRequest, SolveResult, solve_constrained_lp, solve_unconstrained
+from .solver import SolveRequest, SolveResult, solve
+# Bound here, though every solve goes through ``solve``, for code that wraps
+# this module's names (perfbench's tracer).
+from .solver import solve_constrained_lp, solve_unconstrained  # noqa: F401
 
 __all__ = [
     "AllocationRule",
@@ -223,15 +225,12 @@ def builtin_scenario(
     uptake_variant = UptakeVariant(uptake_variant)
     varying, default_grid, fixed_overrides = _SCENARIO_DEFS[scenario]
     values = default_grid if grid is None else tuple(_real("grid value", v) for v in grid)
-    base = replace(ModelParams.default(), **fixed_overrides)
-    if varying != "gamma" and values:  # an empty grid is rejected by ScenarioSpec
-        base = replace(base, **{varying: values[0]})
     return ScenarioSpec(
         scenario=scenario,
         uptake_variant=uptake_variant,
         varying=varying,
         grid=values,
-        base_params=base,
+        base_params=replace(ModelParams.default(), **fixed_overrides),
         replications=replications,
         n_a=n_a,
         n_b=n_b,
@@ -322,13 +321,15 @@ def _run_cell(args: tuple[ScenarioSpec, int, int, int]) -> list[SweepRecord]:
         PopulationSpec(n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click, seed=seed)
     )
     params = spec.params_for(value)
-    unc = solve_unconstrained(SolveRequest(pop, params, ConstraintSet(tolerance=spec.tolerance)))
+
+    def solve_rule(rule: AllocationRule) -> SolveResult:
+        return solve(SolveRequest(pop, params, rule.constraint_set(spec.tolerance)))
+
+    unc = solve_rule(AllocationRule.UNCONSTRAINED)
     outcomes: dict[AllocationRule, SolveResult | Exception] = {AllocationRule.UNCONSTRAINED: unc}
     for rule in CONSTRAINED_RULES:
         try:
-            outcomes[rule] = solve_constrained_lp(
-                SolveRequest(pop, params, rule.constraint_set(spec.tolerance))
-            )
+            outcomes[rule] = solve_rule(rule)
         except Exception as exc:  # keep the sweep alive; failures surface in counts
             outcomes[rule] = exc
     return [
@@ -439,19 +440,10 @@ def aggregate(result: SweepResult) -> list[AggregateRow]:
     return rows
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def write_records_csv(result: SweepResult, path: str | Path | io.TextIOBase) -> None:
     """One row per (rule, grid value, replication), schema in RECORD_COLUMNS."""
-    with open_text(path, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for rec in result.records:
-            writer.writerow([_fmt(getattr(rec, col)) for col in RECORD_COLUMNS])
+    write_csv(path, RECORD_COLUMNS, (
+        [getattr(rec, col) for col in RECORD_COLUMNS] for rec in result.records))
 
 
 _AGG_COLUMNS = ("scenario", *(f.name for f in fields(AggregateRow)))
@@ -460,14 +452,9 @@ _AGG_COLUMNS = ("scenario", *(f.name for f in fields(AggregateRow)))
 def write_aggregates_csv(
     result: SweepResult, rows: list[AggregateRow], path: str | Path | io.TextIOBase
 ) -> None:
-    with open_text(path, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_AGG_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [result.spec.scenario.value]
-                + [_fmt(getattr(row, col)) for col in _AGG_COLUMNS[1:]]
-            )
+    scenario = result.spec.scenario.value
+    write_csv(path, _AGG_COLUMNS, (
+        [scenario, *(getattr(row, col) for col in _AGG_COLUMNS[1:])] for row in rows))
 
 
 def json_number(x):

@@ -1,8 +1,12 @@
 """Optimal allocation: closed-form threshold rule, constrained LP, binary oracle.
 
 :func:`solve` is the one public entry, and ``_build_result`` makes every
-result.  The unconstrained optimum shows exactly the users whose gain (show
-minus withhold) is non-negative.  Constrained problems maximize the same
+result.  The CLI, the sweep (``hermfair.scenarios``) and the demos all
+reach the engines through :func:`solve`; ``hermfair.scenarios`` still
+imports ``solve_unconstrained`` and ``solve_constrained_lp``, calling
+neither, only because perfbench's tracer patches those names there.  The
+unconstrained optimum shows exactly the users whose gain (show minus
+withhold) is non-negative.  Constrained problems maximize the same
 linear objective over the box ``[0, 1]^n`` subject to each active group-gap
 being zero up to the request tolerance ``eps`` (``|gap| <= eps``).  Every
 constrained solve first tries the threshold allocation (``d_i = 1`` iff the
@@ -441,20 +445,24 @@ def _ascending(
     return order, np.cumsum(weight[order])
 
 
-def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | None:
+def _dual_simplex(
+    c: np.ndarray, rows: np.ndarray, eps: float, threshold: np.ndarray
+) -> np.ndarray | None:
     """The optimum of a 2- or 3-row solve by a bounded dual simplex, or ``None``.
 
-    The problem is posed in ``_equality_form``, as for HiGHS.  The slack
-    basis with ``d`` at the threshold allocation is dual feasible at
-    ``lam = 0``, so no phase 1 is needed.  Each iteration takes the most
-    violated basic variable out of the basis and runs the bound-flipping
-    ratio test (Maros, EJOR 149(1), 2003): the nonbasic columns whose
-    reduced costs the dual step drives through zero are taken in the order
-    of their breakpoints, and each is flipped to its other bound while the
-    leaving variable stays infeasible; one at which it turns feasible
-    enters.  Basic values and duals are recomputed from the m x m basis.
-    The final vertex has at most m fractional coordinates; it is returned
-    only when ``_certified`` accepts it with the final duals.
+    The problem is posed in ``_equality_form``, as for HiGHS.  It starts from
+    the caller's threshold decisions: ``threshold`` is the unconstrained
+    optimum (``c >= 0``), which the caller has found outside the slab.  The
+    slack basis with ``d`` at it is dual feasible at ``lam = 0``, so no
+    phase 1 is needed.  Each iteration takes the most violated basic
+    variable out of the basis and runs the bound-flipping ratio test (Maros,
+    EJOR 149(1), 2003): the nonbasic columns whose reduced costs the dual
+    step drives through zero are taken in the order of their breakpoints,
+    and each is flipped to its other bound while the leaving variable stays
+    infeasible; one at which it turns feasible enters.  Basic values and
+    duals are recomputed from the m x m basis.  The final vertex has at most
+    m fractional coordinates; it is returned only when ``_certified``
+    accepts it with the final duals.
 
     Besides the matrix, the full-length arrays are the n + m values, costs
     and bound sides and one buffer for the pivot row and reduced costs,
@@ -468,7 +476,7 @@ def _dual_simplex(c: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray | N
     slack_width = (2.0 * box).tolist()
     slack_tol = (0.5 * ROUNDOFF_ALLOWANCE * scale).tolist()
     x = np.empty(n + m)
-    np.greater_equal(c, 0.0, out=x[:n])
+    x[:n] = threshold
     x[n:] = 0.0
     # The side of each nonbasic column: -1.0 at its upper bound, 1.0 at its
     # lower bound, 0.0 when the two are equal (a slack at eps = 0, which
@@ -599,7 +607,7 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     elif rows.shape[0] == 1:
         values = _solve_slab_single(c, rows[0], eps, threshold)
     else:
-        values = _dual_simplex(c, rows, eps)  # only an allocation it has certified
+        values = _dual_simplex(c, rows, eps, threshold)  # only an allocation it has certified
         if values is None:
             values = _solve_slab_highs(c, rows, eps)
     return _build_result(ctx, values, req.constraints)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._textio import ascii_number, open_text
+from ._textio import ascii_number, open_text, write_csv
 from .model import _real
 
 __all__ = [
@@ -370,8 +370,5 @@ def table_from_csv(path: str | Path | io.TextIOBase) -> ContingencyTable:
 
 def table_to_csv(table: ContingencyTable, path: str | Path | io.TextIOBase) -> None:
     """Write a table in the same labelled layout accepted by table_from_csv."""
-    with open_text(path, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["", *table.col_labels])
-        for label, row in zip(table.row_labels, table.counts):
-            writer.writerow([label, *row.tolist()])
+    write_csv(path, ["", *table.col_labels], (
+        [label, *row] for label, row in zip(table.row_labels, table.counts.tolist())))

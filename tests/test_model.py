@@ -52,6 +52,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="p values"):
             pop_from(["A", "B"], [float("nan"), 0.5], [0.5, 0.5])
 
+    def test_population_rejects_unequal_lengths(self):
+        message = "^groups, p and rho must be 1-d arrays of equal length$"
+        with pytest.raises(ValueError, match=message):
+            Population.from_arrays(["A", "B"], [0.1, 0.2, 0.3], [0.4, 0.5])
+
     def test_population_requires_both_groups(self):
         with pytest.raises(DegenerateGroupError):
             pop_from(["A", "A"], [0.1, 0.2], [0.3, 0.4])
@@ -517,9 +522,9 @@ class TestPopulationCache:
         held = []
         real = hermfair.solver._dual_simplex
 
-        def spy(c, rows, eps):
+        def spy(c, rows, eps, threshold):
             held.append((sorted(vars(pop._context)), dict(pop._context._masses)))
-            return real(c, rows, eps)
+            return real(c, rows, eps, threshold)
 
         monkeypatch.setattr(hermfair.solver, "_dual_simplex", spy)
         solve_constrained_lp(SolveRequest(pop, make_params(), ConstraintSet.all()))

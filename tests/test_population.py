@@ -142,6 +142,10 @@ class TestMoments:
 
 
 class TestSeedSplitting:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            spec(seed=-1)
+
     def test_subseeds_disjoint(self):
         seeds = {subseed(99, 0, rep) for rep in range(500)}
         assert len(seeds) == 500
@@ -229,6 +233,12 @@ class TestCsvDialect:
     def test_unicode_whitespace_lines_skipped(self, blank):
         pop = read_text(f"group,p,rho\r\nA,0.5,0.25\r\n{blank}\r\nB,0.125,1\r\n")
         assert pop.groups.tolist() == ["A", "B"]
+
+    def test_quoted_field_across_lines_rejected(self):
+        # every line reads alone; only the file as a whole is malformed
+        message = "^malformed population CSV: a quoted field spans lines$"
+        with pytest.raises(ValueError, match=message):
+            read_text('group,p,rho\nA,0.5,"0.5\nB,0.5,0.5\n')
 
     def test_bad_value_after_blank_line_numbered(self):
         with pytest.raises(ValueError, match=r"^line 4: p must lie in \[0, 1\], got 2.0$"):

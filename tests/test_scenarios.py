@@ -92,6 +92,10 @@ class TestBuiltinScenarios:
         with pytest.raises(ValueError):
             builtin_scenario("Z")
 
+    def test_unknown_varying_parameter(self):
+        with pytest.raises(ValueError, match="^unknown varying parameter 'delta'$"):
+            replace(builtin_scenario("A"), varying="delta")
+
     def test_grid_validation_runs_upfront(self):
         with pytest.raises(ValueError):
             builtin_scenario("D", grid=(0.1, -0.2))  # xi must stay positive
@@ -332,6 +336,60 @@ class TestRunSweep:
         res = run_sweep(tiny_spec(grid=(0.05, 0.2), reps=2), base_seed=5)
         cells = {(r.param_value, r.replication): r.seed for r in res.records}
         assert len(set(cells.values())) == 4  # one sub-seed per cell
+
+
+class TestFailedSolves:
+    def test_a_failing_rule_is_recorded_and_the_sweep_goes_on(self, tmp_path, monkeypatch):
+        # every equality-of-opportunity solve raises; the sweep writes them
+        # as failed records and the other rules as an unpatched run does
+        import csv
+        import json
+
+        from hermfair.cli import main
+
+        eo = AllocationRule.EQUALITY_OF_OPPORTUNITY.value
+        argv = ["sweep", "--scenario", "A", "--grid", "0.05,0.2", "--reps", "2",
+                "--na", "30", "--nb", "30", "--seed", "4", "--out"]
+        assert main([*argv, str(tmp_path / "clean")]) == 0
+        real = hermfair.solver.solve_constrained_lp
+
+        def fail_eo(req, *args, **kwargs):
+            if req.constraints.active == ("equality_opportunity",):
+                raise hermfair.solver.SolverNumericalError("refused")
+            return real(req, *args, **kwargs)
+
+        monkeypatch.setattr(hermfair.solver, "solve_constrained_lp", fail_eo)
+        assert main([*argv, str(tmp_path / "failed")]) == 0
+
+        def read(run, name):
+            return (tmp_path / run / name).read_text(encoding="utf-8")
+
+        clean = read("clean", "records.csv").splitlines()
+        failed = read("failed", "records.csv").splitlines()
+        assert len(clean) == len(failed) == 1 + 2 * 2 * 5
+        n_eo = 0
+        assert clean[0] == failed[0]
+        for want, got, rec in zip(clean[1:], failed[1:], csv.DictReader(failed)):
+            if rec["rule"] == eo:
+                n_eo += 1
+                assert rec["status"] == "failed:SolverNumericalError"
+                numbers = ("objective", "utility_pct", "parity_gap", "eo_gap", "eho_gap")
+                assert [rec[col] for col in numbers] == ["nan"] * 5
+            else:
+                assert got == want
+        assert n_eo == 4
+        assert json.loads(read("failed", "metadata.json"))["n_failed"] == 4
+        rows = list(csv.DictReader(read("failed", "aggregates.csv").splitlines()))
+        assert [(row["n_used"], row["n_failed"]) for row in rows if row["rule"] == eo] == [
+            ("0", "2"), ("0", "2")]
+        for row in json.loads(read("failed", "aggregates.json"))["rows"]:
+            stats = [value for key, value in row.items()
+                     if key.endswith(("_median", "_q25", "_q75"))]
+            assert len(stats) == 6
+            if row["rule"] == eo:
+                assert stats == [None] * 6
+            else:
+                assert None not in stats
 
 
 class TestSharedThresholdScore:

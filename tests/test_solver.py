@@ -842,6 +842,25 @@ class TestLadder:
         assert res.objective == pytest.approx(expected, rel=1e-9)
         assert res.n_fractional <= 3
 
+    def test_an_uncertified_cell_goes_to_highs(self, monkeypatch):
+        # the dual simplex certifies every probed cell, so the last rung is
+        # reached only when it gives up
+        req = _scenario_a_cell(0)
+        _, rows = constraint_rows(req.population, req.constraints)
+        c = decision_gains(req.population, req.params)
+        assert rows.shape[0] == 3
+        assert np.any(np.abs(rows @ (c >= 0.0)) > req.constraints.tolerance)
+        expected = solve_constrained_lp(req, method="highs")
+        asked = []
+        # the stand-in records its call and returns None: it certifies nothing
+        monkeypatch.setattr(hermfair.solver, "_dual_simplex", lambda *args: asked.append(args))
+        counts = _count_rungs(monkeypatch)
+        res = solve(req)
+        assert len(asked) == 1
+        assert counts["linprog"] == 1
+        assert res.allocation.values.tobytes() == expected.allocation.values.tobytes()
+        assert res.objective == expected.objective
+
     def test_dual_simplex_alone_on_an_indifferent_group(self):
         # scenario A at 2 x 1000 users, value index 1: the optimal duals make
         # one whole group indifferent, so a thousand breakpoints tie; without
@@ -855,7 +874,7 @@ class TestLadder:
         _, rows = constraint_rows(pop, ConstraintSet.all())
         c = decision_gains(pop, params)
         eps = ConstraintSet.all().tolerance
-        d = hermfair.solver._dual_simplex(c, rows, eps)
+        d = hermfair.solver._dual_simplex(c, rows, eps, (c >= 0.0).astype(np.float64))
         assert d is not None
         expected = solve_constrained_lp(
             SolveRequest(pop, params, ConstraintSet.all()), method="highs").objective
@@ -885,7 +904,7 @@ class TestLadder:
             eps = cs.tolerance
             if np.all(np.abs(rows @ (c >= 0.0)) <= eps):
                 continue  # the threshold allocation is feasible
-            d = hermfair.solver._dual_simplex(c, rows, eps)
+            d = hermfair.solver._dual_simplex(c, rows, eps, (c >= 0.0).astype(np.float64))
             ref = solve_constrained_lp(SolveRequest(pop, params, cs), method="highs").objective
             if d is None:
                 continue
@@ -1452,3 +1471,23 @@ class TestDispatch:
         assert solve(SolveRequest(pop, params, ConstraintSet.parity())) == "solve_constrained_lp"
         exact = SolveRequest(pop, params, ConstraintSet.parity(0.02), mode=SolveMode.BINARY_EXACT)
         assert solve(exact) == "solve_binary_exact"
+
+    def test_only_the_solver_calls_its_engines(self):
+        # the CLI, the sweep and the demos reach every engine through solve
+        import ast
+        from pathlib import Path
+
+        engines = {"solve_unconstrained", "solve_constrained_lp", "solve_binary_exact"}
+        package = Path(hermfair.solver.__file__).parent
+        demos = Path(__file__).resolve().parents[1] / "demos"
+        calls = []
+        for path in sorted([*package.rglob("*.py"), *demos.glob("*.py")]):
+            if path == package / "solver.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name in engines:
+                        calls.append(f"{path.name}:{node.lineno} {name}")
+        assert calls == []

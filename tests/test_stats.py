@@ -177,6 +177,10 @@ class TestConditionalProportions:
         assert cells[0][0].point == 0.25
         assert cells[0][1].point == 0.5
 
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError, match="^axis must be 'rows' or 'cols'$"):
+            conditional_proportions(ContingencyTable([[1, 2], [3, 4]]), axis="diag")
+
     @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, float("nan")])
     def test_confidence_outside_unit_interval_rejected(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
@@ -231,6 +235,15 @@ class TestTableValidation:
         # as wilson_interval rejects a bool count
         with pytest.raises(ValueError, match="^counts must be integers$"):
             ContingencyTable(counts)
+
+    def test_all_zero_table(self):
+        with pytest.raises(ValueError, match="^grand total must be at least 1$"):
+            ContingencyTable([[0, 0], [0, 0]])
+
+    @pytest.mark.parametrize("labels", [{"row_labels": ("r1",)}, {"col_labels": ("x", "y", "z")}])
+    def test_label_count_must_match_the_shape(self, labels):
+        with pytest.raises(ValueError, match="^label lengths must match the count matrix shape$"):
+            ContingencyTable([[1, 2], [3, 4]], **labels)
 
     def test_zero_row(self):
         with pytest.raises(ValueError, match="all-zero row"):
@@ -305,6 +318,20 @@ class TestTableValidation:
         assert np.array_equal(back.counts, table.counts)
         assert back.row_labels == table.row_labels
         assert back.col_labels == table.col_labels
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "^empty contingency table CSV$"),
+        (",x,y\nr1,1,2\nr2,1\n", "^line 3: expected 3 columns, got 2$"),
+        (",x,y\nr1,1,-2\nr2,1,2\n", "^line 2: counts must be non-negative$"),
+    ])
+    def test_csv_rejections(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            table_from_csv(io.StringIO(text))
+
+    def test_csv_blank_lines_skipped(self):
+        table = table_from_csv(io.StringIO(",x,y\nr1,1,2\n\n  \nr2,3,4\n"))
+        assert table.row_labels == ("r1", "r2")
+        assert table.counts.tolist() == [[1, 2], [3, 4]]
 
     def test_csv_single_row_rejected(self):
         with pytest.raises(ValueError):
