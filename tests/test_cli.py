@@ -413,9 +413,9 @@ def test_files_are_utf8_in_any_locale(tmp_path):
 
 
 def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
-    """A fresh interpreter: the CLI, an export and a one-row allocate load no
-    scipy and no ``multiprocessing``; survey statistics load
-    ``scipy.special`` alone."""
+    """A fresh interpreter: the CLI, an export, a one-row allocate and the
+    survey statistics load no scipy and no ``multiprocessing``; importing the
+    CLI loads no ``statistics``, whose quantile is imported at its first use."""
     pop, table = tmp_path / "pop.csv", write(tmp_path / "t.csv", EXPOSURE_TABLE)
     runs = {
         "export": ["export-population", "--na", "20", "--nb", "20", "--out", str(pop)],
@@ -423,6 +423,7 @@ def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
         "wilson": ["stats", "wilson", "--successes", "3", "--n", "10",
                    "--out", str(tmp_path / "w.json")],
         "chi2": ["stats", "chi2", table, "--out", str(tmp_path / "c.json")],
+        "proportions": ["stats", "proportions", table, "--out", str(tmp_path / "p.json")],
     }
     code = (
         "import json, sys\n"
@@ -431,20 +432,57 @@ def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
         "    return sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
         "from hermfair.cli import main\n"
         "seen = {'import': (0, loaded('scipy'), loaded('multiprocessing'))}\n"
+        "statistics_at_import = loaded('statistics')\n"
         f"for stage, argv in {runs!r}.items():\n"
         "    seen[stage] = (main(argv), loaded('scipy'), loaded('multiprocessing'))\n"
-        "print(json.dumps(seen))\n"
+        "print(json.dumps([seen, statistics_at_import]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert {stage: rc for stage, (rc, *_) in seen.items()} == dict.fromkeys(seen, 0)
-    for stage in ("import", "export", "allocate"):
-        assert seen[stage][1:] == [[], []], stage
-    loaded = seen["chi2"][1]
-    assert "scipy.special" in loaded
-    assert [m for m in loaded if m.split(".")[1:2] in (["stats"], ["optimize"])] == []
+    seen, statistics_at_import = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {stage: [0, [], []] for stage in ("import", *runs)}
+    assert statistics_at_import == []
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    """A fresh interpreter in which ``import scipy`` fails: the survey
+    statistics, a one-row and a three-row allocate and a 2x100-user sweep
+    exit 0 and write the bytes an unblocked run writes."""
+    pop, table = tmp_path / "pop.csv", write(tmp_path / "t.csv", EXPOSURE_TABLE)
+    assert main(["export-population", "--na", "100", "--nb", "100", "--seed", "3",
+                 "--out", str(pop)]) == 0
+    runs = {
+        "chi2.json": ["stats", "chi2", table],
+        "proportions.json": ["stats", "proportions", table, "--axis", "cols"],
+        "wilson.json": ["stats", "wilson", "--successes", "219", "--n", "1102"],
+        "one-row": ["allocate", str(pop), "--parity"],
+        "three-row": ["allocate", str(pop), "--parity", "--eo", "--eho"],
+        "sweep": ["sweep", "--scenario", "A", "--reps", "1", "--na", "100", "--nb", "100"],
+    }
+    blocked, unblocked = tmp_path / "blocked", tmp_path / "unblocked"
+    blocked.mkdir()
+    unblocked.mkdir()
+    code = (
+        "import json, os, sys\n"
+        "sys.modules['scipy'] = None\n"
+        f"sys.path.insert(0, {str(Path(hermfair.__file__).parents[1])!r})\n"
+        "from hermfair.cli import main\n"
+        f"print(json.dumps([main([*argv, '--out', os.path.join({str(blocked)!r}, name)])"
+        f" for name, argv in {runs!r}.items()]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(unblocked / name)]) == 0
+    files = ["chi2.json", "proportions.json", "wilson.json",
+             *(f"{run}/{f}" for run in ("one-row", "three-row")
+               for f in ("allocation.csv", "summary.json")),
+             *(f"sweep/{f}" for f in ("records.csv", "aggregates.csv", "aggregates.json"))]
+    for name in files:
+        assert (blocked / name).read_bytes() == (unblocked / name).read_bytes(), name
 
 
 def test_builtin_sweep_needs_no_lp_solver(tmp_path):

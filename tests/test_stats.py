@@ -1,6 +1,10 @@
+import decimal
 import io
+import json
 import math
+import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from hermfair.stats import (
     Chi2Result,
     ContingencyTable,
     WilsonInterval,
-    _log10_chi2_tail,
+    _log_chi2_tail,
+    _z,
     chi2_independence,
     conditional_proportions,
     table_from_csv,
@@ -142,6 +147,21 @@ class TestWilsonGoldens:
                      lambda: conditional_proportions(table, confidence=confidence)):
             with pytest.raises(ValueError, match="^confidence must be a finite number, got "):
                 call()
+
+    @pytest.mark.parametrize("confidence", [np.float32(0.95), np.float16(0.9),
+                                            np.float64(0.99), 0.9])
+    def test_confidence_is_computed_and_stored_as_its_float(self, confidence):
+        # float(np.float32(0.95)) is 0.949999988079071: the interval is that
+        # float's, not one computed in float32, and it stores a plain float
+        as_float = float(confidence)
+        res = wilson_interval(219, 1102, confidence)
+        assert res == wilson_interval(219, 1102, as_float)
+        assert type(res.confidence) is float and res.confidence == as_float
+        json.dumps(asdict(res))
+        table = ContingencyTable(BEHAVIOR_2X3)
+        cells = conditional_proportions(table, confidence=confidence)
+        assert cells == conditional_proportions(table, confidence=as_float)
+        assert {type(cell.confidence) for row in cells for cell in row} == {float}
 
     def test_integer_types_accepted(self):
         ref = wilson_interval(3, 10)
@@ -425,7 +445,8 @@ def _wilson_with_norm_ppf(successes, n, confidence):
 
 
 class TestAgainstScipyStats:
-    """The scipy.special calls reproduce scipy.stats' chi2 and norm bit for bit."""
+    """The closed-form tail and the standard library's quantile agree with
+    scipy.stats' chi2 and norm, which stay the reference."""
 
     @pytest.mark.parametrize("counts", [EXPOSURE_2X2, BEHAVIOR_2X3, SENSATIONALISM_4X2,
                                         SENSATIONALISM_BY_EXPOSURE_2X4,
@@ -433,35 +454,109 @@ class TestAgainstScipyStats:
     def test_p_value_is_chi2_sf(self, counts):
         for correction in (True, False):
             res = chi2_independence(ContingencyTable(counts), correction=correction)
-            assert res.p_value == float(sps.chi2.sf(res.statistic, res.dof))
+            ref = float(sps.chi2.sf(res.statistic, res.dof))
+            # measured 1.1e-14 on these tables with scipy 1.17.1
+            assert abs(res.p_value - ref) <= 2e-14 * ref
 
     @pytest.mark.parametrize("confidence", [1e-9, 0.5, 0.9, 0.95, 0.99, 0.999999])
     def test_wilson_z_is_norm_ppf(self, confidence):
+        ref = float(sps.norm.ppf(0.5 + confidence / 2.0))
+        # measured 3 ulps here, 4 over 2004 confidences in (0, 1)
+        assert abs(_z(confidence) - ref) <= 5 * math.ulp(ref)
         for successes, n in ((0, 7), (3, 10), (219, 1102), (10, 10)):
             res = wilson_interval(successes, n, confidence)
-            assert (res.lo, res.hi) == _wilson_with_norm_ppf(successes, n, confidence)
+            lo, hi = _wilson_with_norm_ppf(successes, n, confidence)
+            # measured 7e-16 relative
+            assert res.lo == pytest.approx(lo, rel=2e-15, abs=0.0)
+            assert res.hi == pytest.approx(hi, rel=2e-15, abs=0.0)
 
-    @pytest.mark.parametrize("dof", range(1, 41))
+    @pytest.mark.parametrize("dof", [*range(1, 61), 99, 100, 199, 200, 999, 1000])
     def test_log_tail_is_chi2_logsf(self, dof):
-        # exact on scipy 1.17.1; 2 ulp leaves room for a release that
-        # re-derives its tail
         median = float(sps.chi2.median(dof))
-        below = [median * f for f in (1e-6, 0.1, 0.5, 0.9, 0.999)] + [median]
+        below = [median * f for f in (1e-8, 1e-6, 0.1, 0.5, 0.9, 0.999)] + [median]
         above = [median * f for f in (1.001, 1.1, 2.0, 5.0, 20.0)]
         for statistic in below + [np.nextafter(median, np.inf)] + above:
-            ref = float(sps.chi2.logsf(statistic, dof)) / math.log(10.0)
-            assert math.isfinite(ref)
-            assert abs(_log10_chi2_tail(float(statistic), dof) - ref) <= 2 * math.ulp(ref)
+            ref = float(sps.chi2.logsf(statistic, dof))
+            if not math.isfinite(ref):  # scipy's own tail underflowed; see TestExactTail
+                continue
+            got = _log_chi2_tail(float(statistic), dof)
+            # measured 2.7e-14 relative and 1.8e-13 absolute, both at dof
+            # 999-1000 near the median, where the terms' logs reach ~x
+            if abs(ref) >= 1.0:
+                assert abs(got - ref) <= 5e-14 * abs(ref)
+            else:
+                assert abs(got - ref) <= 4e-13
 
     @pytest.mark.parametrize("dof", [1, 12, 40])
     def test_underflowed_tail_takes_the_expansion(self, dof):
+        # odd dof takes erfc's asymptotic expansion, even dof the finite sum
         statistic = 5000.0
         assert sps.chi2.sf(statistic, dof) == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log10_p = _log10_chi2_tail(statistic, dof)
+            log10_p = _log_chi2_tail(statistic, dof) / math.log(10.0)
         # below the log10 of the smallest subnormal double, yet finite
         assert math.isfinite(log10_p) and log10_p < math.log10(5e-324)
+
+
+# pi to 50 digits, for the 50-digit references below
+_PI = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _exact_log10_tail(statistic, dof):
+    """log10 of the chi-squared upper tail, to 50 digits, with x = statistic/2.
+
+    Even dof: the finite sum exp(-x) * sum_{j < dof/2} x**j / j!.  Odd dof:
+    the asymptotic expansion of the upper incomplete gamma Q(a, x) with
+    a = dof/2, x**(a-1) * exp(-x) / Gamma(a) * sum_n (a-1)...(a-n) / x**n,
+    summed while its terms shrink; for a small and x in the thousands the
+    smallest term is far below 1e-50.
+    """
+    with decimal.localcontext(decimal.Context(prec=50)):
+        x = decimal.Decimal(statistic) / 2
+        total = term = decimal.Decimal(1)
+        if dof % 2 == 0:
+            for j in range(1, dof // 2):
+                term *= x / j
+                total += term
+            log_tail = total.ln() - x
+        else:
+            a = decimal.Decimal(dof) / 2
+            log_gamma = _PI.ln() / 2  # Gamma(1/2) = sqrt(pi)
+            for k in range(1, dof // 2 + 1):  # Gamma(k + 1/2) = (k - 1/2) Gamma(k - 1/2)
+                log_gamma += (k - decimal.Decimal("0.5")).ln()
+            n = 1
+            while abs(term * (a - n) / x) < abs(term):
+                term *= (a - n) / x
+                total += term
+                n += 1
+            log_tail = (a - 1) * x.ln() - x - log_gamma + total.ln()
+        return float(log_tail / decimal.Decimal(10).ln())
+
+
+class TestExactTail:
+    """The log tail against 50-digit references, where scipy's underflows."""
+
+    @pytest.mark.parametrize("dof, statistic", [(1000, 4200.0), (2000, 7000.0),
+                                                (5000, 12000.0), (1, 5000.0), (3, 5000.0)])
+    def test_log10_tail_matches_the_exact_sum(self, dof, statistic):
+        ref = _exact_log10_tail(statistic, dof)
+        got = _log_chi2_tail(statistic, dof) / math.log(10.0)
+        # measured 1.6e-15 relative (dof 5000); an 11-term expansion of the
+        # incomplete gamma is off by 3e-11 to 2e-8 relative on the even cases
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("n", [3, 10, 30, 100, 300, 700])
+    def test_p_value_is_ten_to_log10_p(self, n):
+        for counts in ([[n, 1], [1, n]], [[n, 1, 1], [1, n, 1], [1, 1, n]],
+                       [[n, 2, 3, 1], [1, n, 1, 2]]):
+            for correction in (True, False):
+                res = chi2_independence(ContingencyTable(counts), correction=correction)
+                if res.p_value < sys.float_info.min:  # zero or subnormal
+                    continue
+                # measured 1.3e-13: one rounding of log10_p, scaled by
+                # |ln p| <= 708
+                assert abs(res.p_value - 10.0 ** res.log10_p) <= 2e-13 * res.p_value
 
 
 class TestWilsonIntervalType:
