@@ -23,7 +23,7 @@ import numpy as np
 from ._textio import write_csv, write_json
 from .model import GAP_ORIENTATION, ConstraintSet, ModelParams, _integer, _real
 from .population import ClickConfig, PopulationSpec, UptakeConfig, sample_population, subseed
-from .solver import SolveRequest, SolveResult, solve
+from .solver import SolveRequest, solve
 # Bound here, though every solve goes through ``solve``, for code that wraps
 # this module's names (perfbench's tracer).
 from .solver import solve_constrained_lp, solve_unconstrained  # noqa: F401
@@ -60,23 +60,17 @@ class AllocationRule(enum.Enum):
     ALL_CONSTRAINTS = "all_constraints"
 
     def constraint_set(self, tolerance: float) -> ConstraintSet:
-        if self is AllocationRule.UNCONSTRAINED:
-            return ConstraintSet(tolerance=tolerance)
-        if self is AllocationRule.PARITY_OF_EXPOSURE:
-            return ConstraintSet.parity(tolerance)
-        if self is AllocationRule.EQUALITY_OF_OPPORTUNITY:
-            return ConstraintSet.opportunity(tolerance)
-        if self is AllocationRule.EQUALITY_OF_HERM_OPPORTUNITY:
-            return ConstraintSet.herm_opportunity(tolerance)
-        return ConstraintSet.all(tolerance)
+        return _RULE_CONSTRAINTS[self](tolerance)
 
 
-CONSTRAINED_RULES = (
-    AllocationRule.PARITY_OF_EXPOSURE,
-    AllocationRule.EQUALITY_OF_OPPORTUNITY,
-    AllocationRule.EQUALITY_OF_HERM_OPPORTUNITY,
-    AllocationRule.ALL_CONSTRAINTS,
-)
+# Each rule's constraint constructor, in AllocationRule order.
+_RULE_CONSTRAINTS = dict(zip(AllocationRule, (
+    lambda tolerance: ConstraintSet(tolerance=tolerance), ConstraintSet.parity,
+    ConstraintSet.opportunity, ConstraintSet.herm_opportunity, ConstraintSet.all)))
+
+# Every rule but the first: a sweep cell solves UNCONSTRAINED first, since
+# the others' utility_pct reads its objective.
+CONSTRAINED_RULES = tuple(AllocationRule)[1:]
 
 
 class ScenarioId(enum.Enum):
@@ -272,48 +266,16 @@ class SweepResult:
         return sum(1 for rec in self.records if rec.status.startswith("failed:"))
 
 
-def _record(
-    spec: ScenarioSpec,
-    rule: AllocationRule,
-    value: float,
-    rep: int,
-    seed: int,
-    outcome: SolveResult | Exception,
-    objective_unconstrained: float,
-) -> SweepRecord:
-    """The record of one solve; a solve that raised has NaN numbers and the
-    status ``failed:<exception class>``."""
-    if isinstance(outcome, Exception):
-        objective = pct = parity = eo = eho = math.nan
-        status = f"failed:{type(outcome).__name__}"
-    else:
-        objective = outcome.objective
-        if rule is AllocationRule.UNCONSTRAINED:
-            pct = 100.0
-        elif objective_unconstrained != 0.0:
-            pct = 100.0 * objective / objective_unconstrained
-        else:
-            pct = math.nan
-        parity, eo, eho = outcome.gaps
-        status = outcome.status.value
-    return SweepRecord(
-        scenario=spec.scenario.value,
-        rule=rule.value,
-        param_name=spec.varying,
-        param_value=float(value),
-        replication=rep,
-        objective=objective,
-        utility_pct=pct,
-        parity_gap=parity,
-        eo_gap=eo,
-        eho_gap=eho,
-        status=status,
-        seed=seed,
-    )
-
-
 def _run_cell(args: tuple[ScenarioSpec, int, int, int]) -> list[SweepRecord]:
-    """Solve all five rules on one freshly sampled population."""
+    """Solve all five rules on one freshly sampled population.
+
+    The records come in ``AllocationRule`` order, one per rule.  A solve
+    that raises gives a record with NaN numbers and the status
+    ``failed:<exception class>``, and the cell goes on.  A constrained
+    rule's ``utility_pct`` is its objective as a percentage of the
+    unconstrained one, so it is NaN when the unconstrained solve failed or
+    its objective is 0.
+    """
     spec, base_seed, value_idx, rep = args
     value = spec.grid[value_idx]
     seed = subseed(base_seed, value_idx, rep)
@@ -321,21 +283,36 @@ def _run_cell(args: tuple[ScenarioSpec, int, int, int]) -> list[SweepRecord]:
         PopulationSpec(n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click, seed=seed)
     )
     params = spec.params_for(value)
-
-    def solve_rule(rule: AllocationRule) -> SolveResult:
-        return solve(SolveRequest(pop, params, rule.constraint_set(spec.tolerance)))
-
-    unc = solve_rule(AllocationRule.UNCONSTRAINED)
-    outcomes: dict[AllocationRule, SolveResult | Exception] = {AllocationRule.UNCONSTRAINED: unc}
-    for rule in CONSTRAINED_RULES:
+    best = math.nan  # the unconstrained objective, once solved
+    records = []
+    for rule in AllocationRule:
         try:
-            outcomes[rule] = solve_rule(rule)
+            res = solve(SolveRequest(pop, params, rule.constraint_set(spec.tolerance)))
         except Exception as exc:  # keep the sweep alive; failures surface in counts
-            outcomes[rule] = exc
-    return [
-        _record(spec, rule, value, rep, seed, outcome, unc.objective)
-        for rule, outcome in outcomes.items()
-    ]
+            objective = pct = parity = eo = eho = math.nan
+            status = f"failed:{type(exc).__name__}"
+        else:
+            objective, (parity, eo, eho) = res.objective, res.gaps
+            status = res.status.value
+            if rule is AllocationRule.UNCONSTRAINED:
+                best, pct = objective, 100.0
+            else:
+                pct = 100.0 * objective / best if best != 0.0 else math.nan
+        records.append(SweepRecord(
+            scenario=spec.scenario.value,
+            rule=rule.value,
+            param_name=spec.varying,
+            param_value=float(value),
+            replication=rep,
+            objective=objective,
+            utility_pct=pct,
+            parity_gap=parity,
+            eo_gap=eo,
+            eho_gap=eho,
+            status=status,
+            seed=seed,
+        ))
+    return records
 
 
 def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> SweepResult:
@@ -344,7 +321,11 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> S
     Every (grid value, replication) cell draws its population from a
     sub-seed derived from ``(base_seed, value index, replication)``, so cells
     are reproducible in isolation and parallel scheduling cannot change any
-    number.  Solver failures are recorded per record and the sweep continues.
+    number.  Each cell gives one record per rule, in ``AllocationRule``
+    order.  A solve that raises gives a record with NaN numbers and the
+    status ``failed:<exception class>``, and the sweep continues; when it is
+    the unconstrained solve, the cell's other rules keep their solves and
+    their ``utility_pct`` is NaN.
 
     Raises:
         ValueError: ``base_seed`` is not a non-negative integer, or ``jobs``

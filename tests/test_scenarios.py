@@ -14,6 +14,7 @@ import hermfair.population
 import hermfair.scenarios
 import hermfair.solver
 from hermfair.scenarios import (
+    CONSTRAINED_RULES,
     MAX_GRID_POINTS,
     MAX_JOBS,
     AggregateRow,
@@ -99,6 +100,19 @@ class TestBuiltinScenarios:
     def test_grid_validation_runs_upfront(self):
         with pytest.raises(ValueError):
             builtin_scenario("D", grid=(0.1, -0.2))  # xi must stay positive
+
+
+def test_each_rule_builds_its_named_constraint_set():
+    tol = 0.01
+    assert [rule.constraint_set(tol) for rule in AllocationRule] == [
+        ConstraintSet(tolerance=tol),
+        ConstraintSet.parity(tol),
+        ConstraintSet.opportunity(tol),
+        ConstraintSet.herm_opportunity(tol),
+        ConstraintSet.all(tol),
+    ]
+    assert CONSTRAINED_RULES == tuple(
+        rule for rule in AllocationRule if rule.constraint_set(tol).any_active)
 
 
 class TestCeilings:
@@ -390,6 +404,40 @@ class TestFailedSolves:
                 assert stats == [None] * 6
             else:
                 assert None not in stats
+
+    def test_a_failing_unconstrained_solve_is_recorded_and_the_cell_goes_on(self, monkeypatch):
+        # the unconstrained record fails as any other; the other four rules
+        # keep their solves, and their share of a failed optimum is NaN
+        spec = tiny_spec(grid=(0.05, 0.2), reps=2)
+        clean = run_sweep(spec, base_seed=4, jobs=1)
+        real = hermfair.scenarios.solve
+
+        def fail_unconstrained(req):
+            if not req.constraints.active:
+                raise hermfair.solver.SolverNumericalError("refused")
+            return real(req)
+
+        monkeypatch.setattr(hermfair.scenarios, "solve", fail_unconstrained)
+        failed = run_sweep(spec, base_seed=4, jobs=1)
+        assert len(failed.records) == len(clean.records) == 2 * 2 * 5
+        assert [rec.rule for rec in failed.records[:5]] == [rule.value for rule in AllocationRule]
+        assert failed.n_failed == 2 * 2
+        numbers = ("objective", "utility_pct", "parity_gap", "eo_gap", "eho_gap")
+        for want, got in zip(clean.records, failed.records):
+            if got.rule == AllocationRule.UNCONSTRAINED.value:
+                assert got.status == "failed:SolverNumericalError"
+                assert all(math.isnan(getattr(got, name)) for name in numbers)
+            else:
+                assert math.isnan(got.utility_pct)
+                assert replace(got, utility_pct=want.utility_pct) == want
+        rows = aggregate(failed)
+        assert [(row.n_used, row.n_failed) for row in rows
+                if row.rule == AllocationRule.UNCONSTRAINED.value] == [(0, 2), (0, 2)]
+        for want, got in zip(aggregate(clean), rows):
+            if got.rule != AllocationRule.UNCONSTRAINED.value:
+                assert (got.n_used, got.n_failed) == (2, 0)
+                assert math.isnan(got.utility_pct_median)
+                assert got.parity_gap_median == want.parity_gap_median
 
 
 class TestSharedThresholdScore:

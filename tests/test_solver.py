@@ -21,6 +21,7 @@ from hermfair.model import (
     _context,
     decision_gains,
     herm_aware_utility,
+    hermeneutical_cost,
 )
 from hermfair.population import (
     ClickConfig,
@@ -31,6 +32,7 @@ from hermfair.population import (
 )
 from hermfair.scenarios import (
     CONSTRAINED_RULES,
+    AllocationRule,
     ScenarioId,
     UptakeVariant,
     builtin_scenario,
@@ -1016,6 +1018,92 @@ def test_symmetries(scenario):
             assert abs(moved.objective - res.objective) <= bound
             for gap, mirror_gap in zip(res.gaps, mirror.gaps):
                 assert abs(mirror_gap + gap) <= 1e-14
+
+
+# ------------------------------------------------------ shape of the optimum
+
+# For a fixed allocation the objective is affine in each swept parameter;
+# these are its derivatives at allocation ``d`` (minus the hermeneutical cost
+# for gamma).
+_SWEPT_SLOPES = {
+    "beta_b": lambda pop, params, d: float((1.0 - d[pop.mask_b]).sum()),
+    "theta_b": lambda pop, params, d: params.gamma * float((pop.rho * d)[pop.mask_b].sum()),
+    "omega_b": lambda pop, params, d: -params.gamma * float(
+        ((1.0 - pop.rho) * d)[pop.mask_b].sum()),
+    "xi": lambda pop, params, d: -params.gamma * float((1.0 - d).sum()),
+    "gamma": lambda pop, params, d: -hermeneutical_cost(pop, Allocation(d), params),
+}
+# +1 where the derivative is never negative, -1 where it is never positive
+_SWEPT_SIGNS = {"beta_b": 1.0, "theta_b": 1.0, "omega_b": -1.0, "xi": -1.0}
+
+
+@pytest.mark.parametrize("uptake", ["main", "a-adv"])
+@pytest.mark.parametrize("scenario", ["A", "B", "C", "D", "gamma"])
+def test_optimum_along_the_swept_parameter(scenario, uptake):
+    """On one population the rows do not read the parameters and the
+    objective is affine in the swept one, so each rule's optimum along the
+    grid is a maximum of affine functions: convex (within 1e-14 of the sum
+    of the absolute gains).  For grid neighbours the chord's slope lies
+    between the derivatives at the two solves' own allocations (Danskin;
+    within 1e-14 of the larger |objective|), and the derivatives' signs make
+    the optimum monotone in beta_b, theta_b, omega_b and xi.  Four
+    populations of 2 x 1000 users per scenario and uptake, every grid value,
+    all five rules."""
+    spec = builtin_scenario(scenario, uptake)
+    grid = np.array(spec.grid)
+    slope_at = _SWEPT_SLOPES[spec.varying]
+    for rep in range(4):
+        pop = sample_population(PopulationSpec(
+            n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click,
+            seed=subseed(5, 0, rep),
+        ))
+        all_params = [spec.params_for(value) for value in spec.grid]
+        scale = np.array([np.abs(decision_gains(pop, params)).sum() for params in all_params])
+        for rule in AllocationRule:
+            results = [solve(SolveRequest(pop, params, rule.constraint_set(spec.tolerance)))
+                       for params in all_params]
+            f = np.array([res.objective for res in results])
+            slopes = np.array([slope_at(pop, params, res.allocation.values)
+                               for params, res in zip(all_params, results)])
+            # convexity: no grid value above the chord of its two neighbours
+            left, right = grid[1:-1] - grid[:-2], grid[2:] - grid[1:-1]
+            chord = (right * f[:-2] + left * f[2:]) / (left + right)
+            assert (f[1:-1] - chord <= 1e-14 * scale[1:-1]).all(), rule
+            # the sandwich: slope at v1 <= chord slope <= slope at v2
+            step, rise = np.diff(grid), np.diff(f)
+            bound = 1e-14 * np.maximum(np.abs(f[:-1]), np.abs(f[1:]))
+            assert (slopes[:-1] * step - rise <= bound).all(), rule
+            assert (rise - slopes[1:] * step <= bound).all(), rule
+            if spec.varying in _SWEPT_SIGNS:
+                assert (_SWEPT_SIGNS[spec.varying] * rise >= -bound).all(), rule
+
+
+@pytest.mark.parametrize("uptake", ["main", "a-adv"])
+@pytest.mark.parametrize("scenario", ["A", "C", "gamma"])
+def test_optimum_along_the_tolerance(scenario, uptake):
+    """The tolerance only widens the feasible set and enters the right-hand
+    side affinely, so each constrained rule's optimum is non-decreasing and
+    concave in it (Bertsimas and Tsitsiklis, ch. 5).  41 tolerances from 0
+    to 1.2 times the unconstrained allocation's largest |gap|, at the first
+    and the middle grid value on 2 x 1000 users; a decrease or a positive
+    second difference may reach 1e-14 of the curve's largest |objective|."""
+    spec = builtin_scenario(scenario, uptake)
+    for vi in (0, len(spec.grid) // 2):
+        pop = sample_population(PopulationSpec(
+            n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click,
+            seed=subseed(5, vi, 0),
+        ))
+        params = spec.params_for(spec.grid[vi])
+        widest = 1.2 * max(abs(gap) for gap in solve(SolveRequest(pop, params)).gaps)
+        tolerances = np.linspace(0.0, widest, 41)
+        for rule in CONSTRAINED_RULES:
+            f = np.array([
+                solve(SolveRequest(pop, params, rule.constraint_set(float(t)))).objective
+                for t in tolerances
+            ])
+            bound = 1e-14 * np.abs(f).max()
+            assert (np.diff(f) >= -bound).all(), rule
+            assert (np.diff(f, 2) <= bound).all(), rule
 
 
 # ---------------------------------------------------------------------- sorting
