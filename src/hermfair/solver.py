@@ -27,20 +27,18 @@ shared by every solve that ends there.  Otherwise:
   certify (``_certified``): every row within ``eps`` plus
   ``ROUNDOFF_ALLOWANCE``, and the objective within
   ``_DUALITY_GAP * sum(|gain|)`` of the weak-duality bound
-  ``sum((c - lam . R)^+) + eps * |lam|_1``.  It certifies every probed
+  ``sum((c - lam . R)^+) + eps * |lam|_1``.  Otherwise it raises
+  ``SolverNumericalError`` naming the cause.  It certifies every probed
   cell, those with an indifferent group included: all 18 benchmark
-  populations at 2x10^5 users (README gives the probe and its times);
-* HiGHS, scipy's dual simplex on the same equality form (each row scaled
-  to unit maximum coefficient and its slack bounded by ``eps * scale_k``,
-  fixed at zero when ``eps = 0``), takes only a cell the dual simplex does
-  not certify.  Presolve is off: on a few dense rows over boxed columns it
-  removes nothing, yet at 2x10^5 users it cost more than half the HiGHS
-  time and ~200 MB of memory.  ``scipy.optimize`` is imported on the first
-  HiGHS solve, so a process whose solves all end in numpy never loads it.
+  populations at 2x10^5 users (README gives the probe and its times).
 
 Every engine returns a vertex: at most one strictly fractional coordinate
 per retained row.  ``method="highs"`` skips the numpy engines and is the
-cross-check.  An exhaustive enumeration oracle over binary vectors is
+tests' cross-check: HiGHS, scipy's dual simplex, on the same equality form
+(each row scaled to unit maximum coefficient and its slack bounded by
+``eps * scale_k``, fixed at zero when ``eps = 0``), with presolve off.
+scipy is no runtime dependency; ``scipy.optimize`` is imported only by
+such a solve.  An exhaustive enumeration oracle over binary vectors is
 provided for verification on small instances.
 """
 
@@ -447,8 +445,8 @@ def _ascending(
 
 def _dual_simplex(
     c: np.ndarray, rows: np.ndarray, eps: float, threshold: np.ndarray
-) -> np.ndarray | None:
-    """The optimum of a 2- or 3-row solve by a bounded dual simplex, or ``None``.
+) -> np.ndarray:
+    """The optimum of a 2- or 3-row solve by a bounded dual simplex.
 
     The problem is posed in ``_equality_form``, as for HiGHS.  It starts from
     the caller's threshold decisions: ``threshold`` is the unconstrained
@@ -467,6 +465,11 @@ def _dual_simplex(
     Besides the matrix, the full-length arrays are the n + m values, costs
     and bound sides and one buffer for the pivot row and reduced costs,
     made once and updated in place by every iteration.
+
+    Raises:
+        SolverNumericalError: naming the cause: a singular basis, a ratio
+            test with no entering column, ``_SIMPLEX_ITERATIONS`` used up,
+            or final duals that do not certify the vertex.
     """
     m, n = rows.shape
     scale, cols, box = _equality_form(rows, eps)
@@ -506,8 +509,8 @@ def _dual_simplex(
     for _ in range(_SIMPLEX_ITERATIONS):
         try:
             inv = np.linalg.inv(cols[:, basis])
-        except np.linalg.LinAlgError:
-            return None
+        except np.linalg.LinAlgError as err:
+            raise SolverNumericalError(f"dual simplex: singular basis ({err})") from err
         x[basis] = 0.0
         xb = -inv @ (cols @ x)
         x[basis] = xb
@@ -522,7 +525,9 @@ def _dual_simplex(
         if worst <= 0.0:
             del alpha, side, cost  # before the certificate's arrays
             d = np.clip(x[:n], 0.0, 1.0)
-            return d if _certified(c, rows, eps, d, y * scale, gain_sum) else None
+            if not _certified(c, rows, eps, d, y * scale, gain_sum):
+                raise SolverNumericalError("dual simplex: final duals do not certify the vertex")
+            return d
 
         # The dual step moves y by -sign * t * inv[r], so the reduced cost of
         # column j moves by t * alpha_j.  A column at its lower bound (reduced
@@ -549,8 +554,8 @@ def _dual_simplex(
             weight[i] *= slack_width[cand[i] - n]
         order, reach = _ascending(breaks, weight, excess)
         k = int(np.searchsorted(reach, excess, side="left"))
-        if k == order.size:
-            return None  # no dual step restores feasibility: round-off
+        if k == order.size:  # no dual step restores feasibility: round-off
+            raise SolverNumericalError("dual simplex: the ratio test found no entering column")
         entering = int(cand[order[k]])
         flip = cand[order[:k]]
         # a decision flips to 1 - x, a slack to -box + box - x = 0 - x
@@ -565,7 +570,7 @@ def _dual_simplex(
             j = entering - n
             basic_lower[r], basic_upper[r], basic_tol[r] = (
                 slack_lower[j], slack_upper[j], slack_tol[j])
-    return None
+    raise SolverNumericalError(f"dual simplex: {_SIMPLEX_ITERATIONS} iterations used up")
 
 
 def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult:
@@ -577,13 +582,14 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
 
     Args:
         req: request with ``mode=FRACTIONAL`` and at least one active constraint.
-        method: "auto" (parametric when one row remains; otherwise the dual
-            simplex, then HiGHS for any cell it cannot certify),
-            "parametric", or "highs".  No engine runs when the threshold
+        method: "auto" (parametric when one row remains, otherwise the dual
+            simplex), "parametric", or "highs" (HiGHS, the tests'
+            reference; it needs scipy).  No engine runs when the threshold
             allocation meets every retained row.
 
     Raises:
-        SolverNumericalError: solver failure or residual above the bound.
+        SolverNumericalError: an engine fails (the dual simplex names its
+            cause) or the solution's residual is above the bound.
     """
     if req.mode is not SolveMode.FRACTIONAL:
         raise ValueError("solve_constrained_lp requires mode=FRACTIONAL")
@@ -608,8 +614,6 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
         values = _solve_slab_single(c, rows[0], eps, threshold)
     else:
         values = _dual_simplex(c, rows, eps, threshold)  # only an allocation it has certified
-        if values is None:
-            values = _solve_slab_highs(c, rows, eps)
     return _build_result(ctx, values, req.constraints)
 
 

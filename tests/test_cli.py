@@ -11,6 +11,7 @@ import pytest
 import hermfair
 import hermfair.cli
 import hermfair.scenarios
+import hermfair.solver
 from hermfair.cli import main
 from hermfair.model import (
     GAP_ORIENTATION, Allocation, ConstraintSet, ModelParams, eho_gap, eo_gap, parity_gap,
@@ -413,13 +414,18 @@ def test_files_are_utf8_in_any_locale(tmp_path):
 
 
 def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
-    """A fresh interpreter: the CLI, an export, a one-row allocate and the
-    survey statistics load no scipy and no ``multiprocessing``; importing the
-    CLI loads no ``statistics``, whose quantile is imported at its first use."""
+    """A fresh interpreter: the CLI, an export, a one-row and a three-row
+    allocate, a sweep and the survey statistics load no scipy and no
+    ``multiprocessing``; importing the CLI loads no ``statistics``, whose
+    quantile is imported at its first use."""
     pop, table = tmp_path / "pop.csv", write(tmp_path / "t.csv", EXPOSURE_TABLE)
     runs = {
         "export": ["export-population", "--na", "20", "--nb", "20", "--out", str(pop)],
         "allocate": ["allocate", str(pop), "--parity", "--out", str(tmp_path / "alloc")],
+        "three-row": ["allocate", str(pop), "--parity", "--eo", "--eho",
+                      "--out", str(tmp_path / "three-row")],
+        "sweep": ["sweep", "--scenario", "A", "--reps", "1", "--na", "20", "--nb", "20",
+                  "--out", str(tmp_path / "sweep")],
         "wilson": ["stats", "wilson", "--successes", "3", "--n", "10",
                    "--out", str(tmp_path / "w.json")],
         "chi2": ["stats", "chi2", table, "--out", str(tmp_path / "c.json")],
@@ -446,13 +452,14 @@ def test_cold_start_loads_scipy_only_where_it_computes(tmp_path):
 
 
 def test_runs_with_scipy_blocked(tmp_path):
-    """A fresh interpreter in which ``import scipy`` fails: the survey
-    statistics, a one-row and a three-row allocate and a 2x100-user sweep
-    exit 0 and write the bytes an unblocked run writes."""
+    """A fresh interpreter in which ``import scipy`` fails: every command (an
+    export, the survey statistics, a one-row and a three-row allocate and a
+    2x100-user sweep) exits 0 and writes the bytes an unblocked run writes."""
     pop, table = tmp_path / "pop.csv", write(tmp_path / "t.csv", EXPOSURE_TABLE)
     assert main(["export-population", "--na", "100", "--nb", "100", "--seed", "3",
                  "--out", str(pop)]) == 0
     runs = {
+        "pop.csv": ["export-population", "--na", "100", "--nb", "100", "--seed", "3"],
         "chi2.json": ["stats", "chi2", table],
         "proportions.json": ["stats", "proportions", table, "--axis", "cols"],
         "wilson.json": ["stats", "wilson", "--successes", "219", "--n", "1102"],
@@ -477,7 +484,7 @@ def test_runs_with_scipy_blocked(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
     for name, argv in runs.items():
         assert main([*argv, "--out", str(unblocked / name)]) == 0
-    files = ["chi2.json", "proportions.json", "wilson.json",
+    files = ["pop.csv", "chi2.json", "proportions.json", "wilson.json",
              *(f"{run}/{f}" for run in ("one-row", "three-row")
                for f in ("allocation.csv", "summary.json")),
              *(f"sweep/{f}" for f in ("records.csv", "aggregates.csv", "aggregates.json"))]
@@ -897,10 +904,21 @@ class TestExitRule:
             raise SolverNumericalError("residual 1e-3 exceeds the bound")
 
         argv = self.argv(tmp_path, "allocate")
-        monkeypatch.setattr(hermfair.cli, "solve", fail)
+        with monkeypatch.context() as patch:
+            patch.setattr(hermfair.cli, "solve", fail)
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: residual 1e-3 exceeds the bound\n"
+
+        # the real engine fails: on 2 x 20 users the three-row solve reaches
+        # the dual simplex, its last rung, which here runs out of iterations
+        pop, out = tmp_path / "pop20.csv", tmp_path / "three-row"
+        assert main(["export-population", "--na", "20", "--nb", "20", "--out", str(pop)]) == 0
+        monkeypatch.setattr(hermfair.solver, "_SIMPLEX_ITERATIONS", 0)
         capsys.readouterr()
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "error: residual 1e-3 exceeds the bound\n"
+        assert main(["allocate", str(pop), "--parity", "--eo", "--eho", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dual simplex: 0 iterations used up\n"
+        assert not out.exists()
 
     def test_any_other_exception_propagates(self, tmp_path, monkeypatch):
         def fail(req):

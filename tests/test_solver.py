@@ -710,16 +710,14 @@ def _scenario_a_cell(value_index, n=50):
 
 
 def _count_rungs(monkeypatch):
-    """Wrap the dual simplex and ``linprog``; count the calls that returned
-    an allocation."""
+    """Wrap the dual simplex and ``linprog``; count their calls."""
     counts = {"_dual_simplex": 0, "linprog": 0}
     for name in counts:
         inner = getattr(hermfair.solver, name)
 
         def counted(*args, name=name, inner=inner, **kwargs):
-            out = inner(*args, **kwargs)
-            counts[name] += out is not None
-            return out
+            counts[name] += 1
+            return inner(*args, **kwargs)
 
         monkeypatch.setattr(hermfair.solver, name, counted)
     return counts
@@ -730,6 +728,10 @@ def _refuse_lp(monkeypatch):
         raise AssertionError("linprog called on a certified cell")
 
     monkeypatch.setattr(hermfair.solver, "linprog", refuse)
+
+
+def _singular(matrix):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 def _adversarial_instance(rng):
@@ -844,24 +846,25 @@ class TestLadder:
         assert res.objective == pytest.approx(expected, rel=1e-9)
         assert res.n_fractional <= 3
 
-    def test_an_uncertified_cell_goes_to_highs(self, monkeypatch):
-        # the dual simplex certifies every probed cell, so the last rung is
-        # reached only when it gives up
+    @pytest.mark.parametrize("cause, target, name, value", [
+        ("singular basis", np.linalg, "inv", _singular),
+        # a running sum that never reaches the leaving variable's need
+        ("no entering column", hermfair.solver, "_ascending",
+         lambda breaks, weight, need: (np.arange(breaks.size), np.zeros(breaks.size))),
+        ("0 iterations used up", hermfair.solver, "_SIMPLEX_ITERATIONS", 0),
+        ("final duals do not certify the vertex", hermfair.solver, "_DUALITY_GAP", -1.0),
+    ], ids=["singular-basis", "no-entering-column", "iterations", "certificate"])
+    def test_a_dual_simplex_failure_names_its_cause(
+        self, monkeypatch, cause, target, name, value
+    ):
+        # the dual simplex is the last rung of a 2- or 3-row solve: when it
+        # fails, the solve raises with the cause and no other engine runs
         req = _scenario_a_cell(0)
-        _, rows = constraint_rows(req.population, req.constraints)
-        c = decision_gains(req.population, req.params)
-        assert rows.shape[0] == 3
-        assert np.any(np.abs(rows @ (c >= 0.0)) > req.constraints.tolerance)
-        expected = solve_constrained_lp(req, method="highs")
-        asked = []
-        # the stand-in records its call and returns None: it certifies nothing
-        monkeypatch.setattr(hermfair.solver, "_dual_simplex", lambda *args: asked.append(args))
+        monkeypatch.setattr(target, name, value)
         counts = _count_rungs(monkeypatch)
-        res = solve(req)
-        assert len(asked) == 1
-        assert counts["linprog"] == 1
-        assert res.allocation.values.tobytes() == expected.allocation.values.tobytes()
-        assert res.objective == expected.objective
+        with pytest.raises(SolverNumericalError, match=f"^dual simplex: .*{cause}"):
+            solve(req)
+        assert counts == {"_dual_simplex": 1, "linprog": 0}
 
     def test_dual_simplex_alone_on_an_indifferent_group(self):
         # scenario A at 2 x 1000 users, value index 1: the optimal duals make
@@ -877,7 +880,6 @@ class TestLadder:
         c = decision_gains(pop, params)
         eps = ConstraintSet.all().tolerance
         d = hermfair.solver._dual_simplex(c, rows, eps, (c >= 0.0).astype(np.float64))
-        assert d is not None
         expected = solve_constrained_lp(
             SolveRequest(pop, params, ConstraintSet.all()), method="highs").objective
         assert herm_aware_utility(pop, Allocation(d), params) == pytest.approx(expected, rel=1e-9)
@@ -895,8 +897,10 @@ class TestLadder:
 
     def test_dual_simplex_on_adversarial_instances(self):
         # the engine alone, on small instances with ties, duplicate users,
-        # collinear or one-user groups, two rows or eps = 0: what it returns
-        # is feasible, a vertex, and no worse than HiGHS
+        # collinear or one-user groups, two rows or eps = 0: it certifies
+        # every instance past the threshold allocation (it raises on any
+        # other), and what it returns is feasible, a vertex, and no worse
+        # than HiGHS
         rng = np.random.default_rng(2003)
         certified = 0
         for _ in range(300):
@@ -908,15 +912,13 @@ class TestLadder:
                 continue  # the threshold allocation is feasible
             d = hermfair.solver._dual_simplex(c, rows, eps, (c >= 0.0).astype(np.float64))
             ref = solve_constrained_lp(SolveRequest(pop, params, cs), method="highs").objective
-            if d is None:
-                continue
             certified += 1
             assert np.all((d >= 0.0) & (d <= 1.0))
             assert np.sum((d > 0.0) & (d < 1.0)) <= rows.shape[0]
             assert np.abs(rows @ d).max() <= eps + hermfair.solver.ROUNDOFF_ALLOWANCE
             objective = herm_aware_utility(pop, Allocation(d), params)
             assert objective >= ref - 1e-9 * max(1.0, abs(ref))
-        assert certified >= 250
+        assert certified == 269
 
 
 # Values on a 1/1000 grid tie often, and a few palette values force
@@ -965,8 +967,9 @@ class TestDifferential:
                 with pytest.raises(DegenerateGroupError):
                     solve_constrained_lp(req, method=method)
             return
-        # auto certifies every draw in numpy: no draw reaches HiGHS (none of
-        # 2 x 10^4 draws of this strategy or of _adversarial_instance did)
+        # auto ends in numpy and can no longer reach HiGHS; the guard keeps
+        # it so (no draw reached HiGHS while it was auto's last rung: none of
+        # 2 x 10^4 draws of this strategy or of _adversarial_instance)
         with mock.patch.object(hermfair.solver, "linprog",
                                side_effect=AssertionError("auto handed a draw to linprog")):
             auto = solve_constrained_lp(req)
