@@ -73,7 +73,8 @@ class Population:
     Apart from its data a population has one private slot: the solve
     context (``_Context``) of the last :class:`ModelParams` object it was
     solved with, which holds what that object's solves share, each
-    full-length array once.  Equality ignores it.
+    full-length array once, and the gap rows that every parameter object's
+    solves share.  Equality ignores it.
     """
 
     __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b", "_context")
@@ -314,14 +315,33 @@ class _Scored(NamedTuple):
     gaps: tuple[float, float, float]
 
 
+class _PopulationRows:
+    """The part of a population's solve context that reads no parameters:
+    the group masses, the gap rows (one read-only block, with a view of it
+    by constraint name), and the names retained for each
+    ``ConstraintSet.active`` with their matrix.  A population's contexts
+    hand it on (:func:`_context`), so it lives as long as the population
+    and its rows, at most three floats per user, serve every parameter
+    object it is solved with."""
+
+    __slots__ = ("masses", "block", "rows", "retained", "matrices")
+
+    def __init__(self, pop: Population) -> None:
+        self.masses: dict[str | None, tuple[float, float]] = {
+            None: (float(pop.n_a), float(pop.n_b))}
+        self.block: np.ndarray | None = None
+        self.rows: dict[str, np.ndarray] = {}
+        self.retained: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.matrices: dict[tuple[str, ...], np.ndarray] = {}
+
+
 class _Context:
     """What the solves of one population under one parameter object share,
     each part computed on first use and read-only: the objective's per-user
-    terms, the gains, the group masses, the gap rows (one block, with a
-    view of it by constraint name) with the names retained for each
-    ``ConstraintSet.active`` and their matrix, and the threshold allocation
-    (show iff the gain is ``>= 0``), as decisions and scored.  The masses,
-    rows and gaps do not read ``params``.
+    terms, the gains and the threshold allocation (show iff the gain is
+    ``>= 0``), as decisions and scored.  The masses and the gap rows, which
+    do not read ``params``, are the population's (``shared``, a
+    :class:`_PopulationRows`); the methods below build them there.
 
     Every solve scores its result here (:meth:`score`), and the threshold
     rule is written here only: the engines read ``threshold_values`` and
@@ -329,21 +349,25 @@ class _Context:
 
     A population holds only its last context (:func:`_context`), so it holds
     one parameter set's arrays at most, each once: the gains, three terms,
-    the block of at most three rows, whose views every request shares, and
-    the threshold decisions and allocation, 14.4 MB at 2x10^5 users.
-    The public model functions build a context no population holds.  A
-    context refers to the population's arrays, not to the population, so
-    the two form no reference cycle.
+    and the threshold decisions and allocation, 9.6 MB at 2x10^5 users,
+    beside its rows (4.8 MB).  The public model functions build a context
+    no population holds.  A context refers to the population's arrays, not
+    to the population, so the two form no reference cycle.
     """
 
-    def __init__(self, pop: Population, params: ModelParams | None) -> None:
+    def __init__(
+        self, pop: Population, params: ModelParams | None,
+        shared: _PopulationRows | None = None,
+    ) -> None:
         self.params = params
         self.p, self.rho, self.mask_a, self.mask_b = pop.p, pop.rho, pop.mask_a, pop.mask_b
-        self._masses = {None: (float(pop.n_a), float(pop.n_b))}
-        self._block: np.ndarray | None = None
-        self._rows: dict[str, np.ndarray] = {}
-        self._retained: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._matrices: dict[tuple[str, ...], np.ndarray] = {}
+        self.shared = _PopulationRows(pop) if shared is None else shared
+
+    # The population-level state, as the methods below read it.
+    _masses = property(lambda self: self.shared.masses)
+    _rows = property(lambda self: self.shared.rows)
+    _retained = property(lambda self: self.shared.retained)
+    _matrices = property(lambda self: self.shared.matrices)
 
     def _objective(self) -> _Objective:
         params = self.params
@@ -406,9 +430,9 @@ class _Context:
 
     def rows(self, active: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
         """The retained names of the ``active`` gap rows and their matrix, a
-        read-only view of the context's one block of rows that every later
-        request for those names shares; a row equal to an earlier one is
-        not retained.
+        read-only view of the population's one block of rows that every
+        later request for those names shares, whatever its parameters; a row
+        equal to an earlier one is not retained.
 
         The block holds every row built so far, in ``_SHARE_WEIGHTS`` order,
         and each kept row is a view into it.  A request that needs a new row
@@ -440,7 +464,7 @@ class _Context:
         built = list(self._rows)
         first, last = built.index(names[0]), built.index(names[-1])
         step = (last - first) // (len(names) - 1) if len(names) > 1 else 1
-        return self._block[first:last + 1:step]
+        return self.shared.block[first:last + 1:step]
 
     def _extend(self, active: tuple[str, ...]) -> None:
         """Replace the block by one of the kept rows and those of ``active``,
@@ -451,9 +475,8 @@ class _Context:
         for i, name in enumerate(built):
             block[i] = self._rows[name] if name in self._rows else self._gap_row(name)
         block.flags.writeable = False
-        self._block = block
-        self._rows = dict(zip(built, block))
-        self._matrices = {}
+        shared = self.shared
+        shared.block, shared.rows, shared.matrices = block, dict(zip(built, block)), {}
 
     @cached_property
     def threshold_values(self) -> np.ndarray:
@@ -487,10 +510,10 @@ class _Context:
 
 def _context(pop: Population, params: ModelParams) -> _Context:
     """The population's context for ``params``, matched by identity; a new
-    one replaces the last."""
+    one replaces the last and takes over its masses and rows."""
     ctx = pop._context
     if ctx is None or ctx.params is not params:
-        ctx = pop._context = _Context(pop, params)
+        ctx = pop._context = _Context(pop, params, None if ctx is None else ctx.shared)
     return ctx
 
 

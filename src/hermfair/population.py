@@ -10,6 +10,9 @@ Sampling is deterministic given the seed carried by the population spec.
 The generator is numpy's
 PCG64 (:data:`RNG_STREAM`); record the numpy version alongside seeds when
 archiving results, since distribution algorithms are pinned per release.
+When ``1/k`` is an integer up to 64 (``k = 0.05`` gives 20) the clicks are
+raised by products, so they have the same bits on every SIMD kernel numpy
+may pick at run time.
 """
 
 from __future__ import annotations
@@ -108,7 +111,26 @@ class PopulationSpec:
 
 
 def _click_sample(k: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.random(size) ** (1.0 / k)
+    """``u ** (1/k)`` for ``size`` uniform draws ``u``.
+
+    When ``1/k`` is an integer from 1 to 64 the power is taken by
+    right-to-left binary powering (for 20: u^2, u^4, u^8, u^16,
+    then u^4 * u^16).  IEEE 754 rounds each product correctly, so the draws
+    have the same bits on every SIMD kernel numpy may pick, which ``**``
+    does not promise.  Any other ``k`` keeps ``**``.
+    """
+    u = rng.random(size)
+    exponent = 1.0 / k
+    if not (exponent.is_integer() and 1 <= exponent <= 64):
+        return u ** exponent
+    n, power = int(exponent), None
+    while True:
+        if n & 1:
+            power = u if power is None else power * u
+        n >>= 1
+        if not n:
+            return power
+        u = u * u
 
 
 def sample_population(spec: PopulationSpec) -> Population:
@@ -131,10 +153,12 @@ def sample_population(spec: PopulationSpec) -> Population:
 
 
 def subseed(base_seed: int, *path: int) -> int:
-    """Derive a 64-bit sub-seed for a cell of a larger experiment.
+    """Derive a 64-bit sub-seed for one part of a larger experiment.
 
     Distinct ``path`` tuples give statistically independent streams, and the
-    derivation is stable, so resampling one cell never perturbs another.
+    derivation is stable, so resampling one part never perturbs another.  A
+    sweep seeds replication ``rep``'s one population with
+    ``subseed(base_seed, 0, rep)``.
     """
     ss = np.random.SeedSequence([int(base_seed), *[int(x) for x in path]])
     return int(ss.generate_state(1, np.uint64)[0])

@@ -1,10 +1,12 @@
 """Replicated parameter sweeps comparing five allocation rules.
 
-Each sweep fixes all model parameters except one, walks that parameter over a
-grid, and for every grid value draws ``replications`` fresh populations.  All
-five rules (unconstrained, each single constraint, and all three constraints
-together) are solved on the same population per replication, and utilities
-are reported as a percentage of that replication's own unconstrained optimum.
+Each sweep fixes all model parameters except one and walks that parameter
+over a grid.  Each of its ``replications`` draws one population and solves it
+at every grid value (common random numbers), so a replication's records
+trace one population's curve along the grid.  All five rules
+(unconstrained, each single constraint, and all three constraints together)
+are solved on that population at each grid value, and utilities are
+reported as a percentage of the same cell's unconstrained optimum.
 Gaps are the model's, group A minus group B: a positive gap means the rule
 delivers more to group A.
 """
@@ -12,6 +14,7 @@ delivers more to group A.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from collections import Counter
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._textio import write_csv, write_json
-from .model import GAP_ORIENTATION, ConstraintSet, ModelParams, _integer, _real
+from .model import GAP_ORIENTATION, ConstraintSet, ModelParams, Population, _integer, _real
 from .population import ClickConfig, PopulationSpec, UptakeConfig, sample_population, subseed
 from .solver import SolveRequest, solve
 # Bound here, though every solve goes through ``solve``, for code that wraps
@@ -98,7 +101,8 @@ UPTAKE_VARIANTS: dict[UptakeVariant, UptakeConfig] = {
 
 
 # Ceilings on the size of a sweep, checked before any work starts.  A cell
-# is one (grid value, replication) pair: one population, five solves.
+# is one (grid value, replication) pair: five solves on the replication's
+# one population.
 MAX_GRID_POINTS = 10_000
 MAX_CELLS = 100_000
 MAX_JOBS = 64
@@ -266,22 +270,20 @@ class SweepResult:
         return sum(1 for rec in self.records if rec.status.startswith("failed:"))
 
 
-def _run_cell(args: tuple[ScenarioSpec, int, int, int]) -> list[SweepRecord]:
-    """Solve all five rules on one freshly sampled population.
+def _run_cell(
+    spec: ScenarioSpec, pop: Population, seed: int, value_idx: int, rep: int
+) -> list[SweepRecord]:
+    """Solve all five rules on replication ``rep``'s population ``pop``
+    (drawn from ``seed``) at grid value ``value_idx``.
 
     The records come in ``AllocationRule`` order, one per rule.  A solve
     that raises gives a record with NaN numbers and the status
     ``failed:<exception class>``, and the cell goes on.  A constrained
-    rule's ``utility_pct`` is its objective as a percentage of the
-    unconstrained one, so it is NaN when the unconstrained solve failed or
-    its objective is 0.
+    rule's ``utility_pct`` is ``100 * (objective / best)``, with ``best``
+    the unconstrained objective: exactly 100 where the two are equal, and
+    NaN when the unconstrained solve failed or its objective is 0.
     """
-    spec, base_seed, value_idx, rep = args
     value = spec.grid[value_idx]
-    seed = subseed(base_seed, value_idx, rep)
-    pop = sample_population(
-        PopulationSpec(n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click, seed=seed)
-    )
     params = spec.params_for(value)
     best = math.nan  # the unconstrained objective, once solved
     records = []
@@ -297,7 +299,7 @@ def _run_cell(args: tuple[ScenarioSpec, int, int, int]) -> list[SweepRecord]:
             if rule is AllocationRule.UNCONSTRAINED:
                 best, pct = objective, 100.0
             else:
-                pct = 100.0 * objective / best if best != 0.0 else math.nan
+                pct = 100.0 * (objective / best) if best != 0.0 else math.nan
         records.append(SweepRecord(
             scenario=spec.scenario.value,
             rule=rule.value,
@@ -315,17 +317,36 @@ def _run_cell(args: tuple[ScenarioSpec, int, int, int]) -> list[SweepRecord]:
     return records
 
 
+def _run_replication(spec: ScenarioSpec, base_seed: int, rep: int) -> list[list[SweepRecord]]:
+    """Replication ``rep``'s records, one cell per grid value in grid order.
+
+    The replication draws one population, from ``subseed(base_seed, 0, rep)``,
+    and solves it at every grid value.  Its masses and gap rows are built
+    once and serve every grid value; each value's parameter object gets its
+    own gains and threshold allocation.
+    """
+    seed = subseed(base_seed, 0, rep)
+    pop = sample_population(
+        PopulationSpec(n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click, seed=seed)
+    )
+    return [_run_cell(spec, pop, seed, vi, rep) for vi in range(len(spec.grid))]
+
+
 def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> SweepResult:
     """Run the sweep; deterministic in ``base_seed`` and independent of ``jobs``.
 
-    Every (grid value, replication) cell draws its population from a
-    sub-seed derived from ``(base_seed, value index, replication)``, so cells
-    are reproducible in isolation and parallel scheduling cannot change any
-    number.  Each cell gives one record per rule, in ``AllocationRule``
-    order.  A solve that raises gives a record with NaN numbers and the
-    status ``failed:<exception class>``, and the sweep continues; when it is
-    the unconstrained solve, the cell's other rules keep their solves and
-    their ``utility_pct`` is NaN.
+    Replication ``rep`` draws one population from the sub-seed
+    ``subseed(base_seed, 0, rep)`` and solves it at every grid value
+    (common random numbers), so each replication's records trace one
+    population's curve along the grid, and a replication is reproducible
+    in isolation.  Replications are the unit of parallel work, so
+    scheduling cannot change any number.  Each (grid value, replication)
+    cell gives one record per rule, in ``AllocationRule`` order, and the
+    cells come in grid order, then replication order.  A solve that raises
+    gives a record with NaN numbers and the status
+    ``failed:<exception class>``, and the sweep continues; when it is the
+    unconstrained solve, the cell's other rules keep their solves and their
+    ``utility_pct`` is NaN.
 
     Raises:
         ValueError: ``base_seed`` is not a non-negative integer, or ``jobs``
@@ -340,22 +361,21 @@ def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> S
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if base_seed < 0:
         raise ValueError(f"base seed must be non-negative, got {base_seed}")
-    cells = [
-        (spec, base_seed, vi, rep)
-        for vi in range(len(spec.grid))
-        for rep in range(spec.replications)
-    ]
+    reps = range(spec.replications)
     if jobs == 1:
-        chunks = [_run_cell(cell) for cell in cells]
+        by_rep = [_run_replication(spec, base_seed, rep) for rep in reps]
     else:
         # imported here: multiprocessing costs ~20 ms that serial runs skip
         from concurrent.futures import ProcessPoolExecutor
-        # no more workers than cells: under fork the pool starts them all at once
-        workers = min(jobs, len(cells))
+        # no more workers than replications: under fork the pool starts them all at once
+        workers = min(jobs, len(reps))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(cells) // (workers * 8))
-            chunks = list(pool.map(_run_cell, cells, chunksize=chunksize))
-    return SweepResult(spec, base_seed, tuple(rec for chunk in chunks for rec in chunk))
+            chunksize = max(1, len(reps) // (workers * 8))
+            by_rep = list(pool.map(
+                functools.partial(_run_replication, spec, base_seed), reps, chunksize=chunksize))
+    records = tuple(
+        rec for vi in range(len(spec.grid)) for cells in by_rep for rec in cells[vi])
+    return SweepResult(spec, base_seed, records)
 
 
 # The record fields summarized per (rule, grid value), and each statistic's

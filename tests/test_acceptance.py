@@ -19,13 +19,14 @@ from hermfair.model import (
     ConstraintSet,
     ModelParams,
     Population,
+    decision_gains,
     economic_utility,
     eho_gap,
     eo_gap,
     herm_aware_utility,
     parity_gap,
 )
-from hermfair.population import UptakeConfig, sample_population, PopulationSpec
+from hermfair.population import UptakeConfig, sample_population, PopulationSpec, subseed
 from hermfair.scenarios import AllocationRule, builtin_scenario, run_sweep
 from hermfair.solver import (
     SolveMode,
@@ -378,7 +379,7 @@ def test_criterion_7_gamma_sweep_decline(sweep_gamma):
                  and r.rule != AllocationRule.UNCONSTRAINED.value
                  and not r.status.startswith("failed")]
     off = [r for r in saturated
-           if abs(r.utility_pct - 100.0) > 1e-9 * 100.0
+           if r.utility_pct != 100.0
            or (r.parity_gap, r.eo_gap, r.eho_gap) != (0.0, 0.0, 0.0)]
     ok = ok and bool(saturated) and not off
     detail = (f"gamma={lo} -> {below} (below {min(saturation):.4f}): "
@@ -506,3 +507,60 @@ def test_criterion_8_property_suites():
     ok = all(v == 0 for v in checks.values())
     report("8 property suites", ok,
            ", ".join(f"{k}: {v} failures" for k, v in checks.items()))
+
+
+# ------------------------------------------------------------------ criterion 9
+
+# +1 where a rule's optimum never falls as the swept parameter rises, -1
+# where it never rises: the sign of its derivative at any allocation
+# (tests/test_solver.py::test_optimum_along_the_swept_parameter).
+_MONOTONE = {"beta_b": 1.0, "theta_b": 1.0, "omega_b": -1.0, "xi": -1.0}
+
+
+def test_criterion_9_one_population_along_the_grid(
+        sweep_a, sweep_b, sweep_c, sweep_d, sweep_gamma0, sweep_gamma):
+    # A replication solves one population at every grid value, and the gap
+    # rows do not read the parameters, so each rule's optimum along the grid
+    # is a maximum of functions affine in the swept parameter.  Per rule and
+    # replication on the sweeps' own records: (a) no grid value lies above
+    # the chord of its neighbours by more than 1e-14 of the sum of |gains|
+    # (recomputed from the replication's seed); (b) the optimum is monotone
+    # in the direction of _MONOTONE, within 1e-14 of the larger |objective|;
+    # (c) in A and baseline-gamma0 the unconstrained parity gap never falls,
+    # since raising beta_b only removes group-B users from the threshold set.
+    curves = bends = turns = gap_drops = 0
+    worst = 0.0
+    for result, _ in (sweep_a, sweep_b, sweep_c, sweep_d, sweep_gamma0, sweep_gamma):
+        spec = result.spec
+        grid = np.array(spec.grid)
+        left, right = grid[1:-1] - grid[:-2], grid[2:] - grid[1:-1]
+        all_params = [spec.params_for(value) for value in spec.grid]
+        scales = []
+        for rep in range(spec.replications):
+            pop = sample_population(PopulationSpec(
+                n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click,
+                seed=subseed(result.base_seed, 0, rep)))
+            scales.append(np.array([np.abs(decision_gains(pop, p)).sum() for p in all_params]))
+        by_curve = {}
+        for rec in result.records:
+            by_curve.setdefault((rec.rule, rec.replication), []).append(rec)
+        for (rule, rep), recs in by_curve.items():
+            assert [r.param_value for r in recs] == list(spec.grid)
+            curves += 1
+            f = np.array([r.objective for r in recs])
+            chord = (right * f[:-2] + left * f[2:]) / (left + right)
+            excess = (f[1:-1] - chord) / scales[rep][1:-1]
+            worst = max(worst, float(excess.max()))
+            bends += int(np.count_nonzero(~(excess <= 1e-14)))
+            if spec.varying in _MONOTONE:
+                rise = _MONOTONE[spec.varying] * np.diff(f)
+                bound = 1e-14 * np.maximum(np.abs(f[:-1]), np.abs(f[1:]))
+                turns += int(np.count_nonzero(~(rise >= -bound)))
+            if spec.varying == "beta_b" and rule == AllocationRule.UNCONSTRAINED.value:
+                gaps = np.array([r.parity_gap for r in recs])
+                gap_drops += int(np.count_nonzero(~(np.diff(gaps) >= 0.0)))
+    ok = bends == 0 and turns == 0 and gap_drops == 0
+    report("9 one population along the grid", ok,
+           f"{curves} curves: worst chord excess {worst:.1e} of sum|gain| (need <= 1e-14), "
+           f"{bends} convexity breaks, {turns} monotonicity breaks, "
+           f"{gap_drops} drops of the unconstrained parity gap in beta_b")

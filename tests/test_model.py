@@ -543,15 +543,24 @@ class TestPopulationCache:
         p1, p2 = make_params(), make_params(gamma=0.3)
         results = [solve(SolveRequest(pop, p1, cs)) for cs in (ConstraintSet(), ConstraintSet.all())]
         ctx = pop._context
-        built = [ctx.gains, ctx.threshold_values, *ctx.terms[1:], *ctx._rows.values()]
+        built = [ctx.gains, ctx.threshold_values, *ctx.terms[1:]]
         threshold = weakref.ref(vars(ctx)["threshold"].allocation.values)
         assert results[0].allocation.values is threshold()
         refs = [weakref.ref(arr) for arr in built]
+        shared, rows = ctx.shared, dict(ctx._rows)
+        _, block = ctx.rows(ConstraintSet.all().active)
         del ctx, built
         solve(SolveRequest(pop, p2, ConstraintSet.all()))
-        assert pop._context.params is p2
-        # no reference cycle: the old context is freed with no collection
+        ctx = pop._context
+        assert ctx.params is p2
+        # no reference cycle: the old parameter set's arrays are freed with
+        # no collection
         assert all(ref() is None for ref in refs)
+        # the rows are the population's: the new parameter object's solve
+        # read the same block, and built no row
+        assert ctx.shared is shared and ctx._rows.keys() == rows.keys()
+        assert all(ctx._rows[name] is row for name, row in rows.items())
+        assert ctx.rows(ConstraintSet.all().active)[1] is block
         assert threshold() is not None  # a result still holds its allocation
         del results
         assert threshold() is None

@@ -99,6 +99,32 @@ class TestSampling:
             with pytest.raises(ValueError, match=f"ceiling of {ceiling} users per group"):
                 spec(**kw)
 
+    def test_integer_click_exponents_are_raised_by_products(self):
+        # 1/k an integer up to 64: the products of this per-draw reference,
+        # in its order (IEEE 754 rounds each one the same on every kernel);
+        # any other k, 1/49 and 1/65 among them, keeps numpy's power
+        def by_products(u, n):
+            power = 1.0
+            while n:
+                if n & 1:
+                    power *= u
+                u *= u
+                n >>= 1
+            return power
+
+        products = 0
+        for k in [1.0 / e for e in range(1, 66)] + [0.3, 2.0]:
+            got = hermfair.population._click_sample(k, np.random.default_rng(7), 300)
+            u = np.random.default_rng(7).random(300)
+            exponent = 1.0 / k
+            if exponent.is_integer() and exponent <= 64:
+                products += 1
+                want = np.array([by_products(x, int(exponent)) for x in u.tolist()])
+            else:
+                want = u ** exponent
+            assert got.tobytes() == want.tobytes(), k
+        assert products == 63
+
 
 def uptake_draws(shapes, size, seed):
     """The ``size`` group-A uptake draws of a population sampled with ``shapes``."""

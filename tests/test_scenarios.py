@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hermfair.model import ConstraintSet, ModelParams, Population
-from hermfair.population import PopulationSpec, UptakeConfig, sample_population
+from hermfair.population import PopulationSpec, UptakeConfig, sample_population, subseed
 import hermfair.model
 import hermfair.population
 import hermfair.scenarios
@@ -247,7 +247,8 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_no_more_workers_than_cells(self, monkeypatch):
-        # under fork the pool starts every worker it may have at once
+        # under fork the pool starts every worker it may have at once, and a
+        # replication is a worker's unit of work
         asked = []
 
         class Recorder:  # starts no process: maps in this one
@@ -260,13 +261,14 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, cells, chunksize):
-                return map(fn, cells)
+            def map(self, fn, reps, chunksize):
+                return map(fn, reps)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        spec = tiny_spec(grid=(0.05, 0.2), reps=1)
-        assert run_sweep(spec, base_seed=9, jobs=MAX_JOBS) == run_sweep(spec, base_seed=9)
-        assert asked == [2]
+        spec = tiny_spec(grid=(0.05, 0.2), reps=3)
+        for jobs in (MAX_JOBS, 2):
+            assert run_sweep(spec, base_seed=9, jobs=jobs) == run_sweep(spec, base_seed=9)
+        assert asked == [3, 2]  # min(jobs, replications)
 
     def test_record_shape(self):
         spec = tiny_spec(grid=(0.05, 0.2), reps=3)
@@ -282,7 +284,7 @@ class TestRunSweep:
             if rec.rule == AllocationRule.UNCONSTRAINED.value:
                 assert rec.utility_pct == 100.0
             else:
-                assert rec.utility_pct <= 100.0 + 1e-6
+                assert rec.utility_pct <= 100.0
 
     def test_all_constraints_never_beats_single_rules(self):
         res = run_sweep(tiny_spec(grid=(0.05, 0.2), reps=4, n=80), base_seed=11)
@@ -348,8 +350,25 @@ class TestRunSweep:
 
     def test_seed_recorded_per_cell(self):
         res = run_sweep(tiny_spec(grid=(0.05, 0.2), reps=2), base_seed=5)
-        cells = {(r.param_value, r.replication): r.seed for r in res.records}
-        assert len(set(cells.values())) == 4  # one sub-seed per cell
+        seeds = {}
+        for rec in res.records:
+            seeds.setdefault(rec.replication, set()).add(rec.seed)
+        # one sub-seed per replication, the same at every grid value
+        assert seeds == {rep: {subseed(5, 0, rep)} for rep in range(2)}
+
+    def test_a_replication_builds_its_rows_once_across_the_grid(self, monkeypatch):
+        drawn, built = [], []
+        sample, gap_row = hermfair.scenarios.sample_population, hermfair.model._Context._gap_row
+        monkeypatch.setattr(hermfair.scenarios, "sample_population",
+                            lambda spec: drawn.append(spec.seed) or sample(spec))
+        monkeypatch.setattr(hermfair.model._Context, "_gap_row",
+                            lambda ctx, name: built.append(name) or gap_row(ctx, name))
+        res = run_sweep(tiny_spec(grid=(0.05, 0.2, 0.35), reps=2), base_seed=5)
+        assert len(res.records) == 3 * 2 * 5 and res.n_failed == 0
+        # one draw and one row per constraint for each replication, in the
+        # order of its first grid value's rules
+        assert drawn == [subseed(5, 0, rep) for rep in range(2)]
+        assert built == list(ConstraintSet.all().active) * 2
 
 
 class TestFailedSolves:
@@ -477,7 +496,10 @@ class TestSharedThresholdScore:
             hermfair.model._Context, "score", lambda ctx, alloc: calls.append(alloc) or real(ctx, alloc)
         )
         spec = builtin_scenario("gamma", grid=(1.0,), replications=1, n_a=200, n_b=200)
-        records = hermfair.scenarios._run_cell((spec, 5, 0, 0))
+        seed = subseed(5, 0, 0)
+        pop = sample_population(PopulationSpec(
+            n_a=200, n_b=200, uptake=spec.uptake, click=spec.click, seed=seed))
+        records = hermfair.scenarios._run_cell(spec, pop, seed, 0, 0)
         assert [rec.utility_pct for rec in records] == [100.0] * 5
         assert {rec.status for rec in records} == {"optimal"}
         assert len(calls) == 1
