@@ -62,4 +62,4 @@ from .stats import (
     wilson_interval,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -19,6 +19,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, make_dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -189,9 +190,8 @@ class ScenarioSpec:
                 f"is {cells} cells, more than {MAX_CELLS}"
             )
         PopulationSpec(self.n_a, self.n_b, self.uptake, self.click)  # checks the group sizes
-        ConstraintSet(tolerance=self.tolerance)  # checks the tolerance
-        for value in self.grid:
-            self.params_for(value)  # validates every grid point up front
+        self._rule_constraints  # checks the tolerance
+        self._grid_params  # validates every grid point up front
 
     @property
     def uptake(self) -> UptakeConfig:
@@ -199,6 +199,19 @@ class ScenarioSpec:
 
     def params_for(self, value: float) -> ModelParams:
         return replace(self.base_params, **{self.varying: value})
+
+    # The run values, each built and checked once per spec: a sweep's cells
+    # share them.
+    @cached_property
+    def _grid_params(self) -> tuple[ModelParams, ...]:
+        """Each grid value's parameters, in grid order."""
+        return tuple(self.params_for(value) for value in self.grid)
+
+    @cached_property
+    def _rule_constraints(self) -> tuple[tuple[AllocationRule, ConstraintSet], ...]:
+        """Each rule with its constraint set at the spec's tolerance, in
+        ``AllocationRule`` order."""
+        return tuple((rule, rule.constraint_set(self.tolerance)) for rule in AllocationRule)
 
 
 def builtin_scenario(
@@ -271,7 +284,8 @@ class SweepResult:
 
 
 def _run_cell(
-    spec: ScenarioSpec, pop: Population, seed: int, value_idx: int, rep: int
+    spec: ScenarioSpec, pop: Population, seed: int, value_idx: int, rep: int,
+    starts: dict[AllocationRule, tuple[int, ...]] | None = None,
 ) -> list[SweepRecord]:
     """Solve all five rules on replication ``rep``'s population ``pop``
     (drawn from ``seed``) at grid value ``value_idx``.
@@ -282,20 +296,28 @@ def _run_cell(
     rule's ``utility_pct`` is ``100 * (objective / best)``, with ``best``
     the unconstrained objective: exactly 100 where the two are equal, and
     NaN when the unconstrained solve failed or its objective is 0.
+
+    ``starts`` holds, per rule, the final dual-simplex basis of the
+    replication's last solve that ran it; a solve may start from it, and
+    leaves its own final basis there.  Only a 2- or 3-row rule
+    (``all_constraints``) has one.
     """
     value = spec.grid[value_idx]
-    params = spec.params_for(value)
+    params = spec._grid_params[value_idx]
+    starts = {} if starts is None else starts
     best = math.nan  # the unconstrained objective, once solved
     records = []
-    for rule in AllocationRule:
+    for rule, constraints in spec._rule_constraints:
         try:
-            res = solve(SolveRequest(pop, params, rule.constraint_set(spec.tolerance)))
+            res = solve(SolveRequest(pop, params, constraints, _basis=starts.get(rule)))
         except Exception as exc:  # keep the sweep alive; failures surface in counts
             objective = pct = parity = eo = eho = math.nan
             status = f"failed:{type(exc).__name__}"
         else:
             objective, (parity, eo, eho) = res.objective, res.gaps
             status = res.status.value
+            if res._basis is not None:
+                starts[rule] = res._basis
             if rule is AllocationRule.UNCONSTRAINED:
                 best, pct = objective, 100.0
             else:
@@ -323,13 +345,16 @@ def _run_replication(spec: ScenarioSpec, base_seed: int, rep: int) -> list[list[
     The replication draws one population, from ``subseed(base_seed, 0, rep)``,
     and solves it at every grid value.  Its masses and gap rows are built
     once and serve every grid value; each value's parameter object gets its
-    own gains and threshold allocation.
+    own gains and threshold allocation.  Only the gains change along the
+    grid, so each multi-row rule's solve may start from the final basis of
+    the rule's last solve (``hermfair.solver._dual_simplex``).
     """
     seed = subseed(base_seed, 0, rep)
     pop = sample_population(
         PopulationSpec(n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click, seed=seed)
     )
-    return [_run_cell(spec, pop, seed, vi, rep) for vi in range(len(spec.grid))]
+    starts: dict[AllocationRule, tuple[int, ...]] = {}
+    return [_run_cell(spec, pop, seed, vi, rep, starts) for vi in range(len(spec.grid))]
 
 
 def run_sweep(spec: ScenarioSpec, base_seed: int, jobs: int = DEFAULT_JOBS) -> SweepResult:

@@ -31,6 +31,24 @@ shared by every solve that ends there.  Otherwise:
   ``SolverNumericalError`` naming the cause.  It certifies every probed
   cell, those with an indifferent group included: all 18 benchmark
   populations at 2x10^5 users (README gives the probe and its times).
+  A request's private ``_basis`` may start it from another solve's final
+  basis instead (a sweep hands each replication's ``all_constraints``
+  basis to its next grid value).  The start is used only when its
+  weak-duality bound is below the slack basis's, and any trouble with it
+  falls back to the cold solve; along the built-in grids it cuts the
+  basis changes per solve from 9-13 to 1-5, except on the gamma grid,
+  where the bound keeps about half the solves cold (``_dual_simplex``).
+  One-row rules stay on the parametric engine, which is faster than the
+  dual simplex there, warm or cold.
+
+No product that reaches a result's bits runs on BLAS: the m x m basis
+inverse is an adjugate in Python floats, and the final vertex and the
+one-row engine's face sign and fill are elementwise products summed by
+numpy's pairwise sum.  The products inside the simplex iterations and the
+threshold test stay on BLAS (off it, a 2x10^5-user solve is ~40% slower);
+they choose the path, which a CPU kernel's last bit could change only at a
+near tie.  So sweeps A and gamma write the same bytes under every
+OpenBLAS core type and numpy kernel set tried (README "Reproducibility").
 
 Every engine returns a vertex: at most one strictly fractional coordinate
 per retained row.  ``method="highs"`` skips the numpy engines and is the
@@ -147,6 +165,9 @@ class SolveRequest:
     constraints: ConstraintSet = field(default_factory=ConstraintSet)
     mode: SolveMode = SolveMode.FRACTIONAL
     enumeration_cap: int = 22
+    # A dual-simplex basis to start a 2- or 3-row solve from: a sweep hands
+    # a rule's last final basis to its next grid value (``_dual_simplex``).
+    _basis: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, SolveMode):
@@ -163,6 +184,8 @@ class SolveResult:
     eho_gap: float
     status: SolveStatus
     n_fractional: int
+    # the dual simplex's final basis, for the next request's ``_basis``
+    _basis: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def gaps(self) -> tuple[float, float, float]:
@@ -199,8 +222,12 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _build_result(ctx: _Context, values: np.ndarray, constraints: ConstraintSet) -> SolveResult:
-    """The result of ``values`` for a request.  The threshold allocation (its
+def _build_result(
+    ctx: _Context, values: np.ndarray, constraints: ConstraintSet,
+    basis: tuple[int, ...] | None = None,
+) -> SolveResult:
+    """The result of ``values`` for a request, ending on the dual simplex's
+    ``basis`` if it ran.  The threshold allocation (its
     array or equal values) takes the shared score; any other vector is
     snapped and scored.  ``_snap`` makes a new array whose entries lie in
     [0, 1] or are NaN, so once NaN is rejected the allocation holds it
@@ -229,7 +256,7 @@ def _build_result(ctx: _Context, values: np.ndarray, constraints: ConstraintSet)
     )
     return SolveResult(
         scored.allocation, scored.objective, *scored.gaps,
-        status=status, n_fractional=n_fractional,
+        status=status, n_fractional=n_fractional, _basis=basis,
     )
 
 
@@ -275,7 +302,9 @@ def _solve_slab_single(
     with it.
     """
     d = threshold.copy()
-    b = eps if float(a @ d) > 0.0 else -eps
+    # the face's sign and the fill below sum products with no BLAS kernel,
+    # which would round them its own way on each CPU
+    b = eps if float((a * d).sum()) > 0.0 else -eps
 
     users = np.flatnonzero(a)  # the users a coordinate of the scan moves
     lam = c[users]
@@ -316,7 +345,7 @@ def _solve_slab_single(
     dd = np.zeros(size)
     np.less(a_s[:lo], 0.0, out=dd[:lo])
     np.greater(a_s[hi:], 0.0, out=dd[hi:])
-    delta = b - float(a_s @ dd)
+    delta = b - float((a_s * dd).sum())
     # Marginal coordinates have zero reduced cost; fill them in index order
     # until the face is met.  At most one receives a fractional value.
     for j in range(lo, hi):
@@ -443,28 +472,89 @@ def _ascending(
     return order, np.cumsum(weight[order])
 
 
+def _inverse(matrix: list[list[float]]) -> list[list[float]]:
+    """The inverse of an m x m matrix of Python floats, m <= 3, by its adjugate.
+
+    It calls no LAPACK routine and runs no BLAS or SIMD kernel, so its bits
+    are the same on every CPU.  With the gather of a 3x3 basis from the
+    columns it takes ~5 us, against ~7 us for ``np.linalg.inv``.
+
+    Raises:
+        SolverNumericalError: the determinant is exactly zero.
+    """
+    if len(matrix) == 1:
+        (a,), = matrix
+        adjugate, det = [[1.0]], a
+    elif len(matrix) == 2:
+        (a, b), (c, d) = matrix
+        adjugate, det = [[d, -b], [-c, a]], a * d - b * c
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+        adjugate = [[c0, c * h - b * i, b * f - c * e],
+                    [c1, a * i - c * g, c * d - a * f],
+                    [c2, b * g - a * h, a * e - b * d]]
+        det = a * c0 + b * c1 + c * c2
+    if det == 0.0:
+        raise SolverNumericalError("dual simplex: singular basis")
+    return [[v / det for v in row] for row in adjugate]
+
+
+def _dot(u, v) -> float:
+    """``u . v`` over Python floats, added left to right (``sum`` rounds
+    differently from Python 3.12 on)."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
 def _dual_simplex(
-    c: np.ndarray, rows: np.ndarray, eps: float, threshold: np.ndarray
-) -> np.ndarray:
-    """The optimum of a 2- or 3-row solve by a bounded dual simplex.
+    c: np.ndarray, rows: np.ndarray, eps: float, threshold: np.ndarray,
+    start: tuple[int, ...] | None = None,
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The optimum of a 2- or 3-row solve by a bounded dual simplex, and its
+    final basis (sorted column indices).
 
-    The problem is posed in ``_equality_form``, as for HiGHS.  It starts from
-    the caller's threshold decisions: ``threshold`` is the unconstrained
-    optimum (``c >= 0``), which the caller has found outside the slab.  The
-    slack basis with ``d`` at it is dual feasible at ``lam = 0``, so no
-    phase 1 is needed.  Each iteration takes the most violated basic
-    variable out of the basis and runs the bound-flipping ratio test (Maros,
-    EJOR 149(1), 2003): the nonbasic columns whose reduced costs the dual
-    step drives through zero are taken in the order of their breakpoints,
-    and each is flipped to its other bound while the leaving variable stays
-    infeasible; one at which it turns feasible enters.  Basic values and
-    duals are recomputed from the m x m basis.  The final vertex has at most
-    m fractional coordinates; it is returned only when ``_certified``
-    accepts it with the final duals.
+    The problem is posed in ``_equality_form``, as for HiGHS.  A cold solve
+    starts from the caller's threshold decisions: ``threshold`` is the
+    unconstrained optimum (``c >= 0``), which the caller has found outside
+    the slab.  The slack basis with ``d`` at it is dual feasible at
+    ``lam = 0``, so no phase 1 is needed.  Each iteration takes the most
+    violated basic variable out of the basis and runs the bound-flipping
+    ratio test (Maros, EJOR 149(1), 2003): the nonbasic columns whose
+    reduced costs the dual step drives through zero are taken in the order
+    of their breakpoints, and each is flipped to its other bound while the
+    leaving variable stays infeasible; one at which it turns feasible
+    enters.  Basic values and duals are recomputed from the m x m basis,
+    inverted by its adjugate (``_inverse``).  The final vertex has at most m
+    fractional coordinates; its basic values and duals are computed once
+    more from the sorted basis, with no BLAS product, and it is returned
+    only when ``_certified`` accepts it with those duals.
 
-    Besides the matrix, the full-length arrays are the n + m values, costs
-    and bound sides and one buffer for the pivot row and reduced costs,
-    made once and updated in place by every iteration.
+    ``start``, the final basis of a solve of the same rows with other gains
+    (the previous grid value of a sweep's replication), may start the solve
+    instead.  Any basis is dual feasible once each nonbasic column sits at
+    the bound its reduced cost asks for (Bertsimas and Tsitsiklis,
+    *Introduction to Linear Optimization*, ch. 5), so it too needs no phase
+    1.  The start is used only when its weak-duality bound,
+    ``sum((cost - y . cols)^+)`` over the decisions plus ``box_k |y_k|`` per
+    nonbasic slack, is below the slack basis's ``sum(cost^+)``: the dual
+    simplex only lowers that bound, so a lower start has less far to go.  A
+    start of the wrong size, a singular one, one the bound turns down and
+    any failure of the warm solve fall back to the cold solve, so a start
+    never makes a solve fail.  On ``all_constraints`` along the built-in
+    grids (seed 3, 4 replications, 2x1000 users, ``main`` uptake) it cut the
+    basis changes per solve from 8.9 to 4.6 on scenario A and from
+    11.6-13.2 to 0.9-2.0 on B, C and D.  On the gamma grid, where each step
+    reweights the whole cost term, the bound kept 11 of 20 solves cold and
+    the rest saved little (9.0 to 8.4).
+
+    Besides the matrix, the full-length arrays of a run are the n + m
+    values and one block of three rows: the pivot row (then the reduced
+    costs), the bound sides and the costs.  They are made once and updated
+    in place by every iteration, and the final vertex's products are taken
+    in the block.
 
     Raises:
         SolverNumericalError: naming the cause: a singular basis, a ratio
@@ -472,25 +562,51 @@ def _dual_simplex(
             or final duals that do not certify the vertex.
     """
     m, n = rows.shape
-    scale, cols, box = _equality_form(rows, eps)
-    # the slacks' bounds and widths (a decision's are 0, 1 and 1), as Python
-    # floats
+    form = _equality_form(rows, eps)
+    if start is not None and len(set(start)) == m == len(start) and all(
+            0 <= j < n + m for j in start):
+        try:
+            found = _simplex_run(c, rows, eps, threshold, form, start)
+        except SolverNumericalError:
+            found = None
+        if found is not None:
+            return found
+    return _simplex_run(c, rows, eps, threshold, form, None)
+
+
+def _simplex_run(
+    c: np.ndarray, rows: np.ndarray, eps: float, threshold: np.ndarray,
+    form: tuple[np.ndarray, np.ndarray, np.ndarray], start: tuple[int, ...] | None,
+) -> tuple[np.ndarray, tuple[int, ...]] | None:
+    """One run of ``_dual_simplex``, from the slack basis (``start`` None)
+    or from ``start``; None when that start's bound is not below the slack
+    basis's."""
+    m, n = rows.shape
+    scale, cols, box = form
+    # the slacks' bounds, widths and feasibility tolerances (a decision's are
+    # 0, 1, 1 and _PRIMAL_TOL), as Python floats
     slack_lower, slack_upper = (-box).tolist(), box.tolist()
     slack_width = (2.0 * box).tolist()
     slack_tol = (0.5 * ROUNDOFF_ALLOWANCE * scale).tolist()
+
+    def bounds(j: int) -> tuple[float, float, float]:
+        """Column j's lower and upper bound and feasibility tolerance."""
+        return (0.0, 1.0, _PRIMAL_TOL) if j < n else (
+            slack_lower[j - n], slack_upper[j - n], slack_tol[j - n])
     x = np.empty(n + m)
     x[:n] = threshold
     x[n:] = 0.0
+    # the pivot row (then the reduced costs), the sides and the costs: one
+    # block, which the final vertex's products reuse
+    alpha, side, cost = work = np.empty((3, n + m))
     # The side of each nonbasic column: -1.0 at its upper bound, 1.0 at its
     # lower bound, 0.0 when the two are equal (a slack at eps = 0, which
     # never enters).  A basic column's side is set when it leaves.
-    side = np.subtract(1.0, x)
+    np.subtract(1.0, x, out=side)
     side -= x
     # Gains pushed away from zero by a fixed pseudo-random amount break the
     # dual ties of an indifferent group or of duplicate users; they move the
     # optimum by at most 4 * _PERTURBATION * sum(|c|), inside the certificate.
-    alpha = np.empty(n + m)  # the pivot row, then the reduced costs
-    cost = np.empty(n + m)
     perturbation = cost[:n]
     gain_sum = float(np.abs(c, out=perturbation).sum())
     # an equidistributed sequence in [0, 1): a - floor(a) is a % 1.0 exactly
@@ -501,16 +617,34 @@ def _dual_simplex(
     perturbation *= -(_PERTURBATION * (gain_sum / n))
     perturbation *= side[:n]  # away from zero: up where c >= 0
     perturbation += c
+    del perturbation  # a view, which would keep the block alive
     cost[n:] = 0.0
-    basis = np.arange(n, n + m)
-    # the basic columns' bounds and feasibility tolerances, as Python floats
-    basic_lower, basic_upper = list(slack_lower), list(slack_upper)
-    basic_tol = list(slack_tol)
+    if start is None:
+        basis = np.arange(n, n + m)
+    else:
+        basis = np.array(start)
+        y = cost[basis] @ np.array(_inverse(cols[:, basis].tolist()))
+        slack_bound = float(np.maximum(cost[:n], 0.0, out=alpha[:n]).sum())
+        np.matmul(y, cols, out=alpha)  # then the start's reduced costs
+        np.subtract(cost, alpha, out=alpha)
+        alpha[basis] = 0.0
+        np.greater(alpha[:n], 0.0, out=x[:n])  # each decision at the bound it asks for
+        np.subtract(1.0, x[:n], out=side[:n])
+        side[:n] -= x[:n]
+        bound = float(np.maximum(alpha[:n], 0.0, out=alpha[:n]).sum())
+        for k in range(m):  # a slack's reduced cost is y_k
+            if n + k not in basis:
+                upper = y[k] > 0.0
+                x[n + k] = slack_upper[k] if upper else slack_lower[k]
+                side[n + k] = 0.0 if box[k] == 0.0 else -1.0 if upper else 1.0
+                bound += slack_upper[k] * abs(y[k])
+        if not bound < slack_bound:
+            return None
+
+    basic = [bounds(j) for j in basis.tolist()]
     for _ in range(_SIMPLEX_ITERATIONS):
-        try:
-            inv = np.linalg.inv(cols[:, basis])
-        except np.linalg.LinAlgError as err:
-            raise SolverNumericalError(f"dual simplex: singular basis ({err})") from err
+        # these products choose the path, not the final vertex's bits
+        inv = np.array(_inverse(cols[:, basis].tolist()))
         x[basis] = 0.0
         xb = -inv @ (cols @ x)
         x[basis] = xb
@@ -518,22 +652,19 @@ def _dual_simplex(
         # the most violated basic variable leaves: the first largest excess
         # over its tolerance
         r, excess, worst = 0, 0.0, -math.inf
-        for i, v in enumerate(xb.tolist()):
-            e = max(basic_lower[i] - v, v - basic_upper[i])
-            if e - basic_tol[i] > worst:
-                r, excess, worst, leaving = i, e, e - basic_tol[i], v
+        for i, (v, (lower, upper, tol)) in enumerate(zip(xb.tolist(), basic)):
+            e = max(lower - v, v - upper)
+            if e - tol > worst:
+                r, excess, worst, leaving = i, e, e - tol, v
         if worst <= 0.0:
-            del alpha, side, cost  # before the certificate's arrays
-            d = np.clip(x[:n], 0.0, 1.0)
-            if not _certified(c, rows, eps, d, y * scale, gain_sum):
-                raise SolverNumericalError("dual simplex: final duals do not certify the vertex")
-            return d
+            break
 
         # The dual step moves y by -sign * t * inv[r], so the reduced cost of
         # column j moves by t * alpha_j.  A column at its lower bound (reduced
         # cost <= 0) reaches zero when alpha_j > 0, one at its upper bound
         # when alpha_j < 0: when alpha_j times its side is positive.
-        sign = 1.0 if leaving > basic_upper[r] else -1.0
+        lower, upper, _ = basic[r]
+        sign = 1.0 if leaving > upper else -1.0
         np.matmul(sign * inv[r], cols, out=alpha)  # bit for bit sign * (inv[r] @ cols)
         pivot_tol = _PIVOT_TOL * max(float(alpha.max()), -float(alpha.min()))
         alpha[basis] = 0.0
@@ -561,16 +692,28 @@ def _dual_simplex(
         # a decision flips to 1 - x, a slack to -box + box - x = 0 - x
         x[flip] = (flip < n) - x[flip]
         side[flip] *= -1.0
-        x[basis[r]] = basic_upper[r] if sign > 0.0 else basic_lower[r]
-        side[basis[r]] = -sign if basic_upper[r] > basic_lower[r] else 0.0
-        basis[r] = entering
-        if entering < n:
-            basic_lower[r], basic_upper[r], basic_tol[r] = 0.0, 1.0, _PRIMAL_TOL
-        else:
-            j = entering - n
-            basic_lower[r], basic_upper[r], basic_tol[r] = (
-                slack_lower[j], slack_upper[j], slack_tol[j])
-    raise SolverNumericalError(f"dual simplex: {_SIMPLEX_ITERATIONS} iterations used up")
+        x[basis[r]] = upper if sign > 0.0 else lower
+        side[basis[r]] = -sign if upper > lower else 0.0
+        basis[r], basic[r] = entering, bounds(entering)
+    else:
+        raise SolverNumericalError(f"dual simplex: {_SIMPLEX_ITERATIONS} iterations used up")
+
+    # The vertex, once more from the sorted basis: a run that ends on the
+    # basis another run ends on gives its bits.  cols . x is one multiply
+    # into the work block and a pairwise sum per row, which no BLAS kernel
+    # rounds its own way; the m x m part runs on Python floats.
+    basis.sort()
+    inv, basic_cost = _inverse(cols[:, basis].tolist()), cost[basis].tolist()
+    x[basis] = 0.0
+    products = np.multiply(cols, x, out=work[:m]).sum(axis=1).tolist()
+    del work, alpha, side, cost
+    x[basis] = [-_dot(row, products) for row in inv]
+    y = [_dot(basic_cost, col) for col in zip(*inv)]
+    d = np.clip(x[:n], 0.0, 1.0)
+    del x  # before the certificate's arrays
+    if not _certified(c, rows, eps, d, np.multiply(y, scale), gain_sum):
+        raise SolverNumericalError("dual simplex: final duals do not certify the vertex")
+    return d, tuple(basis.tolist())
 
 
 def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult:
@@ -606,15 +749,16 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
         raise ValueError("parametric method handles exactly one retained constraint row")
 
     threshold = ctx.threshold_values
+    basis = None
     if (np.abs(rows @ threshold) <= eps).all():
         values = threshold  # the unconstrained optimum is feasible, hence optimal
     elif method == "highs":
         values = _solve_slab_highs(c, rows, eps)
     elif rows.shape[0] == 1:
         values = _solve_slab_single(c, rows[0], eps, threshold)
-    else:
-        values = _dual_simplex(c, rows, eps, threshold)  # only an allocation it has certified
-    return _build_result(ctx, values, req.constraints)
+    else:  # only an allocation it has certified
+        values, basis = _dual_simplex(c, rows, eps, threshold, req._basis)
+    return _build_result(ctx, values, req.constraints, basis)
 
 
 # The oracle scores 2**_BLOCK_BITS decision vectors per block.

@@ -522,9 +522,9 @@ class TestPopulationCache:
         held = []
         real = hermfair.solver._dual_simplex
 
-        def spy(c, rows, eps, threshold):
+        def spy(c, rows, eps, threshold, start):
             held.append((sorted(vars(pop._context)), dict(pop._context._masses)))
-            return real(c, rows, eps, threshold)
+            return real(c, rows, eps, threshold, start)
 
         monkeypatch.setattr(hermfair.solver, "_dual_simplex", spy)
         solve_constrained_lp(SolveRequest(pop, make_params(), ConstraintSet.all()))

@@ -36,6 +36,7 @@ from hermfair.scenarios import (
     ScenarioId,
     UptakeVariant,
     builtin_scenario,
+    run_sweep,
 )
 from hermfair.solver import (
     MAX_ENUMERATION_CAP,
@@ -202,6 +203,23 @@ class TestConstraintRowCache:
         assert len(built) == 3
         assert rows.tobytes() == np.vstack(singles).tobytes()
         assert len(ctx._retained) == 4
+
+    def test_a_request_whose_rows_all_exist_builds_no_block(self, monkeypatch):
+        # a new set of names whose rows are all built, each row or all of
+        # them, reads the kept block: no new block is made
+        extended = []
+        real = hermfair.model._Context._extend
+        monkeypatch.setattr(hermfair.model._Context, "_extend",
+                            lambda ctx, active: extended.append(active) or real(ctx, active))
+        pop = self._population()
+        ctx = _context(pop, make_params())
+        ctx.rows(ConstraintSet.parity().active)
+        ctx.rows(ConstraintSet.herm_opportunity().active)
+        ctx.rows(ConstraintSet(True, False, True).active)
+        assert len(extended) == 2
+        ctx.rows(ConstraintSet.opportunity().active)
+        _, block = ctx.rows(ConstraintSet.all().active)
+        assert len(extended) == 3 and np.shares_memory(ctx.shared.block, block)
 
     def test_requests_after_the_three_row_request_view_its_block(self, monkeypatch):
         built = self._count_row_builds(monkeypatch)
@@ -730,8 +748,8 @@ def _refuse_lp(monkeypatch):
     monkeypatch.setattr(hermfair.solver, "linprog", refuse)
 
 
-def _singular(matrix):
-    raise np.linalg.LinAlgError("Singular matrix")
+def _singular(matrix, inverse=hermfair.solver._inverse):
+    return inverse([[0.0] * len(row) for row in matrix])
 
 
 def _adversarial_instance(rng):
@@ -847,7 +865,7 @@ class TestLadder:
         assert res.n_fractional <= 3
 
     @pytest.mark.parametrize("cause, target, name, value", [
-        ("singular basis", np.linalg, "inv", _singular),
+        ("singular basis", hermfair.solver, "_inverse", _singular),
         # a running sum that never reaches the leaving variable's need
         ("no entering column", hermfair.solver, "_ascending",
          lambda breaks, weight, need: (np.arange(breaks.size), np.zeros(breaks.size))),
@@ -879,7 +897,7 @@ class TestLadder:
         _, rows = constraint_rows(pop, ConstraintSet.all())
         c = decision_gains(pop, params)
         eps = ConstraintSet.all().tolerance
-        d = hermfair.solver._dual_simplex(c, rows, eps, (c >= 0.0).astype(np.float64))
+        d, _ = hermfair.solver._dual_simplex(c, rows, eps, (c >= 0.0).astype(np.float64))
         expected = solve_constrained_lp(
             SolveRequest(pop, params, ConstraintSet.all()), method="highs").objective
         assert herm_aware_utility(pop, Allocation(d), params) == pytest.approx(expected, rel=1e-9)
@@ -910,7 +928,7 @@ class TestLadder:
             eps = cs.tolerance
             if np.all(np.abs(rows @ (c >= 0.0)) <= eps):
                 continue  # the threshold allocation is feasible
-            d = hermfair.solver._dual_simplex(c, rows, eps, (c >= 0.0).astype(np.float64))
+            d, _ = hermfair.solver._dual_simplex(c, rows, eps, (c >= 0.0).astype(np.float64))
             ref = solve_constrained_lp(SolveRequest(pop, params, cs), method="highs").objective
             certified += 1
             assert np.all((d >= 0.0) & (d <= 1.0))
@@ -955,6 +973,158 @@ def adversarial_requests(draw):
     flags = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any))
     eps = draw(st.sampled_from([0.0, 1e-6, 0.05]))
     return SolveRequest(pop_from(groups, p, rho), params, ConstraintSet(*flags, eps))
+
+
+def _spy_runs(monkeypatch):
+    """Wrap the dual simplex's runs; record each one's start and outcome:
+    "solved", "declined" (the start was not used) or "failed"."""
+    runs = []
+    real = hermfair.solver._simplex_run
+
+    def spy(c, rows, eps, threshold, form, start):
+        try:
+            out = real(c, rows, eps, threshold, form, start)
+        except SolverNumericalError:
+            runs.append((start, "failed"))
+            raise
+        runs.append((start, "declined" if out is None else "solved"))
+        return out
+
+    monkeypatch.setattr(hermfair.solver, "_simplex_run", spy)
+    return runs
+
+
+class TestWarmStart:
+    """A 2- or 3-row solve may start from another solve's final basis."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.allocation.values.tobytes() == want.allocation.values.tobytes()
+        assert np.array([got.objective, *got.gaps]).tobytes() == np.array(
+            [want.objective, *want.gaps]).tobytes()
+        assert got._basis == want._basis
+
+    @pytest.mark.parametrize("scenario", list(ScenarioId))
+    def test_warm_and_cold_agree_on_every_builtin_grid(self, monkeypatch, scenario):
+        # every all_constraints record of a sweep along the whole grid equals
+        # its cold solve within the engines' agreement bound
+        spec = builtin_scenario(scenario, replications=2, n_a=200, n_b=200)
+        runs = _spy_runs(monkeypatch)
+        result = run_sweep(spec, base_seed=3)
+        assert result.n_failed == 0
+        warm = sum(start is not None and outcome == "solved" for start, outcome in runs)
+        assert all(outcome != "failed" for _, outcome in runs)
+        monkeypatch.undo()
+        rule = AllocationRule.ALL_CONSTRAINTS
+        cs = rule.constraint_set(spec.tolerance)
+        pops = {}
+        checked = 0
+        for rec in result.records:
+            if rec.rule != rule.value:
+                continue
+            pop = pops.get(rec.seed)
+            if pop is None:
+                pop = pops[rec.seed] = sample_population(PopulationSpec(
+                    n_a=spec.n_a, n_b=spec.n_b, uptake=spec.uptake, click=spec.click,
+                    seed=rec.seed))
+            params = spec.params_for(rec.param_value)
+            cold = solve(SolveRequest(pop, params, cs))
+            gain_sum = float(np.abs(decision_gains(pop, params)).sum())
+            assert abs(rec.objective - cold.objective) <= 1e-15 * gain_sum
+            for gap in (rec.parity_gap, rec.eo_gap, rec.eho_gap):
+                assert abs(gap) <= spec.tolerance + ROUNDOFF_ALLOWANCE
+            checked += 1
+        assert checked == 2 * len(spec.grid)
+        if scenario is not ScenarioId.GAMMA_SWEEP:
+            assert warm > 0  # the starts were used, not only offered
+
+    def test_the_final_basis_restarts_at_its_own_vertex(self, monkeypatch):
+        # started from its own final basis, a solve makes no basis change and
+        # gives the cold solve's bits
+        req = _scenario_a_cell(0)
+        cold = solve(req)
+        assert cold._basis is not None and list(cold._basis) == sorted(cold._basis)
+        runs = _spy_runs(monkeypatch)
+        self._same(solve(replace(req, _basis=cold._basis)), cold)
+        assert runs == [(cold._basis, "solved")]
+
+    def test_a_bad_hint_falls_back_to_cold(self, monkeypatch):
+        req = _scenario_a_cell(0)
+        cold = solve(req)
+        n = req.population.size
+        runs = _spy_runs(monkeypatch)
+        for hint in [(n, n + 1), (n, n + 1, n + 2, 0), (n, n, n + 1), (-1, n, n + 1),
+                     (0, 1, n + 3)]:
+            runs.clear()
+            self._same(solve(replace(req, _basis=hint)), cold)
+            assert runs == [(None, "solved")]  # the hint is never tried
+
+    def test_a_singular_hint_falls_back_to_cold(self, monkeypatch):
+        # every user twice: columns 0 and 1 are equal, so a basis holding
+        # both is exactly singular
+        req = _scenario_a_cell(0)
+        pop = req.population
+        doubled = Population.from_arrays(*(np.repeat(a, 2) for a in (pop.groups, pop.p, pop.rho)))
+        req = replace(req, population=doubled)
+        cold = solve(req)
+        hint = (0, 1, doubled.size)
+        runs = _spy_runs(monkeypatch)
+        self._same(solve(replace(req, _basis=hint)), cold)
+        assert runs == [(hint, "failed"), (None, "solved")]
+
+    def test_a_failing_warm_solve_falls_back_to_cold(self, monkeypatch):
+        req = _scenario_a_cell(0)
+        cold = solve(req)
+        real = hermfair.solver._certified
+        refused = []
+
+        def refuse_once(*args):
+            if not refused:
+                refused.append(True)
+                return False
+            return real(*args)
+
+        monkeypatch.setattr(hermfair.solver, "_certified", refuse_once)
+        runs = _spy_runs(monkeypatch)
+        self._same(solve(replace(req, _basis=cold._basis)), cold)
+        assert runs == [(cold._basis, "failed"), (None, "solved")]
+
+    def test_the_bound_keeps_cold_when_the_start_is_not_lower(self, monkeypatch):
+        # the slack basis as a start has duals 0, so its bound is the slack
+        # basis's own: not lower, and the solve runs cold
+        req = _scenario_a_cell(0)
+        cold = solve(req)
+        n = req.population.size
+        hint = (n, n + 1, n + 2)
+        runs = _spy_runs(monkeypatch)
+        self._same(solve(replace(req, _basis=hint)), cold)
+        assert runs == [(hint, "declined"), (None, "solved")]
+
+    def test_a_hint_is_no_part_of_a_requests_value(self):
+        req = _scenario_a_cell(0)
+        hinted = replace(req, _basis=(0, 1, 2))
+        assert hinted == req and repr(hinted) == repr(req)
+        res = solve(req)
+        assert replace(res, _basis=None) == res and "_basis" not in repr(res)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_adjugate_inverse_matches_linalg(self, m):
+        # within ~1e-15 relative, times the matrix's condition number
+        rng = np.random.default_rng(m)
+        for _ in range(500):
+            a = rng.standard_normal((m, m))
+            want = np.linalg.inv(a)
+            got = np.array(hermfair.solver._inverse(a.tolist()))
+            assert np.abs(got - want).max() <= 1e-15 * np.linalg.cond(a) * np.abs(want).max()
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[0.3, 0.3, -1.0], [0.7, 0.7, 0.0], [0.1, 0.1, 0.0]],  # two equal columns
+    ])
+    def test_adjugate_inverse_of_a_singular_matrix_raises(self, matrix):
+        with pytest.raises(SolverNumericalError, match="^dual simplex: singular basis$"):
+            hermfair.solver._inverse(matrix)
 
 
 class TestDifferential:
@@ -1257,6 +1427,16 @@ class TestBinaryExact:
             solve_binary_exact(
                 SolveRequest(pop, make_params(), mode=SolveMode.BINARY_EXACT)
             )
+
+    def test_cap_equal_to_the_population_size(self):
+        # the cap is the largest size the oracle takes
+        pop = pop_from(["A", "B"] * 3, [0.2, 0.9, 0.5, 0.4, 0.7, 0.1], [0.5] * 6)
+        for cs in (ConstraintSet(), ConstraintSet.parity(0.1)):
+            req = SolveRequest(pop, make_params(), cs, mode=SolveMode.BINARY_EXACT,
+                               enumeration_cap=6)
+            assert solve_binary_exact(req).status is SolveStatus.OPTIMAL
+            with pytest.raises(PopulationTooLargeError):
+                solve_binary_exact(replace(req, enumeration_cap=5))
 
     def test_cap_ceiling(self):
         pop = pop_from(["A", "B"], [0.5, 0.5], [0.5, 0.5])
