@@ -70,14 +70,16 @@ class Population:
     :meth:`from_arrays`.  Both groups must be non-empty; group ratios are
     undefined otherwise.
 
-    Apart from its data a population has one private slot: the solve
-    context (``_Context``) of the last :class:`ModelParams` object it was
-    solved with, which holds what that object's solves share, each
-    full-length array once, and the gap rows that every parameter object's
-    solves share.  Equality ignores it.
+    Apart from its data a population has two private slots, both built by
+    its first solve: ``_rows``, the group masses and gap rows that every
+    parameter object's solves share (``_PopulationRows``), and
+    ``_context``, the solve context (``_Context``) of the last
+    :class:`ModelParams` object it was solved with, which holds what that
+    object's solves share, each full-length array once.  Equality ignores
+    both.
     """
 
-    __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b", "_context")
+    __slots__ = ("groups", "p", "rho", "mask_a", "mask_b", "n_a", "n_b", "_rows", "_context")
 
     @classmethod
     def from_arrays(
@@ -117,7 +119,7 @@ class Population:
         self.mask_b = mask_b
         self.n_a = n_a
         self.n_b = n_b
-        self._context = None
+        self._rows = self._context = None
         return self
 
     @property
@@ -242,8 +244,9 @@ _SHARE_WEIGHTS: dict[str, str | None] = {
     "equality_herm_opportunity": "rho",
 }
 
-# The sign of every gap the library reports (see :meth:`_Context.share_gap`),
-# as each output file's ``gap_orientation`` field states it.
+# The sign of every gap the library reports (see
+# :meth:`_PopulationRows.share_gap`), as each output file's
+# ``gap_orientation`` field states it.
 GAP_ORIENTATION = "group A minus group B"
 
 
@@ -316,84 +319,26 @@ class _Scored(NamedTuple):
 
 
 class _PopulationRows:
-    """The part of a population's solve context that reads no parameters:
-    the group masses, the gap rows (one read-only block, with a view of it
-    by constraint name), and the names retained for each
-    ``ConstraintSet.active`` with their matrix.  A population's contexts
-    hand it on (:func:`_context`), so it lives as long as the population
-    and its rows, at most three floats per user, serve every parameter
-    object it is solved with."""
+    """What a population's solves share whatever their parameters, each
+    part computed on first use and read-only: the group masses, the gap
+    rows (one read-only block, with a view of it by constraint name), and
+    the names retained for each ``ConstraintSet.active`` with their matrix.
+    Every parameter object's context reads the population's one rows object
+    (:func:`_context`), so its rows, at most three floats per user, are
+    built once for the population's lifetime.  It refers to the
+    population's arrays, not to the population."""
 
-    __slots__ = ("masses", "block", "rows", "retained", "matrices")
+    __slots__ = ("p", "rho", "mask_a", "mask_b", "_masses", "block", "_rows",
+                 "_retained", "_matrices")
 
     def __init__(self, pop: Population) -> None:
-        self.masses: dict[str | None, tuple[float, float]] = {
+        self.p, self.rho, self.mask_a, self.mask_b = pop.p, pop.rho, pop.mask_a, pop.mask_b
+        self._masses: dict[str | None, tuple[float, float]] = {
             None: (float(pop.n_a), float(pop.n_b))}
         self.block: np.ndarray | None = None
-        self.rows: dict[str, np.ndarray] = {}
-        self.retained: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self.matrices: dict[tuple[str, ...], np.ndarray] = {}
-
-
-class _Context:
-    """What the solves of one population under one parameter object share,
-    each part computed on first use and read-only: the objective's per-user
-    terms, the gains and the threshold allocation (show iff the gain is
-    ``>= 0``), as decisions and scored.  The masses and the gap rows, which
-    do not read ``params``, are the population's (``shared``, a
-    :class:`_PopulationRows`); the methods below build them there.
-
-    Every solve scores its result here (:meth:`score`), and the threshold
-    rule is written here only: the engines read ``threshold_values`` and
-    every exit at the threshold returns ``threshold``.
-
-    A population holds only its last context (:func:`_context`), so it holds
-    one parameter set's arrays at most, each once: the gains, three terms,
-    and the threshold decisions and allocation, 9.6 MB at 2x10^5 users,
-    beside its rows (4.8 MB).  The public model functions build a context
-    no population holds.  A context refers to the population's arrays, not
-    to the population, so the two form no reference cycle.
-    """
-
-    def __init__(
-        self, pop: Population, params: ModelParams | None,
-        shared: _PopulationRows | None = None,
-    ) -> None:
-        self.params = params
-        self.p, self.rho, self.mask_a, self.mask_b = pop.p, pop.rho, pop.mask_a, pop.mask_b
-        self.shared = _PopulationRows(pop) if shared is None else shared
-
-    # The population-level state, as the methods below read it.
-    _masses = property(lambda self: self.shared.masses)
-    _rows = property(lambda self: self.shared.rows)
-    _retained = property(lambda self: self.shared.retained)
-    _matrices = property(lambda self: self.shared.matrices)
-
-    def _objective(self) -> _Objective:
-        params = self.params
-        beta = np.where(self.mask_a, params.beta_a, params.beta_b)
-        theta = np.where(self.mask_a, params.theta_a, params.theta_b)
-        omega = np.where(self.mask_a, params.omega_a, params.omega_b)
-        shown = params.alpha * self.p
-        uptake_cost = -theta * self.rho + omega * (1.0 - self.rho)
-        for arr in (shown, beta, uptake_cost):
-            arr.flags.writeable = False
-        return _Objective(params, shown, beta, uptake_cost)
-
-    @cached_property
-    def terms(self) -> _Objective:
-        return self._objective()
-
-    @cached_property
-    def gains(self) -> np.ndarray:
-        """:func:`decision_gains`, from terms that are not kept: a solve
-        holds the terms only once it scores a result."""
-        terms, params = self._objective(), self.params
-        # xi - uptake_cost is bit for bit theta * rho - omega * (1 - rho) + xi:
-        # rounding is symmetric, so -a + b is exactly -(a - b)
-        gains = terms.shown - terms.beta + params.gamma * (params.xi - terms.uptake_cost)
-        gains.flags.writeable = False
-        return gains
+        self._rows: dict[str, np.ndarray] = {}
+        self._retained: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._matrices: dict[tuple[str, ...], np.ndarray] = {}
 
     def masses(self, column: str | None) -> tuple[float, float]:
         """The totals of ``column`` (``"p"`` or ``"rho"``) over group A and
@@ -430,9 +375,9 @@ class _Context:
 
     def rows(self, active: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
         """The retained names of the ``active`` gap rows and their matrix, a
-        read-only view of the population's one block of rows that every
-        later request for those names shares, whatever its parameters; a row
-        equal to an earlier one is not retained.
+        read-only view of the one block of rows that every later request
+        for those names shares, whatever its parameters; a row equal to an
+        earlier one is not retained.
 
         The block holds every row built so far, in ``_SHARE_WEIGHTS`` order,
         and each kept row is a view into it.  A request that needs a new row
@@ -464,7 +409,7 @@ class _Context:
         built = list(self._rows)
         first, last = built.index(names[0]), built.index(names[-1])
         step = (last - first) // (len(names) - 1) if len(names) > 1 else 1
-        return self.shared.block[first:last + 1:step]
+        return self.block[first:last + 1:step]
 
     def _extend(self, active: tuple[str, ...]) -> None:
         """Replace the block by one of the kept rows and those of ``active``,
@@ -475,8 +420,57 @@ class _Context:
         for i, name in enumerate(built):
             block[i] = self._rows[name] if name in self._rows else self._gap_row(name)
         block.flags.writeable = False
-        shared = self.shared
-        shared.block, shared.rows, shared.matrices = block, dict(zip(built, block)), {}
+        self.block, self._rows, self._matrices = block, dict(zip(built, block)), {}
+
+
+class _Context:
+    """What the solves of one population under one parameter object share,
+    each part computed on first use and read-only: the objective's per-user
+    terms, the gains and the threshold allocation (show iff the gain is
+    ``>= 0``), as decisions and scored.  The masses and the gap rows, which
+    do not read ``params``, are the population's ``pop_rows``.
+
+    Every solve scores its result here (:meth:`score`), and the threshold
+    rule is written here only: the engines read ``threshold_values`` and
+    every exit at the threshold returns ``threshold``.
+
+    A population holds only its last context (:func:`_context`), so it holds
+    one parameter set's arrays at most, each once: the gains, three terms,
+    and the threshold decisions and allocation, 9.6 MB at 2x10^5 users,
+    beside its rows (4.8 MB).  The public model functions build a context
+    and a rows object that no population holds.  A context refers to the rows object, not to the
+    population, so the two form no reference cycle.
+    """
+
+    def __init__(self, pop_rows: _PopulationRows, params: ModelParams) -> None:
+        self.pop_rows = pop_rows
+        self.params = params
+
+    def _objective(self) -> _Objective:
+        params, pop_rows = self.params, self.pop_rows
+        beta = np.where(pop_rows.mask_a, params.beta_a, params.beta_b)
+        theta = np.where(pop_rows.mask_a, params.theta_a, params.theta_b)
+        omega = np.where(pop_rows.mask_a, params.omega_a, params.omega_b)
+        shown = params.alpha * pop_rows.p
+        uptake_cost = -theta * pop_rows.rho + omega * (1.0 - pop_rows.rho)
+        for arr in (shown, beta, uptake_cost):
+            arr.flags.writeable = False
+        return _Objective(params, shown, beta, uptake_cost)
+
+    @cached_property
+    def terms(self) -> _Objective:
+        return self._objective()
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        """:func:`decision_gains`, from terms that are not kept: a solve
+        holds the terms only once it scores a result."""
+        terms, params = self._objective(), self.params
+        # xi - uptake_cost is bit for bit theta * rho - omega * (1 - rho) + xi:
+        # rounding is symmetric, so -a + b is exactly -(a - b)
+        gains = terms.shown - terms.beta + params.gamma * (params.xi - terms.uptake_cost)
+        gains.flags.writeable = False
+        return gains
 
     @cached_property
     def threshold_values(self) -> np.ndarray:
@@ -496,13 +490,13 @@ class _Context:
         ``1 - d`` are gathered once, and every value is bit for bit what the
         public function returns.  A gap whose weight column sums to zero over
         a group is NaN."""
-        d = alloc.values
+        d, pop_rows = alloc.values, self.pop_rows
         objective = _utility(self.terms, d, 1.0 - d)
-        d_a, d_b = d[self.mask_a], d[self.mask_b]
+        d_a, d_b = d[pop_rows.mask_a], d[pop_rows.mask_b]
         gaps = []
         for column in _SHARE_WEIGHTS.values():
             try:
-                gaps.append(self.share_gap(d_a, d_b, column))
+                gaps.append(pop_rows.share_gap(d_a, d_b, column))
             except DegenerateGroupError:
                 gaps.append(math.nan)
         return _Scored(alloc, objective, tuple(gaps))
@@ -510,10 +504,13 @@ class _Context:
 
 def _context(pop: Population, params: ModelParams) -> _Context:
     """The population's context for ``params``, matched by identity; a new
-    one replaces the last and takes over its masses and rows."""
+    one replaces the last and reads the population's rows object, built on
+    first use."""
     ctx = pop._context
     if ctx is None or ctx.params is not params:
-        ctx = pop._context = _Context(pop, params, None if ctx is None else ctx.shared)
+        if pop._rows is None:
+            pop._rows = _PopulationRows(pop)
+        ctx = pop._context = _Context(pop._rows, params)
     return ctx
 
 
@@ -540,13 +537,13 @@ def _utility(terms: _Objective, d: np.ndarray, withheld: np.ndarray) -> float:
 def economic_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user economic utilities, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    return _economic(_Context(pop, params).terms, d, 1.0 - d)
+    return _economic(_Context(_PopulationRows(pop), params).terms, d, 1.0 - d)
 
 
 def hermeneutical_cost(pop: Population, alloc: Allocation, params: ModelParams) -> float:
     """Sum of per-user interpretative costs, in ascending user-index order."""
     d = _check_aligned(pop, alloc)
-    return _cost(_Context(pop, params).terms, d, 1.0 - d)
+    return _cost(_Context(_PopulationRows(pop), params).terms, d, 1.0 - d)
 
 
 def herm_aware_utility(pop: Population, alloc: Allocation, params: ModelParams) -> float:
@@ -556,7 +553,7 @@ def herm_aware_utility(pop: Population, alloc: Allocation, params: ModelParams) 
     summation order, and subtracting ``0.0 * cost`` is exact).
     """
     d = _check_aligned(pop, alloc)
-    return _utility(_Context(pop, params).terms, d, 1.0 - d)
+    return _utility(_Context(_PopulationRows(pop), params).terms, d, 1.0 - d)
 
 
 def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
@@ -568,12 +565,12 @@ def decision_gains(pop: Population, params: ModelParams) -> np.ndarray:
     non-negative gain.  The returned array is read-only and computed on
     every call; a solve reads its gains from the population's context.
     """
-    return _Context(pop, params).gains
+    return _Context(_PopulationRows(pop), params).gains
 
 
 def _column_gap(pop: Population, alloc: Allocation, column: str | None) -> float:
     d = _check_aligned(pop, alloc)
-    return _Context(pop, None).share_gap(d[pop.mask_a], d[pop.mask_b], column)
+    return _PopulationRows(pop).share_gap(d[pop.mask_a], d[pop.mask_b], column)
 
 
 def parity_gap(pop: Population, alloc: Allocation) -> float:

@@ -285,7 +285,7 @@ class SweepResult:
 
 def _run_cell(
     spec: ScenarioSpec, pop: Population, seed: int, value_idx: int, rep: int,
-    starts: dict[AllocationRule, tuple[int, ...]] | None = None,
+    starts: dict[AllocationRule, tuple[int, ...]],
 ) -> list[SweepRecord]:
     """Solve all five rules on replication ``rep``'s population ``pop``
     (drawn from ``seed``) at grid value ``value_idx``.
@@ -304,7 +304,6 @@ def _run_cell(
     """
     value = spec.grid[value_idx]
     params = spec._grid_params[value_idx]
-    starts = {} if starts is None else starts
     best = math.nan  # the unconstrained objective, once solved
     records = []
     for rule, constraints in spec._rule_constraints:

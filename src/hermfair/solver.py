@@ -12,9 +12,11 @@ being zero up to the request tolerance ``eps`` (``|gap| <= eps``).  Every
 constrained solve first tries the threshold allocation (``d_i = 1`` iff the
 gain ``c_i >= 0``): if it already meets every retained row it is optimal
 and is returned with no further work.  The population's solve context
-(``hermfair.model._Context``) holds the gains, the rows and the threshold
-allocation, and scores every result: one scored threshold allocation is
-shared by every solve that ends there.  Otherwise:
+for the request's parameters (``hermfair.model._Context``) holds the
+gains and the threshold allocation, and scores every result: one scored
+threshold allocation is shared by every solve that ends there.  The gap
+rows are the population's (``hermfair.model._PopulationRows``), shared by
+every parameter object's context.  Otherwise:
 
 * a single retained row is solved exactly by a parametric search over the
   one Lagrange multiplier (breakpoint scan, O(n log n));
@@ -77,6 +79,7 @@ from .model import (
     _context,
     _Context,
     _integer,
+    _PopulationRows,
 )
 # Bound here, though the solve context computes the gains and scores every
 # result, for code that wraps this module's names (perfbench's tracer).
@@ -202,7 +205,7 @@ def constraint_rows(
     uptake-weighted row when every user shares one uptake value, which then
     collapses onto the exposure row) are dropped.  Each call builds the rows
     from the population, keeps nothing and returns a new writable matrix; a
-    solve reads a read-only view of them from the population's context.
+    solve reads a read-only view of them from the population's rows object.
 
     Returns:
         (names, matrix) where matrix has one row per retained constraint.
@@ -211,7 +214,7 @@ def constraint_rows(
         DegenerateGroupError: an active constraint's weight column sums to
             zero over a group.
     """
-    names, rows = _Context(pop, None).rows(constraints.active)
+    names, rows = _PopulationRows(pop).rows(constraints.active)
     return list(names), rows.copy()
 
 
@@ -741,7 +744,7 @@ def solve_constrained_lp(req: SolveRequest, method: str = "auto") -> SolveResult
     if method not in ("auto", "parametric", "highs"):
         raise ValueError(f"unknown method {method!r}")
     ctx = _context(req.population, req.params)
-    _, rows = ctx.rows(req.constraints.active)
+    _, rows = ctx.pop_rows.rows(req.constraints.active)
     c = ctx.gains
     eps = req.constraints.tolerance
 
@@ -827,7 +830,7 @@ def solve_binary_exact(req: SolveRequest) -> SolveResult:
         )
     ctx = _context(req.population, req.params)
     c = ctx.gains
-    _, rows = ctx.rows(req.constraints.active)
+    _, rows = ctx.pop_rows.rows(req.constraints.active)
     limit = req.constraints.tolerance + ROUNDOFF_ALLOWANCE
 
     # row 0 is the gain, rows 1.. the gaps

@@ -502,8 +502,8 @@ class TestPopulationCache:
         gains = ctx.gains
         assert _context(pop, params) is ctx and ctx.gains is gains
         ctx.score(Allocation(np.ones(pop.size)))
-        ctx.rows(ConstraintSet.all().active)
-        cached = [gains, ctx.threshold_values, *ctx.terms[1:], *ctx._rows.values()]
+        ctx.pop_rows.rows(ConstraintSet.all().active)
+        cached = [gains, ctx.threshold_values, *ctx.terms[1:], *ctx.pop_rows._rows.values()]
         assert len(cached) == 8
         for arr in cached:
             assert not arr.flags.writeable
@@ -523,7 +523,7 @@ class TestPopulationCache:
         real = hermfair.solver._dual_simplex
 
         def spy(c, rows, eps, threshold, start):
-            held.append((sorted(vars(pop._context)), dict(pop._context._masses)))
+            held.append((sorted(vars(pop._context)), dict(pop._rows._masses)))
             return real(c, rows, eps, threshold, start)
 
         monkeypatch.setattr(hermfair.solver, "_dual_simplex", spy)
@@ -547,8 +547,9 @@ class TestPopulationCache:
         threshold = weakref.ref(vars(ctx)["threshold"].allocation.values)
         assert results[0].allocation.values is threshold()
         refs = [weakref.ref(arr) for arr in built]
-        shared, rows = ctx.shared, dict(ctx._rows)
-        _, block = ctx.rows(ConstraintSet.all().active)
+        pop_rows, rows = pop._rows, dict(pop._rows._rows)
+        assert ctx.pop_rows is pop_rows
+        _, block = pop_rows.rows(ConstraintSet.all().active)
         del ctx, built
         solve(SolveRequest(pop, p2, ConstraintSet.all()))
         ctx = pop._context
@@ -558,9 +559,17 @@ class TestPopulationCache:
         assert all(ref() is None for ref in refs)
         # the rows are the population's: the new parameter object's solve
         # read the same block, and built no row
-        assert ctx.shared is shared and ctx._rows.keys() == rows.keys()
-        assert all(ctx._rows[name] is row for name, row in rows.items())
-        assert ctx.rows(ConstraintSet.all().active)[1] is block
+        assert pop._rows is pop_rows and ctx.pop_rows is pop_rows
+        assert pop_rows._rows.keys() == rows.keys()
+        assert all(pop_rows._rows[name] is row for name, row in rows.items())
+        assert pop_rows.rows(ConstraintSet.all().active)[1] is block
+        # a context holds its parameter object's arrays and the rows object,
+        # and no row, mass or matrix of its own
+        assert set(vars(ctx)) <= {"pop_rows", "params", "terms", "gains",
+                                  "threshold_values", "threshold"}
+        assert not any(hasattr(ctx, name) for name in (
+            "masses", "share_gap", "rows", "block", "_masses", "_rows", "_retained",
+            "_matrices", "_gap_row", "_matrix", "_extend", "shared"))
         assert threshold() is not None  # a result still holds its allocation
         del results
         assert threshold() is None
@@ -573,7 +582,7 @@ class TestPopulationCache:
             objective(fresh, alloc, p1)
         decision_gains(fresh, p1)
         constraint_rows(fresh, ConstraintSet.all())
-        assert fresh._context is None
+        assert fresh._rows is None and fresh._context is None
 
     def test_equality_ignores_the_cache(self):
         pop = self._population()

@@ -358,11 +358,12 @@ class TestRunSweep:
 
     def test_a_replication_builds_its_rows_once_across_the_grid(self, monkeypatch):
         drawn, built = [], []
-        sample, gap_row = hermfair.scenarios.sample_population, hermfair.model._Context._gap_row
+        sample = hermfair.scenarios.sample_population
+        gap_row = hermfair.model._PopulationRows._gap_row
         monkeypatch.setattr(hermfair.scenarios, "sample_population",
                             lambda spec: drawn.append(spec.seed) or sample(spec))
-        monkeypatch.setattr(hermfair.model._Context, "_gap_row",
-                            lambda ctx, name: built.append(name) or gap_row(ctx, name))
+        monkeypatch.setattr(hermfair.model._PopulationRows, "_gap_row",
+                            lambda pop_rows, name: built.append(name) or gap_row(pop_rows, name))
         res = run_sweep(tiny_spec(grid=(0.05, 0.2, 0.35), reps=2), base_seed=5)
         assert len(res.records) == 3 * 2 * 5 and res.n_failed == 0
         # one draw and one row per constraint for each replication, in the
@@ -499,7 +500,7 @@ class TestSharedThresholdScore:
         seed = subseed(5, 0, 0)
         pop = sample_population(PopulationSpec(
             n_a=200, n_b=200, uptake=spec.uptake, click=spec.click, seed=seed))
-        records = hermfair.scenarios._run_cell(spec, pop, seed, 0, 0)
+        records = hermfair.scenarios._run_cell(spec, pop, seed, 0, 0, {})
         assert [rec.utility_pct for rec in records] == [100.0] * 5
         assert {rec.status for rec in records} == {"optimal"}
         assert len(calls) == 1

@@ -132,22 +132,22 @@ class TestConstraintRowCache:
     @staticmethod
     def _count_row_builds(monkeypatch):
         built = []
-        real = hermfair.model._Context._gap_row
+        real = hermfair.model._PopulationRows._gap_row
 
-        def counted(ctx, name):
+        def counted(pop_rows, name):
             built.append(name)
-            return real(ctx, name)
+            return real(pop_rows, name)
 
-        monkeypatch.setattr(hermfair.model._Context, "_gap_row", counted)
+        monkeypatch.setattr(hermfair.model._PopulationRows, "_gap_row", counted)
         return built
 
     def test_rows_are_read_only_and_match_a_fresh_population(self):
         pop = self._population()
-        ctx = _context(pop, make_params())
-        names, rows = ctx.rows(ConstraintSet.all().active)
+        pop_rows = _context(pop, make_params()).pop_rows
+        names, rows = pop_rows.rows(ConstraintSet.all().active)
         assert names == ConstraintSet.all().active
-        assert sorted(ctx._rows) == sorted(names)
-        for name, kept in ctx._rows.items():
+        assert sorted(pop_rows._rows) == sorted(names)
+        for name, kept in pop_rows._rows.items():
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 0.5
@@ -165,9 +165,9 @@ class TestConstraintRowCache:
         # later requests share the one read-only block, and the kept rows are
         # views into it
         assert not rows.flags.writeable
-        again_names, again = ctx.rows(ConstraintSet.all().active)
+        again_names, again = pop_rows.rows(ConstraintSet.all().active)
         assert again_names == names and again is rows
-        assert all(np.shares_memory(kept, rows) for kept in ctx._rows.values())
+        assert all(np.shares_memory(kept, rows) for kept in pop_rows._rows.values())
         # the public function's matrix is writable, and no context shares it
         public_names, public = constraint_rows(pop, ConstraintSet.all())
         assert public.flags.writeable and public.flags.owndata
@@ -179,70 +179,70 @@ class TestConstraintRowCache:
         pop = self._population()
         params = make_params()
         first = solve_constrained_lp(SolveRequest(pop, params, ConstraintSet.all(1e-6)))
-        ctx = pop._context
-        kept = dict(ctx._rows)
+        ctx, pop_rows = pop._context, pop._rows
+        kept = dict(pop_rows._rows)
         for tol in (0.0, 0.5, 1e-6):
             res = solve_constrained_lp(SolveRequest(pop, params, ConstraintSet.all(tol)))
-            assert pop._context is ctx
-            assert ctx.rows(ConstraintSet.all(tol).active)[1].tobytes() == np.vstack(
+            assert pop._context is ctx and pop._rows is pop_rows
+            assert pop_rows.rows(ConstraintSet.all(tol).active)[1].tobytes() == np.vstack(
                 list(kept.values())).tobytes()
         assert res.allocation.values.tobytes() == first.allocation.values.tobytes()
         assert len(built) == 3
-        assert all(ctx._rows[name] is row for name, row in kept.items())
-        assert list(ctx._retained) == [ConstraintSet.all().active]
+        assert all(pop_rows._rows[name] is row for name, row in kept.items())
+        assert list(pop_rows._retained) == [ConstraintSet.all().active]
 
     def test_three_row_request_after_one_row_requests_builds_no_row(self, monkeypatch):
         built = self._count_row_builds(monkeypatch)
         pop = self._population()
-        ctx = _context(pop, make_params())
-        singles = [ctx.rows(factory(0.01).active)[1]
+        pop_rows = _context(pop, make_params()).pop_rows
+        singles = [pop_rows.rows(factory(0.01).active)[1]
                    for factory in (ConstraintSet.parity, ConstraintSet.opportunity,
                                    ConstraintSet.herm_opportunity)]
         assert built == list(ConstraintSet.all().active)
-        names, rows = ctx.rows(ConstraintSet.all().active)
+        names, rows = pop_rows.rows(ConstraintSet.all().active)
         assert len(built) == 3
         assert rows.tobytes() == np.vstack(singles).tobytes()
-        assert len(ctx._retained) == 4
+        assert len(pop_rows._retained) == 4
 
     def test_a_request_whose_rows_all_exist_builds_no_block(self, monkeypatch):
         # a new set of names whose rows are all built, each row or all of
         # them, reads the kept block: no new block is made
         extended = []
-        real = hermfair.model._Context._extend
-        monkeypatch.setattr(hermfair.model._Context, "_extend",
-                            lambda ctx, active: extended.append(active) or real(ctx, active))
+        real = hermfair.model._PopulationRows._extend
+        monkeypatch.setattr(hermfair.model._PopulationRows, "_extend",
+                            lambda self, active: extended.append(active) or real(self, active))
         pop = self._population()
-        ctx = _context(pop, make_params())
-        ctx.rows(ConstraintSet.parity().active)
-        ctx.rows(ConstraintSet.herm_opportunity().active)
-        ctx.rows(ConstraintSet(True, False, True).active)
+        pop_rows = _context(pop, make_params()).pop_rows
+        pop_rows.rows(ConstraintSet.parity().active)
+        pop_rows.rows(ConstraintSet.herm_opportunity().active)
+        pop_rows.rows(ConstraintSet(True, False, True).active)
         assert len(extended) == 2
-        ctx.rows(ConstraintSet.opportunity().active)
-        _, block = ctx.rows(ConstraintSet.all().active)
-        assert len(extended) == 3 and np.shares_memory(ctx.shared.block, block)
+        pop_rows.rows(ConstraintSet.opportunity().active)
+        _, block = pop_rows.rows(ConstraintSet.all().active)
+        assert len(extended) == 3 and np.shares_memory(pop_rows.block, block)
 
     def test_requests_after_the_three_row_request_view_its_block(self, monkeypatch):
         built = self._count_row_builds(monkeypatch)
         pop = self._population()
-        ctx = _context(pop, make_params())
-        _, block = ctx.rows(ConstraintSet.all().active)
+        pop_rows = _context(pop, make_params()).pop_rows
+        _, block = pop_rows.rows(ConstraintSet.all().active)
         requests = [ConstraintSet.parity(), ConstraintSet.herm_opportunity(),
                     ConstraintSet(True, False, True), ConstraintSet(False, True, True)]
-        views = [ctx.rows(cs.active) for cs in requests]
+        views = [pop_rows.rows(cs.active) for cs in requests]
         assert built == list(ConstraintSet.all().active)
         for cs, (names, rows) in zip(requests, views):
             assert names == cs.active and np.shares_memory(rows, block)
-            assert rows.tobytes() == np.vstack([ctx._rows[name] for name in names]).tobytes()
+            assert rows.tobytes() == np.vstack([pop_rows._rows[name] for name in names]).tobytes()
             assert constraint_rows(pop, cs)[1].tobytes() == rows.tobytes()
 
     def test_duplicate_row_is_kept_but_not_retained(self, monkeypatch):
         built = self._count_row_builds(monkeypatch)
         pop = pop_from(["A", "B", "A", "B"], [0.9, 0.6, 0.1, 0.4], [0.5] * 4)
-        ctx = _context(pop, make_params())
+        pop_rows = _context(pop, make_params()).pop_rows
         cs = ConstraintSet(parity_exposure=True, equality_herm_opportunity=True)
         for _ in range(2):
-            assert ctx.rows(cs.active)[0] == ("parity_exposure",)
-        assert ctx.rows(ConstraintSet.herm_opportunity().active)[0] == (
+            assert pop_rows.rows(cs.active)[0] == ("parity_exposure",)
+        assert pop_rows.rows(ConstraintSet.herm_opportunity().active)[0] == (
             "equality_herm_opportunity",)
         assert built == ["parity_exposure", "equality_herm_opportunity"]
 
@@ -254,13 +254,13 @@ class TestConstraintRowCache:
         for _ in range(2):
             with pytest.raises(DegenerateGroupError):
                 solve_constrained_lp(SolveRequest(pop, params, ConstraintSet.all()))
-            ctx = pop._context
-            assert ctx._rows == {} and ctx._retained == {}
-        assert ctx.rows(ConstraintSet.parity().active)[0] == ("parity_exposure",)
+            pop_rows = pop._rows
+            assert pop_rows._rows == {} and pop_rows._retained == {}
+        assert pop_rows.rows(ConstraintSet.parity().active)[0] == ("parity_exposure",)
         with pytest.raises(DegenerateGroupError):
-            ctx.rows(ConstraintSet.opportunity().active)
-        assert sorted(ctx._rows) == ["parity_exposure"]
-        assert list(ctx._retained) == [("parity_exposure",)]
+            pop_rows.rows(ConstraintSet.opportunity().active)
+        assert sorted(pop_rows._rows) == ["parity_exposure"]
+        assert list(pop_rows._retained) == [("parity_exposure",)]
         # the failed requests kept nothing, so the parity request built its row again
         assert built == ["parity_exposure", "equality_opportunity"] * 3
 
